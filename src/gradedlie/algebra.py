@@ -68,6 +68,7 @@ class GradedLieAlgebra:
                 norm[(i, j)] = clean
         self.brackets = norm
         self._key = (gens, tuple(sorted(norm.items())), cutoff)
+        self._hash = hash(self._key)    # every cache lookup hashes the algebra
         if validate:
             self._check_weights()
             self._check_jacobi()
@@ -77,7 +78,7 @@ class GradedLieAlgebra:
         return isinstance(other, GradedLieAlgebra) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"GradedLieAlgebra({len(self.generators)} generators, cutoff={self.cutoff})"

@@ -20,17 +20,29 @@ from . import cohomology as coh
 from . import massey as ms
 from .algebra import load_preset, parse_algebra
 from .errors import (AlgebraFormatError, CutoffTooSmall, GradedLieError,
-                     MasseyNotDefined)
+                     InternalCheckFailed, MasseyNotDefined, UsageError)
 from .forms import render_form
 
 
-def _parse_range(text):
+def _int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _parse_range(text, what):
     if not text:
         return []
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+        return list(range(_int(lo, what), _int(hi, what) + 1))
+    return [_int(text, what)]
+
+
+def _env_cutoff():
+    env = os.environ.get("GRADEDLIE_CUTOFF")
+    return _int(env, "GRADEDLIE_CUTOFF") if env else None
 
 
 def _load_algebra(source, cutoff):
@@ -46,15 +58,13 @@ def _load_algebra(source, cutoff):
 def _default_cutoff(args, needed):
     if args.cutoff is not None:
         return args.cutoff
-    env = os.environ.get("GRADEDLIE_CUTOFF")
-    if env:
-        return int(env)
-    return needed
+    env = _env_cutoff()
+    return needed if env is None else env
 
 
 def cmd_betti(args):
-    ks = _parse_range(args.k)
-    qs = _parse_range(args.q)
+    ks = _parse_range(args.k, "--k")
+    qs = _parse_range(args.q, "--q")
     cutoff = _default_cutoff(args, max(ks, default=2))
     g = _load_algebra(args.algebra, max(cutoff, 2))
     rows = [(q, k, coh.betti(g, q, k)) for q in qs for k in ks]
@@ -169,9 +179,7 @@ def cmd_massey(args):
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
     # eval
-    cutoff = args.cutoff
-    if cutoff is None and os.environ.get("GRADEDLIE_CUTOFF"):
-        cutoff = int(os.environ["GRADEDLIE_CUTOFF"])
+    cutoff = args.cutoff if args.cutoff is not None else _env_cutoff()
     if args.algebra in ("m0", "L1"):
         probe = load_preset(args.algebra, cutoff or 48)
         classes = ms.parse_product(probe, args.payload)
@@ -239,6 +247,9 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckFailed as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
     except GradedLieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -48,19 +48,7 @@ class CohomologySlice:
         comp = form.weight_part(self.k).degree_part(self.q)
         if comp.terms != form.terms:
             raise NotACocycle(f"form is not homogeneous of (q={self.q}, k={self.k})")
-        index = {m: i for i, m in enumerate(self.basis)}
-        vec = [Fraction(0)] * len(self.basis)
-        for m, c in form.terms.items():
-            vec[index[m]] = c
-        return vec
-
-
-def _is_in_span(vectors, vec):
-    if not vectors:
-        return all(v == 0 for v in vec)
-    cols = list(zip(*vectors))
-    sol = linalg.solve(cols, vec)
-    return bool(sol)
+        return _vec(self.basis, form)
 
 
 @lru_cache(maxsize=None)
@@ -74,17 +62,14 @@ def cohomology_slice(g, q, k):
     if q == 0:
         cocycles = tuple(tuple(v) for v in ([[Fraction(1)]] if k == 0 else []))
     prev = linalg.d_matrix(g, q - 1, k) if q >= 1 else None
-    cobs = []
+    coboundaries = ()
     if prev is not None and prev.ncols:
-        cols = prev.dense_rows()
         # image vectors = columns of the previous differential, reduced
-        image_rows = [[cols[r][c] for r in range(prev.nrows)] for c in range(prev.ncols)]
-        red, _ = linalg.rref(image_rows)
-        cobs = [tuple(r) for r in red]
-    coboundaries = tuple(cobs)
+        red, _ = linalg.rref(list(zip(*prev.dense_rows())))
+        coboundaries = tuple(tuple(r) for r in red)
     dim = len(cocycles) - len(coboundaries)
 
-    reps = _choose_representatives(g, q, k, basis, cocycles, coboundaries, dim)
+    reps = _choose_representatives(g, q, k, basis, dmat, cocycles, coboundaries, dim)
     rep_vectors = tuple(tuple(_vec(basis, f)) for f in reps)
     return CohomologySlice(g, q, k, basis, cocycles, coboundaries,
                            tuple(reps), rep_vectors, dim)
@@ -98,7 +83,7 @@ def _vec(basis, form):
     return vec
 
 
-def _choose_representatives(g, q, k, basis, cocycles, coboundaries, dim):
+def _choose_representatives(g, q, k, basis, dmat, cocycles, coboundaries, dim):
     if dim <= 0:
         return []
     # m0 preference: omega cocycles verbatim when they span the slice
@@ -107,53 +92,34 @@ def _choose_representatives(g, q, k, basis, cocycles, coboundaries, dim):
         lists = omega_index_lists(q - 1, k)
         if len(lists) == dim:
             forms = [omega(g, idx) for idx in lists]
-            span = list(coboundaries)
-            ok = True
-            for f in forms:
-                v = _vec(basis, f)
-                if _is_in_span(span, v):
-                    ok = False
-                    break
-                span.append(tuple(v))
-            if ok:
+            span = linalg.Echelon(coboundaries)
+            if all(span.add(_vec(basis, f)) for f in forms):
                 return forms
-    # greedy pass: closed single monomials, lexicographic order
+    # greedy pass: closed single monomials, lexicographic order; a monomial
+    # is closed iff its column of the differential is zero
     chosen = []
-    span = list(coboundaries)
-    cocycle_set = list(cocycles)
+    span = linalg.Echelon(coboundaries)
+    nonclosed = {c for _, c in dmat.entries}
     for i, mono in enumerate(basis):
         if len(chosen) == dim:
             break
-        unit = [Fraction(0)] * len(basis)
-        unit[i] = Fraction(1)
-        if not _is_in_span(cocycle_set, unit):
-            continue  # monomial not closed
-        if _is_in_span(span, unit):
+        if i in nonclosed:
             continue
-        chosen.append(Form(g, {mono: Fraction(1)}))
-        span.append(tuple(unit))
-    # completion: cocycles reduced modulo the coboundary echelon (zero on
+        unit = [0] * len(basis)
+        unit[i] = 1
+        if span.add(unit):
+            chosen.append(Form(g, {mono: Fraction(1)}))
+    # completion: cocycles reduced modulo the coboundaries (zero on
     # coboundary pivot columns), re-echelonized, leading coefficient 1
     if len(chosen) < dim:
-        cob_red, cob_pivots = linalg.rref([list(v) for v in coboundaries]) \
-            if coboundaries else ([], [])
-        reduced = []
-        for z in cocycles:
-            vec = list(z)
-            for i, pc in enumerate(cob_pivots):
-                f = vec[pc]
-                if f:
-                    vec = [a - f * b for a, b in zip(vec, cob_red[i])]
-            if any(vec):
-                reduced.append(vec)
-        red, _ = linalg.rref(reduced) if reduced else ([], [])
+        cob_span = linalg.Echelon(coboundaries)
+        reduced = [vec for vec in map(cob_span.reduce, cocycles) if any(vec)]
+        red, _ = linalg.rref(reduced)
         for vec in red:
             if len(chosen) == dim:
                 break
-            if _is_in_span(span, vec):
-                continue
-            chosen.append(Form(g, {basis[i]: v for i, v in enumerate(vec) if v}))
-            span.append(tuple(vec))
+            if span.add(vec):
+                chosen.append(Form(g, {basis[i]: v for i, v in enumerate(vec) if v}))
     return chosen
 
 
@@ -182,7 +148,7 @@ def class_coordinates(slc, c_form):
     """Unique coordinates of [c] in the representative basis of the slice."""
     g = slc.algebra
     vec = slc.vector_of(c_form)
-    if not _is_in_span(list(slc.cocycles), vec):
+    if not linalg.Echelon(slc.cocycles).contains(vec):
         raise NotACocycle("form is not closed")
     cols = [list(b) for b in slc.coboundaries] + [list(r) for r in slc.rep_vectors]
     if not cols:

@@ -69,3 +69,19 @@ class MasseyNotDefined(GradedLieError):
 
 class UnverifiedInput(GradedLieError):
     pass
+
+
+class InternalCheckFailed(GradedLieError):
+    """A re-check of a computed witness or certificate failed: a program fault,
+    not bad input."""
+
+
+class UsageError(GradedLieError):
+    """Malformed command-line argument or environment value."""
+
+
+def internal_check(condition, message):
+    """Raise InternalCheckFailed unless condition holds; unlike ``assert``,
+    the check survives ``python -O``."""
+    if not condition:
+        raise InternalCheckFailed(message)

@@ -1,13 +1,17 @@
 """Exact sparse rational linear algebra on (degree, weight) slices.
 
-Forward elimination is fraction-free (Bareiss) over integerized rows; reduced
-echelon forms and solutions are finished with exact Fractions.  No floating
-point anywhere: triviality decisions downstream are exact yes/no questions.
+Elimination runs on integer rows: fraction-free (Bareiss) forward steps,
+back-substitution on primitive rows, and Fractions only in the final
+normalisation by the pivots.  Span tests reduce against an incrementally
+grown integer echelon (``Echelon``).  No floating point anywhere: triviality
+decisions downstream are exact yes/no questions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .errors import CutoffTooSmall, NotACocycle
@@ -87,6 +91,20 @@ def _forward_eliminate(rows):
     return work[:r], pivots
 
 
+def _primitive(row):
+    """An integer row divided by its content (the gcd of its entries)."""
+    content = gcd(*row)
+    return [v // content for v in row] if content > 1 else row
+
+
+def _eliminate(row, pivot_row, col):
+    """Primitive integer combination of row and pivot_row that is zero at col."""
+    piv, f = pivot_row[col], row[col]
+    h = gcd(piv, f)
+    a, b = piv // h, f // h
+    return _primitive([a * x - b * y for x, y in zip(row, pivot_row)])
+
+
 def rref(rows):
     """Reduced row echelon form over the rationals.
 
@@ -96,54 +114,89 @@ def rref(rows):
     if not rows:
         return [], []
     echelon, pivots = _forward_eliminate(rows)
-    out = [[Fraction(v) for v in row] for row in echelon]
-    # back-substitute to reduced form, normalize pivots to 1
+    work = [_primitive(row) for row in echelon]
+    # integer back-substitution: clear each pivot column above its pivot row
     for i in reversed(range(len(pivots))):
         piv_col = pivots[i]
-        piv = out[i][piv_col]
-        out[i] = [v / piv for v in out[i]]
         for j in range(i):
-            f = out[j][piv_col]
-            if f:
-                out[j] = [vj - f * vi for vj, vi in zip(out[j], out[i])]
-    return out, pivots
+            if work[j][piv_col]:
+                work[j] = _eliminate(work[j], work[i], piv_col)
+    return [[Fraction(v, row[pc]) for v in row] for row, pc in zip(work, pivots)], pivots
+
+
+def _dense(m):
+    """(rows, ncols) of a SliceMatrix or of a list of rows."""
+    if isinstance(m, SliceMatrix):
+        return m.dense_rows(), m.ncols
+    return m, len(m[0]) if m else 0
 
 
 def rank(m):
-    if isinstance(m, SliceMatrix):
-        rows = m.dense_rows()
-    else:
-        rows = m
-    if not rows or not rows[0]:
-        return 0
-    _, pivots = _forward_eliminate(rows)
-    return len(pivots)
+    return len(_forward_eliminate(_dense(m)[0])[1])
 
 
-def kernel_basis(m):
-    """Basis of the null space, one vector per free column, in reduced
-    echelon form (vector j has 1 at its free column, 0 at other free columns)."""
-    if isinstance(m, SliceMatrix):
-        rows = m.dense_rows()
-        ncols = m.ncols
-    else:
-        rows = m
-        ncols = len(rows[0]) if rows else 0
-    if ncols == 0:
-        return []
-    if not rows:
-        rows = [[Fraction(0)] * ncols]
-    red, pivots = rref(rows)
+def _kernel_from_rref(red, pivots, ncols):
+    """Null-space basis read off a reduced echelon form of ncols columns
+    (extra columns to the right are ignored), one vector per free column."""
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
             vec[pc] = -red[i][fc]
         basis.append(vec)
     return basis
+
+
+def kernel_basis(m):
+    """Basis of the null space, one vector per free column, in reduced
+    echelon form (vector j has 1 at its free column, 0 at other free columns)."""
+    rows, ncols = _dense(m)
+    red, pivots = rref(rows)
+    return _kernel_from_rref(red, pivots, ncols)
+
+
+class Echelon:
+    """Row echelon form over primitive integer rows, grown one vector at a time.
+
+    A vector lies in the span of the added vectors iff reducing it against
+    the stored rows leaves zero, so membership costs one reduction and no
+    new elimination.  Input vectors may hold any exact rationals.
+    """
+
+    __slots__ = ("pivots", "rows")
+
+    def __init__(self, vectors=()):
+        self.pivots = []    # ascending; rows[i] has its leading entry at pivots[i]
+        self.rows = []
+        for vec in vectors:
+            self.add(vec)
+
+    def reduce(self, vec):
+        """Integer multiple of vec minus a combination of the stored rows that
+        is zero at every pivot column; zero iff vec is in the span."""
+        row = _integerize(vec)
+        for pc, pivot_row in zip(self.pivots, self.rows):
+            if row[pc]:
+                row = _eliminate(row, pivot_row, pc)
+        return row
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    def add(self, vec):
+        """Extend the span by vec; returns False when vec already lies in it."""
+        row = self.reduce(vec)
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is None:
+            return False
+        i = bisect_left(self.pivots, lead)
+        self.pivots.insert(i, lead)
+        self.rows.insert(i, _primitive(row))
+        return True
 
 
 class Solution:
@@ -168,33 +221,24 @@ def solve(m, target):
 
     Returns a Solution with the lexicographically-first echelon particular
     solution (free variables set to zero) and the kernel basis, or a falsy
-    Solution when the system is inconsistent.
+    Solution when the system is inconsistent.  One elimination of [m | target]
+    gives both: when the system is consistent, the first ncols columns of its
+    reduced form are the reduced form of m.
     """
-    if isinstance(m, SliceMatrix):
-        rows = m.dense_rows()
-        nrows, ncols = m.nrows, m.ncols
-    else:
-        rows = [list(r) for r in m]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
+    rows, ncols = _dense(m)
     target = [Fraction(t) for t in target]
-    if len(target) != nrows:
-        raise ValueError(f"target length {len(target)} != {nrows} rows")
-    if ncols == 0:
-        return Solution(all(t == 0 for t in target), [], []) if nrows else Solution(True, [], [])
-    aug = [rows[r] + [target[r]] for r in range(nrows)]
-    red, pivots = rref(aug)
+    if len(target) != len(rows):
+        raise ValueError(f"target length {len(target)} != {len(rows)} rows")
+    red, pivots = rref([list(row) + [t] for row, t in zip(rows, target)])
     if ncols in pivots:
         return NO_SOLUTION
     particular = [Fraction(0)] * ncols
     for i, pc in enumerate(pivots):
         particular[pc] = red[i][ncols]
-    return Solution(True, particular, kernel_basis(rows))
+    return Solution(True, particular, _kernel_from_rref(red, pivots, ncols))
 
 
 # -- slice-level operations ---------------------------------------------------
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,7 @@ from .algebra import is_m0_like
 from .cohomology import (ClassCoordinates, class_coordinates, cohomology_slice,
                          representatives)
 from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined,
-                     NotACocycle, NotApplicable, UnverifiedInput)
+                     NotACocycle, NotApplicable, UnverifiedInput, internal_check)
 from .forms import Form, bar, differential, parse_form, render_form, wedge
 from .params import ParamPoly
 
@@ -700,12 +700,8 @@ def triple_product(g, a, b, c):
 
     value_vec = _class_vector(g, value_form, slices, offsets, total)
 
-    indet = []
-    seen = []
-    for vec in gens:
-        if any(vec) and not _in_span(seen, vec):
-            seen.append(vec)
-            indet.append(vec)
+    span = linalg.Echelon()
+    indet = [vec for vec in gens if span.add(vec)]
 
     if total == 0:
         solvable = True
@@ -734,7 +730,7 @@ def triple_product(g, a, b, c):
                 f_w = f_w + coeff * h
         witness = _triple_system(g, a, b, c, f_w, g_w)
         cw = related_cocycle(witness)
-        assert linalg.coboundary_preimage(g, cw), "witness related cocycle must be exact"
+        internal_check(linalg.coboundary_preimage(g, cw), "witness related cocycle must be exact")
         return MasseyResult(TRIVIAL_WITNESS, witness=witness, value=value_cls,
                             indeterminacy=indet_classes,
                             certificate={"kind": "exact-affine-triple"})
@@ -751,13 +747,6 @@ def _reps_up_to(g, degree, weight_bound):
     for k in range(1, max(weight_bound, 0) + 1):
         out.extend(representatives(g, degree, k))
     return out
-
-
-def _in_span(vectors, vec):
-    if not vectors:
-        return all(v == 0 for v in vec)
-    cols = list(zip(*vectors))
-    return bool(linalg.solve(cols, vec))
 
 
 def _vector_to_valueclass(slices, offsets, vec, degree):
@@ -898,11 +887,11 @@ def _one_class_result(g, classes, pairs):
     value = value_class_of(g, cocycle)
     if not corner:
         sol = linalg.coboundary_preimage(g, cocycle)
-        assert sol, "corner-complete candidate must have exact related cocycle"
+        internal_check(sol, "corner-complete candidate must have exact related cocycle")
         return MasseyResult(TRIVIAL_WITNESS, witness=system, value=value,
                             certificate={"kind": "graded-thread-module",
                                          "corner": render_form(corner_form)})
-    assert not value.is_zero(), "corner violations must give a nonzero class"
+    internal_check(not value.is_zero(), "corner violations must give a nonzero class")
     return MasseyResult(
         NONTRIVIAL_CERTIFIED, witness=None, value=value,
         certificate={"kind": "graded-thread-module",
@@ -993,7 +982,7 @@ def evaluate_product(g, classes, graded=None, budget=2000, samples=100, seed=0):
             assignment = {pid: sol.particular[i] for i, pid in enumerate(pids)}
             witness = fam.substitute(assignment)
             cw = related_cocycle(witness)
-            assert linalg.coboundary_preimage(g, cw), "affine witness must be exact"
+            internal_check(linalg.coboundary_preimage(g, cw), "affine witness must be exact")
             return MasseyResult(TRIVIAL_WITNESS, witness=witness,
                                 value=base_value,
                                 certificate={"kind": "exact-affine-family"})

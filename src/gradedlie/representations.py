@@ -15,7 +15,8 @@ from fractions import Fraction
 from . import linalg
 from .algebra import central_series, is_m0_like
 from .cohomology import class_coordinates, cohomology_slice
-from .errors import (AlgebraFormatError, NotApplicable, UnverifiedInput)
+from .errors import (AlgebraFormatError, NotApplicable, UnverifiedInput,
+                     internal_check)
 from .forms import Form
 from .massey import (ClassificationTag, ConnectionMatrix,
                      classify_trivial_ones, related_cocycle, _zero_rows)
@@ -241,7 +242,7 @@ def lift_obstruction(g, system):
                 coords[(k, idx)] = coeff
     solvable = bool(linalg.coboundary_preimage(g, cocycle))
     obstruction_zero = not coords
-    assert obstruction_zero == solvable, "obstruction/coboundary cross-check failed"
+    internal_check(obstruction_zero == solvable, "obstruction/coboundary cross-check failed")
     return coords, solvable
 
 

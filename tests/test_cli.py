@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from gradedlie import linalg
 from gradedlie.cli import main
 
 
@@ -150,6 +153,29 @@ def test_env_default_cutoff(capsys, monkeypatch):
                        "--k", "5..7", "--format", "csv")
     assert code == 0
     assert out.splitlines()[1] == "2,5,1"
+
+
+@pytest.mark.parametrize("env, argv", [
+    ("abc", ["betti", "--algebra", "L1", "--q", "2", "--k", "5"]),
+    ("abc", ["massey", "eval", "e2; e1; e2", "--algebra", "m0"]),
+    (None, ["betti", "--algebra", "L1", "--q", "x", "--k", "5"]),
+], ids=["env-default-cutoff", "env-massey-eval-cutoff", "q-range"])
+def test_bad_integer_exit2(capsys, monkeypatch, env, argv):
+    if env is None:
+        monkeypatch.delenv("GRADEDLIE_CUTOFF", raising=False)
+    else:
+        monkeypatch.setenv("GRADEDLIE_CUTOFF", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be an integer" in err
+
+
+def test_internal_check_failure_exit1(capsys, monkeypatch):
+    monkeypatch.setattr(linalg, "coboundary_preimage", lambda g, c: linalg.NO_SOLUTION)
+    code, out, err = run(capsys, "massey", "eval", "e1; e1; e1", "--algebra", "m0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal check failed")
 
 
 def test_report_failure_exit1(capsys):

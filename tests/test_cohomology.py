@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -198,3 +200,24 @@ def test_euler_characteristic_per_weight(m0, L1):
             chi_betti = sum((-1) ** q * coh.betti(g, q, k)
                             for q in range(0, k + 2))
             assert chi_cochain == chi_betti, (g, k)
+
+
+# sha256 over (q, k, dimension, rep_vectors, coboundaries) of every slice
+# below.  Computed with the Fraction back-substitution and solve-based span
+# tests that preceded the integer elimination kernel, before any change to
+# src/, so it pins "identical canonical representatives" across that rewrite.
+GOLDEN_SLICE_DIGEST = "e771289c8da7c60ff8e8dd49351173502b29f31f4cd4fd4dbaa3c29dfd9ce08c"
+
+
+def test_golden_slice_digest():
+    digest = hashlib.sha256()
+    for name, cutoff, qmax in (("L1", 26, 4), ("m0", 24, 5)):
+        g = load_preset(name, cutoff)
+        for q in range(1, qmax + 1):
+            for k in range(1, cutoff + 1):
+                s = coh.cohomology_slice(g, q, k)
+                row = [name, q, k, s.dimension,
+                       [[str(x) for x in v] for v in s.rep_vectors],
+                       [[str(x) for x in v] for v in s.coboundaries]]
+                digest.update(json.dumps(row).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_SLICE_DIGEST

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedlie import linalg
 from gradedlie.errors import NotACocycle
 from gradedlie.forms import Form, differential
-from gradedlie.linalg import (SliceMatrix, coboundary_preimage, d_matrix,
-                              kernel_basis, rank, solve)
+from gradedlie.linalg import (Echelon, SliceMatrix, coboundary_preimage, d_matrix,
+                              kernel_basis, rank, rref, solve)
 
 
 def F(x):
@@ -118,3 +120,86 @@ def test_coboundary_preimage_roundtrip_random(m0, L1):
 def test_slice_matrix_from_rows():
     m = SliceMatrix.from_rows([[F(1), F(2)], [F(0), F(1)]])
     assert m.nrows == 2 and m.ncols == 2 and rank(m) == 2
+
+
+# -- property tests against a textbook oracle ---------------------------------
+
+def _gauss_jordan(rows):
+    """Textbook Gauss-Jordan elimination over Fractions: the independent
+    oracle for the integer elimination kernel.  Returns (rref rows, pivots)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        p = m[r][c]
+        m[r] = [v / p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def _oracle_rank(rows):
+    return len(_gauss_jordan(rows)[1])
+
+
+def _times(rows, vec):
+    return [sum(a * b for a, b in zip(row, vec)) for row in rows]
+
+
+# small entries make rank-deficient matrices common
+ENTRY = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=6):
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    row = st.lists(ENTRY, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rref_matches_textbook_gauss_jordan(rows):
+    assert rref(rows) == _gauss_jordan(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_solve_particular_and_kernel(rows, data):
+    ncols = len(rows[0])
+    if data.draw(st.booleans()):
+        # a consistent right-hand side
+        x = data.draw(st.lists(ENTRY, min_size=ncols, max_size=ncols))
+        target = _times(rows, x)
+    else:
+        target = data.draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
+    sol = solve(rows, target)
+    augmented = [row + [t] for row, t in zip(rows, target)]
+    assert bool(sol) == (_oracle_rank(augmented) == _oracle_rank(rows))
+    if sol:
+        assert _times(rows, sol.particular) == target
+        assert all(not any(_times(rows, v)) for v in sol.kernel)
+        assert sol.kernel == kernel_basis(rows)
+        assert len(sol.kernel) == ncols - _oracle_rank(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=1, max_size=7)))
+def test_echelon_membership_matches_rank(vectors):
+    *spanning, probe = vectors
+    span = Echelon(spanning)
+    expected = _oracle_rank(spanning + [probe]) == _oracle_rank(spanning)
+    assert span.contains(probe) == expected
+    assert span.add(probe) == (not expected)
+    assert span.contains(probe)

@@ -8,7 +8,8 @@ from gradedlie import linalg
 from gradedlie import massey as ms
 from gradedlie.checks import bianchi_suite
 from gradedlie.cohomology import class_coordinates_form
-from gradedlie.errors import MasseyNotDefined, NotACocycle, NotApplicable
+from gradedlie.errors import (InternalCheckFailed, MasseyNotDefined, NotACocycle,
+                              NotApplicable)
 from gradedlie.forms import Form, differential, parse_form, wedge
 from gradedlie.mzero import Dm1, omega
 
@@ -234,6 +235,13 @@ def test_triple_ones_trivial(m0):
     assert r.value.is_zero()
     assert ms.related_cocycle(r.witness).is_zero() or \
         linalg.coboundary_preimage(m0, ms.related_cocycle(r.witness))
+
+
+def test_witness_recheck_failure_raises(m0, monkeypatch):
+    # the re-check of a witness is an explicit check that python -O keeps
+    monkeypatch.setattr(linalg, "coboundary_preimage", lambda g, c: linalg.NO_SOLUTION)
+    with pytest.raises(InternalCheckFailed):
+        ms.triple_product(m0, F(m0, "e1"), F(m0, "e1"), F(m0, "e1"))
 
 
 def test_triple_L1_e2_e2_e1(L1):
