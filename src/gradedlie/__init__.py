@@ -6,8 +6,8 @@ from .algebra import (GeneratorSpec, GradedLieAlgebra, associated_graded, bracke
 from .cohomology import (betti, check_goncharova, check_m0_dimensions,
                          class_coordinates, cohomology_slice, partition_count,
                          representatives)
-from .forms import (Form, bar, differential, differential_with_coefficients,
-                    evaluate, parse_form, render_form, slice_basis, wedge)
+from .forms import (Form, bar, differential, evaluate, parse_form, render_form,
+                    slice_basis, wedge)
 from .massey import (ClassificationTag, ConnectionMatrix, DefiningSystem,
                      classify_trivial_ones, conjugate, evaluate_product,
                      is_formal_connection, leading_coefficient_certificate,

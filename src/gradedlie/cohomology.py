@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
-from .errors import CutoffTooSmall, NotACocycle
-from .forms import Form, differential, slice_basis
+from .errors import CutoffTooSmall, NotACocycle, internal_check
+from .forms import Form, slice_basis
 from .algebra import is_m0_like, load_preset
 
 
@@ -49,6 +49,19 @@ class CohomologySlice:
         if comp.terms != form.terms:
             raise NotACocycle(f"form is not homogeneous of (q={self.q}, k={self.k})")
         return _vec(self.basis, form)
+
+    @cached_property
+    def coordinate_map(self):
+        """Reduction of the columns [coboundaries | representatives]: for a
+        cocycle v, the leading rows of E v are its coordinates over those
+        columns, and the rows past the rank vanish exactly on cocycles."""
+        cols = self.coboundaries + self.rep_vectors
+        red = linalg.Reduction([[col[r] for col in cols] for r in range(len(self.basis))],
+                               len(cols))
+        internal_check(red.rank == len(cols) == len(self.cocycles)
+                       and not any(any(red.image(c)[red.rank:]) for c in self.cocycles),
+                       "coboundaries and representatives must be a basis of the cocycles")
+        return red
 
 
 @lru_cache(maxsize=None)
@@ -146,33 +159,28 @@ class ClassCoordinates:
 
 def class_coordinates(slc, c_form):
     """Unique coordinates of [c] in the representative basis of the slice."""
-    g = slc.algebra
-    vec = slc.vector_of(c_form)
-    if not linalg.Echelon(slc.cocycles).contains(vec):
+    red = slc.coordinate_map
+    image = red.image(slc.vector_of(c_form))
+    if any(image[red.rank:]):
         raise NotACocycle("form is not closed")
-    cols = [list(b) for b in slc.coboundaries] + [list(r) for r in slc.rep_vectors]
-    if not cols:
-        return ClassCoordinates(slc.q, slc.k, ())
-    sol = linalg.solve(list(zip(*cols)), vec)
-    if not sol:
-        raise NotACocycle("cocycle does not reduce over the slice (internal error)")
-    n_cob = len(slc.coboundaries)
-    return ClassCoordinates(slc.q, slc.k, tuple(sol.particular[n_cob:]))
+    return ClassCoordinates(slc.q, slc.k, tuple(image[len(slc.coboundaries):red.rank]))
 
 
 def class_coordinates_form(g, c_form):
     """Weight-by-weight class coordinates of a closed, degree-homogeneous form;
-    returns {weight: ClassCoordinates} for weights with nonzero slices."""
+    returns {weight: ClassCoordinates} for the weights it occupies."""
     if c_form.is_zero():
         return {}
     q = c_form.degree()
-    if not differential(g, c_form).is_zero():
-        raise NotACocycle("form is not closed")
-    out = {}
-    for k in c_form.weights():
-        slc = cohomology_slice(g, q, k)
-        out[k] = class_coordinates(slc, c_form.weight_part(k))
-    return out
+    return {k: class_coordinates(cohomology_slice(g, q, k), c_form.weight_part(k))
+            for k in c_form.weights()}
+
+
+def class_terms(g, c_form):
+    """The nonzero class coordinates of a closed, degree-homogeneous form:
+    {(weight, representative index): coefficient}, weights ascending."""
+    return {(k, i): c for k, cc in class_coordinates_form(g, c_form).items()
+            for i, c in enumerate(cc.coords) if c}
 
 
 # -- partition counting -------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import AmbientMismatch, ArityMismatch, CutoffTooSmall, UnverifiedInput
+from .errors import AmbientMismatch, ArityMismatch, CutoffTooSmall
 
 
 def sort_with_sign(indices):
@@ -94,9 +94,6 @@ class Form:
     def monomial_weight(self, mono):
         return sum(self.alg.weight(i) for i in mono)
 
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
     def degree(self):
         degs = self.degrees()
         if len(degs) != 1:
@@ -109,9 +106,6 @@ class Form:
     def weight_part(self, k):
         return Form(self.alg, {m: c for m, c in self.terms.items()
                                if self.monomial_weight(m) == k})
-
-    def max_index(self):
-        return max((max(m) for m in self.terms if m), default=0)
 
     # -- arithmetic -----------------------------------------------------------
     def _check_ambient(self, other):
@@ -265,7 +259,7 @@ def differential_direct(g, a, basis_tuple):
     return total
 
 
-# -- vector-valued cochains ---------------------------------------------------
+# -- monomial bases ----------------------------------------------------------
 
 def slice_basis(g, q, k):
     """All strictly increasing q-tuples of generator indices with weight sum k,
@@ -292,72 +286,6 @@ def slice_basis(g, q, k):
 
     rec(0, q, k, [])
     return out
-
-
-def form_from_values(g, q, values):
-    """Reconstruct a q-form from its values on increasing basis tuples."""
-    terms = {}
-    for mono, c in values.items():
-        if not _iszero(c):
-            terms[tuple(mono)] = c
-    return Form(g, terms)
-
-
-def differential_with_coefficients(g, rep, cochain):
-    """Full Chevalley-Eilenberg differential with values in a verified
-    upper-triangular representation.
-
-    `cochain` is a tuple of Forms (component per module coordinate); the
-    result is the same shape with degree raised by one.  Implements both the
-    rho-sum and the bracket sum; with the trivial representation it reduces to
-    `differential`.
-    """
-    if not getattr(rep, "verified", False):
-        raise UnverifiedInput("representation must pass check_homomorphism first")
-    dim = rep.size
-    comps = list(cochain)
-    if len(comps) != dim:
-        raise ArityMismatch(f"cochain must have {dim} components")
-    degs = {c.degree() for c in comps if not c.is_zero()}
-    if len(degs) > 1:
-        raise ArityMismatch("cochain components must share a degree")
-    q = degs.pop() if degs else 0
-
-    from .algebra import bracket as _bracket
-
-    out_values = [dict() for _ in range(dim)]
-    for mono in slice_all_degree(g, q + 1):
-        vecs = [{i: Fraction(1)} for i in mono]
-        value = [Fraction(0)] * dim
-        # rho-sum; sign (-1)^s (1-based s) is the one compatible with the
-        # locked bracket-sum convention: the printed (-1)^{s+1} breaks d.d = 0
-        for i in range(q + 1):
-            rest = vecs[:i] + vecs[i + 1:]
-            comp_vals = [evaluate(c, rest) for c in comps]
-            mat = rep.image_of_vector(vecs[i])
-            sign = -1 if i % 2 == 0 else 1
-            for r in range(dim):
-                acc = Fraction(0)
-                for s in range(dim):
-                    if mat[r][s] and comp_vals[s]:
-                        acc += mat[r][s] * comp_vals[s]
-                value[r] += sign * acc
-        # bracket sum, sign (-1)^{i+j-1} with 1-based i < j
-        for i in range(q + 1):
-            for j in range(i + 1, q + 1):
-                br = _bracket(g, vecs[i], vecs[j])
-                if not br:
-                    continue
-                rest = [vecs[r] for r in range(q + 1) if r not in (i, j)]
-                sign = 1 if (i + j) % 2 else -1  # (-1)^{(i+1)+(j+1)-1}
-                for r in range(dim):
-                    v = evaluate(comps[r], [br] + rest)
-                    if v:
-                        value[r] += sign * v
-        for r in range(dim):
-            if value[r]:
-                out_values[r][mono] = value[r]
-    return tuple(form_from_values(g, q + 1, vals) for vals in out_values)
 
 
 def slice_all_degree(g, q):

@@ -3,15 +3,17 @@
 Elimination runs on integer rows: fraction-free (Bareiss) forward steps,
 back-substitution on primitive rows, and Fractions only in the final
 normalisation by the pivots.  Span tests reduce against an incrementally
-grown integer echelon (``Echelon``).  No floating point anywhere: triviality
-decisions downstream are exact yes/no questions.
+grown integer echelon (``Echelon``).  A matrix that is queried many times is
+reduced once (``Reduction``): every later solve or coordinate query is a
+matrix-vector product.  No floating point anywhere: triviality decisions
+downstream are exact yes/no questions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import CutoffTooSmall, NotACocycle
@@ -19,8 +21,6 @@ from .errors import CutoffTooSmall, NotACocycle
 
 class SliceMatrix:
     """Sparse rational matrix whose rows/cols are indexed by monomial lists."""
-
-    __slots__ = ("nrows", "ncols", "entries", "row_labels", "col_labels")
 
     def __init__(self, nrows, ncols, entries=None, row_labels=None, col_labels=None):
         self.nrows = nrows
@@ -34,6 +34,11 @@ class SliceMatrix:
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
+
+    @cached_property
+    def reduction(self):
+        """The Reduction of this matrix, built on first use and kept."""
+        return Reduction(self.dense_rows(), self.ncols)
 
     @classmethod
     def from_rows(cls, rows, **kw):
@@ -238,6 +243,50 @@ def solve(m, target):
     return Solution(True, particular, _kernel_from_rref(red, pivots, ncols))
 
 
+class Reduction:
+    """One elimination of an n x m matrix M, reused by every later query.
+
+    rref([M | I]) = [R | E] gives the reduced form R of M (its first ``rank``
+    rows; the others are zero) and an invertible n x n transform E with
+    E M = R.  So a vector v lies in the column span of M iff the rows of E v
+    past the rank vanish, and M x = t is solved by reading E t.
+    """
+
+    __slots__ = ("ncols", "rank", "pivots", "kernel", "columns")
+
+    def __init__(self, rows, ncols):
+        n = len(rows)
+        red, pivots = rref([list(row) + [int(i == r) for i in range(n)]
+                            for r, row in enumerate(rows)])
+        self.ncols = ncols
+        self.rank = bisect_left(pivots, ncols)
+        self.pivots = pivots[:self.rank]
+        self.kernel = _kernel_from_rref(red, self.pivots, ncols)
+        # E stored by sparse columns: E v touches only the columns where v is nonzero
+        self.columns = [[(i, row[ncols + j]) for i, row in enumerate(red) if row[ncols + j]]
+                        for j in range(n)]
+
+    def image(self, vec):
+        """E vec."""
+        out = [Fraction(0)] * len(self.columns)
+        for j, v in enumerate(vec):
+            if v:
+                for i, e in self.columns[j]:
+                    out[i] += e * v
+        return out
+
+    def solve(self, target):
+        """Same Solution as ``solve(M, target)``: when [M | target] is
+        consistent its reduced form is [R | E target]."""
+        image = self.image(target)
+        if any(image[self.rank:]):
+            return NO_SOLUTION
+        particular = [Fraction(0)] * self.ncols
+        for pc, v in zip(self.pivots, image):
+            particular[pc] = v
+        return Solution(True, particular, self.kernel)
+
+
 # -- slice-level operations ---------------------------------------------------
 
 
@@ -246,7 +295,8 @@ def d_matrix(g, q, k):
     """Matrix of the differential from the (q, k) slice to the (q+1, k) slice.
 
     Rows are indexed by the target slice basis, columns by the source basis.
-    Cached per (algebra, degree, weight); instances are never mutated.
+    Cached per (algebra, degree, weight); only the lazily built reduction is
+    filled in.
     """
     from .cohomology import weight_slice_basis
     from .forms import Form, differential
@@ -269,7 +319,6 @@ def coboundary_preimage(g, c_form):
     deg(c) - 1 (kernel = all closed forms of that degree in the relevant
     weights).  Mixed weights are handled weight-by-weight.
     """
-    from .cohomology import weight_slice_basis
     from .forms import Form, differential
 
     if c_form.is_zero():
@@ -291,7 +340,7 @@ def coboundary_preimage(g, c_form):
         comp = c_form.weight_part(k)
         mat = d_matrix(g, q - 1, k)
         target = [comp.terms.get(m, Fraction(0)) for m in mat.row_labels]
-        sol = solve(mat, target)
+        sol = mat.reduction.solve(target)
         if not sol:
             return NO_SOLUTION
         terms = {mat.col_labels[i]: v for i, v in enumerate(sol.particular) if v}

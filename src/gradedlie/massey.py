@@ -30,8 +30,7 @@ from itertools import product as iter_product
 
 from . import linalg
 from .algebra import is_m0_like
-from .cohomology import (ClassCoordinates, class_coordinates, cohomology_slice,
-                         representatives)
+from .cohomology import class_terms, cohomology_slice, representatives
 from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined,
                      NotACocycle, NotApplicable, UnverifiedInput, internal_check)
 from .forms import Form, bar, differential, parse_form, render_form, wedge
@@ -88,11 +87,6 @@ class ConnectionMatrix:
 
 def _zero_rows(alg, size):
     return [[Form.zero(alg) for _ in range(size)] for _ in range(size)]
-
-
-def madd(a, b):
-    rows = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
-    return ConnectionMatrix(a.alg, a.n, rows)
 
 
 def msub(a, b):
@@ -193,19 +187,24 @@ class DefiningSystem:
         return sub, self.matrix.entry(l, q)
 
 
+def _window_sum(g, entry, i, j):
+    """sum_{r=i}^{j-1} bar(a(i,r)) a(r+1,j) for the entries a(i, j) = entry(i, j)."""
+    total = Form.zero(g)
+    for r in range(i, j):
+        left = entry(i, r)
+        right = entry(r + 1, j)
+        if left.is_zero() or right.is_zero():
+            continue
+        total = total + wedge(bar(left), right)
+    return total
+
+
 def related_cocycle(system):
     """c(A) = sum_{r=1}^{n-1} bar(a(1,r)) a(r+1,n); closed of degree p(1,n)+2."""
     if not getattr(system, "verified", False):
         raise UnverifiedInput("defining system must be verified first")
     m = system.matrix
-    total = Form.zero(m.alg)
-    for r in range(1, m.n):
-        left = m.entry(1, r)
-        right = m.entry(r + 1, m.n)
-        if left.is_zero() or right.is_zero():
-            continue
-        total = total + wedge(bar(left), right)
-    return total
+    return _window_sum(m.alg, m.entry, 1, m.n)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +243,7 @@ class ScalarTriangular:
                 for c in range(r + 1, n):
                     acc -= self.entries[r][c] * inv[c][col]
                 inv[r][col] = acc / self.entries[r][r]
-        return ScalarTriangular.__new__(ScalarTriangular).__init_from(inv)
-
-    def __init_from(self, entries):
-        self.entries = entries
-        return self
+        return ScalarTriangular(inv)
 
 
 def conjugate(a, c):
@@ -316,14 +311,9 @@ def value_class_of(g, c_form):
     if c_form.is_zero():
         return ValueClass(0, ())
     q = c_form.degree()
-    entries = []
-    for k in sorted(c_form.weights()):
-        slc = cohomology_slice(g, q, k)
-        cc = class_coordinates(slc, c_form.weight_part(k))
-        for i, coeff in enumerate(cc.coords):
-            if coeff != 0:
-                entries.append((k, i, coeff, render_form(slc.representatives[i])))
-    return ValueClass(q, tuple(entries))
+    return ValueClass(q, tuple(
+        (k, i, coeff, render_form(cohomology_slice(g, q, k).representatives[i]))
+        for (k, i), coeff in class_terms(g, c_form).items()))
 
 
 @dataclass
@@ -384,7 +374,7 @@ def _substitute_form(form, assignment, numeric=False):
 @dataclass
 class Obstruction:
     position: tuple                  # (i, j) a-coordinates
-    coordinates: dict                # {param monomial: ClassCoordinates-ish dict}
+    coordinates: dict                # {param monomial: {(weight, rep_index): coeff}}
 
     def to_json_dict(self):
         return {"position": list(self.position),
@@ -425,33 +415,15 @@ class FamilyResult:
         return DefiningSystem(ConnectionMatrix(self.alg, self.n, rows), verify=verify)
 
     def related_cocycle_family(self):
-        total = Form.zero(self.alg)
-        n = self.n
-        for r in range(1, n):
-            left = self.entries[(1, r)]
-            right = self.entries[(r + 1, n)]
-            if left.is_zero() or right.is_zero():
-                continue
-            total = total + wedge(bar(left), right)
-        return total
+        return _window_sum(self.alg, self.entry, 1, self.n)
 
     def value_polynomial(self):
         """Class coordinates of the related cocycle as ParamPolys:
         {(weight, rep_index): ParamPoly}; every component verified closed."""
-        fam = self.related_cocycle_family()
         coords = {}
-        for pm, comp in _split_by_param(fam).items():
-            if comp.is_zero():
-                continue
-            for k in comp.weights():
-                part = comp.weight_part(k)
-                slc = cohomology_slice(self.alg, part.degree(), k)
-                cc = class_coordinates(slc, part)
-                for idx, coeff in enumerate(cc.coords):
-                    if coeff:
-                        key = (k, idx)
-                        coords[key] = coords.get(key, ParamPoly()) + \
-                            ParamPoly({pm: coeff})
+        for pm, comp in _split_by_param(self.related_cocycle_family()).items():
+            for key, coeff in class_terms(self.alg, comp).items():
+                coords[key] = coords.get(key, ParamPoly()) + ParamPoly({pm: coeff})
         return coords
 
 
@@ -513,14 +485,7 @@ def solve_defining_system(g, classes, graded=None, max_kernel_weight=None):
                 continue
             entry_degree = sum(degrees[r - 1] - 1 for r in range(i, j + 1)) + 1
             while True:
-                rhs = Form.zero(g)
-                for r in range(i, j):
-                    left = fam.entries[(i, r)]
-                    right = fam.entries[(r + 1, j)]
-                    if left.is_zero() or right.is_zero():
-                        continue
-                    rhs = rhs + wedge(bar(left), right)
-                pieces = _split_by_param(rhs)
+                pieces = _split_by_param(_window_sum(g, fam.entry, i, j))
                 particular = Form.zero(g)
                 bad = {}
                 for pm, comp in sorted(pieces.items()):
@@ -532,14 +497,7 @@ def solve_defining_system(g, classes, graded=None, max_kernel_weight=None):
                                         for m, c in sol.particular.terms.items()})
                         particular = particular + part
                     else:
-                        coords = {}
-                        for k in comp.weights():
-                            slc = cohomology_slice(g, comp.degree(), k)
-                            cc = class_coordinates(slc, comp.weight_part(k))
-                            for idx, coeff in enumerate(cc.coords):
-                                if coeff:
-                                    coords[(k, idx)] = coeff
-                        bad[pm] = coords
+                        bad[pm] = class_terms(g, comp)
                 if not bad:
                     break
                 resolved = _resolve_linear_obstruction(fam, bad)
@@ -615,24 +573,12 @@ def _class_vector_space(g, degree, weight_bound):
     return slices, offsets, total
 
 
-def _class_vector(g, form, slices, offsets, total):
+def _class_vector(g, form, offsets, total):
     vec = [Fraction(0)] * total
-    if form.is_zero():
-        return vec
-    for slc in slices:
-        part = form.weight_part(slc.k)
-        if part.is_zero():
-            continue
-        cc = class_coordinates(slc, part)
-        for i, c in enumerate(cc.coords):
-            vec[offsets[slc.k] + i] = c
-    # weights outside the listed slices must carry zero classes
-    for k in form.weights():
+    for (k, i), c in class_terms(g, form).items():
         if k not in offsets:
-            slc = cohomology_slice(g, form.degree(), k)
-            cc = class_coordinates(slc, form.weight_part(k))
-            if any(c != 0 for c in cc.coords):
-                raise NotApplicable("class escapes the coordinate window")
+            raise NotApplicable("class escapes the coordinate window")
+        vec[offsets[k] + i] = c
     return vec
 
 
@@ -690,15 +636,15 @@ def triple_product(g, a, b, c):
     for h in _reps_up_to(g, q + r - 1, min(g.cutoff - min(a.weights()),
                                            wb + wc + spread_a)):
         form = wedge(a, h)
-        gens.append(_class_vector(g, form, slices, offsets, total))
+        gens.append(_class_vector(g, form, offsets, total))
         gen_forms.append(("g", h))
     for h in _reps_up_to(g, p + q - 1, min(g.cutoff - min(c.weights()),
                                            wa + wb + spread_c)):
         form = wedge(h, c)
-        gens.append(_class_vector(g, form, slices, offsets, total))
+        gens.append(_class_vector(g, form, offsets, total))
         gen_forms.append(("f", h))
 
-    value_vec = _class_vector(g, value_form, slices, offsets, total)
+    value_vec = _class_vector(g, value_form, offsets, total)
 
     span = linalg.Echelon()
     indet = [vec for vec in gens if span.add(vec)]
@@ -1271,6 +1217,19 @@ def parse_product(g, text):
     return [parse_form(g, c) for c in chunks]
 
 
+def parse_size_header(line, keyword, line_no):
+    """n of a '<keyword> n=<n>' header line, a nonnegative integer."""
+    body = line[len(keyword):].strip()
+    try:
+        n = int(body[2:]) if body.startswith("n=") else -1
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise AlgebraFormatError(line_no, f"expected '{keyword} n=<n>' with a "
+                                          f"nonnegative integer n, got {line!r}")
+    return n
+
+
 def parse_connection(g, text):
     """Connection matrix file:
 
@@ -1284,10 +1243,7 @@ def parse_connection(g, text):
         if not line:
             continue
         if line.startswith("connection"):
-            body = line[len("connection"):].strip()
-            if not body.startswith("n="):
-                raise AlgebraFormatError(line_no, "expected 'connection n=<n>'")
-            n = int(body[2:])
+            n = parse_size_header(line, "connection", line_no)
             continue
         if n is None:
             raise AlgebraFormatError(line_no, "missing 'connection n=<n>' header")

@@ -14,32 +14,12 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import central_series, is_m0_like
-from .cohomology import class_coordinates, cohomology_slice
+from .cohomology import class_terms
 from .errors import (AlgebraFormatError, NotApplicable, UnverifiedInput,
                      internal_check)
 from .forms import Form
-from .massey import (ClassificationTag, ConnectionMatrix,
-                     classify_trivial_ones, related_cocycle, _zero_rows)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for r in range(n):
-        for k in range(n):
-            if a[r][k]:
-                for c in range(n):
-                    if b[k][c]:
-                        out[r][c] += a[r][k] * b[k][c]
-    return out
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_bracket(a, b):
-    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
+from .massey import (ClassificationTag, ConnectionMatrix, classify_trivial_ones,
+                     parse_size_header, related_cocycle, _mat_bracket, _zero_rows)
 
 
 def _is_strictly_upper(m):
@@ -65,18 +45,6 @@ class UpperTriangularRep:
 
     def image(self, idx):
         return self.images.get(idx, [[Fraction(0)] * self.size for _ in range(self.size)])
-
-    def image_of_vector(self, vec):
-        out = [[Fraction(0)] * self.size for _ in range(self.size)]
-        for idx, coeff in vec.items():
-            if coeff == 0 or idx not in self.images:
-                continue
-            mat = self.images[idx]
-            for r in range(self.size):
-                for c in range(self.size):
-                    if mat[r][c]:
-                        out[r][c] += coeff * mat[r][c]
-        return out
 
 
 def derive_m0_images(g, rep):
@@ -233,13 +201,7 @@ def lift_obstruction(g, system):
     cocycle = related_cocycle(system)
     if cocycle.is_zero():
         return {}, True
-    coords = {}
-    for k in cocycle.weights():
-        slc = cohomology_slice(g, 2, k)
-        cc = class_coordinates(slc, cocycle.weight_part(k))
-        for idx, coeff in enumerate(cc.coords):
-            if coeff:
-                coords[(k, idx)] = coeff
+    coords = class_terms(g, cocycle)
     solvable = bool(linalg.coboundary_preimage(g, cocycle))
     obstruction_zero = not coords
     internal_check(obstruction_zero == solvable, "obstruction/coboundary cross-check failed")
@@ -276,10 +238,7 @@ def parse_representation(g, text):
         if not line:
             continue
         if line.startswith("rep"):
-            body = line[len("rep"):].strip()
-            if not body.startswith("n="):
-                raise AlgebraFormatError(line_no, "expected 'rep n=<n>'")
-            n = int(body[2:])
+            n = parse_size_header(line, "rep", line_no)
             continue
         if n is None:
             raise AlgebraFormatError(line_no, "missing 'rep n=<n>' header")

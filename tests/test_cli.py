@@ -127,6 +127,16 @@ def test_massey_parse_error_exit2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("header", ["connection n=abc", "connection n=-2"])
+def test_massey_verify_bad_header_exit2(tmp_path, capsys, header):
+    path = tmp_path / "conn.txt"
+    path.write_text(header + "\n(1,2) = 1*e2\n")
+    code, out, err = run(capsys, "massey", "verify", str(path), "--algebra", "m0",
+                         "--cutoff", "8")
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 1: ") and err.count("\n") == 1
+
+
 def test_algebra_file_loading(tmp_path, capsys):
     from gradedlie.algebra import load_preset, write_algebra
     path = tmp_path / "alg.txt"

@@ -1,12 +1,14 @@
+import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from gradedlie import cohomology as coh
 from gradedlie.algebra import associated_graded, load_preset
-from gradedlie.errors import CutoffTooSmall, NotACocycle
+from gradedlie.errors import CutoffTooSmall, InternalCheckFailed, NotACocycle
 from gradedlie.forms import Form, differential, wedge
 from gradedlie.mzero import omega, omega_index_lists, omega_weight
 
@@ -63,6 +65,38 @@ def test_class_coordinates_rejects_noncocycle(L1):
     slc = coh.cohomology_slice(L1, 2, 6)
     with pytest.raises(NotACocycle):
         coh.class_coordinates(slc, mono(L1, 2, 4))
+
+
+@pytest.mark.parametrize("name", ["m0", "L1"])
+def test_class_coordinates_recover_random_combinations(name):
+    g = load_preset(name, 14)
+    rng = random.Random(14)
+    checked = 0
+    for q in range(1, 5):
+        for k in range(1, 15):
+            slc = coh.cohomology_slice(g, q, k)
+            if not slc.dimension:
+                continue
+            c = [Fraction(rng.randint(-5, 5)) for _ in slc.rep_vectors]
+            b = [Fraction(rng.randint(-5, 5)) for _ in slc.coboundaries]
+            v = Form.zero(g)
+            for coeff, vec in zip(c + b, slc.rep_vectors + slc.coboundaries):
+                v = v + Form(g, {m: coeff * x for m, x in zip(slc.basis, vec)})
+            assert coh.class_coordinates(slc, v).coords == tuple(c), (q, k)
+            nonclosed = [m for m in slc.basis
+                         if not differential(g, Form.monomial(g, m)).is_zero()]
+            if nonclosed:
+                with pytest.raises(NotACocycle):
+                    coh.class_coordinates(slc, v + Form.monomial(g, rng.choice(nonclosed)))
+            checked += 1
+    assert checked >= 5
+
+
+def test_class_coordinates_rejects_dependent_representatives(L1):
+    slc = coh.cohomology_slice(L1, 2, 7)
+    broken = dataclasses.replace(slc, rep_vectors=slc.coboundaries[:1])
+    with pytest.raises(InternalCheckFailed):
+        coh.class_coordinates(broken, mono(L1, 2, 5) - 3 * mono(L1, 3, 4))
 
 
 def test_partition_count():

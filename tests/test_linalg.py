@@ -117,6 +117,38 @@ def test_coboundary_preimage_roundtrip_random(m0, L1):
             assert differential(g, sol.particular) == dx
 
 
+@pytest.mark.parametrize("name", ["m0", "L1"])
+def test_coboundary_preimage_matches_solve(name):
+    """The cached reduction of d gives exactly what a fresh solve of
+    [d | target] gives: particular solution, kernel and inconsistency."""
+    from gradedlie.algebra import load_preset
+    from gradedlie.cohomology import representatives
+
+    g = load_preset(name, 12)
+    rng = random.Random(12)
+    consistent = inconsistent = 0
+    for q in range(2, 5):
+        for k in range(1, 13):
+            mat = d_matrix(g, q - 1, k)
+            x = Form(g, {m: F(rng.randint(-3, 3)) for m in mat.col_labels})
+            targets = [differential(g, x)] + [rep + differential(g, x)
+                                              for rep in representatives(g, q, k)]
+            for target in targets:
+                if target.is_zero():
+                    continue
+                sol = coboundary_preimage(g, target)
+                ref = solve(mat, [target.terms.get(m, F(0)) for m in mat.row_labels])
+                assert bool(sol) == bool(ref), (q, k)
+                if not ref:
+                    inconsistent += 1
+                    continue
+                consistent += 1
+                as_form = lambda vec: Form(g, dict(zip(mat.col_labels, vec)))
+                assert sol.particular == as_form(ref.particular)
+                assert sol.kernel == [as_form(vec) for vec in ref.kernel]
+    assert consistent >= 10 and inconsistent >= 3
+
+
 def test_slice_matrix_from_rows():
     m = SliceMatrix.from_rows([[F(1), F(2)], [F(0), F(1)]])
     assert m.nrows == 2 and m.ncols == 2 and rank(m) == 2
@@ -203,3 +235,20 @@ def test_echelon_membership_matches_rank(vectors):
     assert span.contains(probe) == expected
     assert span.add(probe) == (not expected)
     assert span.contains(probe)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_reduction_matches_solve(rows, data):
+    ncols = len(rows[0])
+    red = linalg.Reduction(rows, ncols)
+    assert red.rank == _oracle_rank(rows)
+    for _ in range(3):
+        target = data.draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(ENTRY, min_size=ncols, max_size=ncols))
+            target = _times(rows, x)
+        sol, ref = red.solve(target), solve(rows, target)
+        assert bool(sol) == bool(ref)
+        if ref:
+            assert sol.particular == ref.particular and sol.kernel == ref.kernel

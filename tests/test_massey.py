@@ -7,10 +7,10 @@ import pytest
 from gradedlie import linalg
 from gradedlie import massey as ms
 from gradedlie.checks import bianchi_suite
-from gradedlie.cohomology import class_coordinates_form
+from gradedlie.cohomology import class_coordinates_form, representatives
 from gradedlie.errors import (InternalCheckFailed, MasseyNotDefined, NotACocycle,
                               NotApplicable)
-from gradedlie.forms import Form, differential, parse_form, wedge
+from gradedlie.forms import Form, differential, parse_form, slice_basis, wedge
 from gradedlie.mzero import Dm1, omega
 
 
@@ -259,6 +259,61 @@ def test_triple_not_defined(m0):
     # product <e2, omega(e3^e4), e1> is undefined
     with pytest.raises(MasseyNotDefined):
         ms.triple_product(m0, F(m0, "e2"), omega(m0, [3]), F(m0, "e1"))
+
+
+def _class_dict(value):
+    return {(w, i): c for w, i, c, _ in value.entries}
+
+
+def _in_class_span(vec, generators):
+    """Whether the class dict vec lies in the span of the ValueClass
+    generators, by plain Fraction elimination (no gradedlie.linalg)."""
+    keys = sorted(set(vec).union(*(_class_dict(gen) for gen in generators)))
+    basis = []                      # (pivot, row with 1 at pivot, 0 at earlier pivots)
+
+    def reduce(row):
+        for p, brow in basis:
+            if row[p]:
+                row = [x - row[p] * y for x, y in zip(row, brow)]
+        return row
+
+    for gen in generators:
+        row = reduce([_class_dict(gen).get(key, 0) for key in keys])
+        p = next((i for i, x in enumerate(row) if x), None)
+        if p is not None:
+            basis.append((p, [x / row[p] for x in row]))
+    return not any(reduce([vec.get(key, 0) for key in keys]))
+
+
+def test_triple_invariant_under_coboundary_change(m0):
+    """Kraines (1966): a triple product depends only on the classes, so
+    changing the last cocycle c to c + dx keeps the verdict, the
+    indeterminacy, and the value class up to the indeterminacy."""
+    rng = random.Random(1966)
+    ones = [F(m0, "e1"), F(m0, "e2")]
+    lasts = [(q, k, rep) for q in (2, 3) for k in range(1, 13)
+             for rep in representatives(m0, q, k)]
+    changed = nontrivial = 0
+    for a, b in iter_product(ones, repeat=2):
+        for q, k, c in lasts:
+            x = Form(m0, {m: Fraction(rng.randint(-3, 3)) for m in slice_basis(m0, q - 1, k)})
+            c2 = c + differential(m0, x)
+            try:
+                r1 = ms.triple_product(m0, a, b, c)
+            except MasseyNotDefined:
+                with pytest.raises(MasseyNotDefined):
+                    ms.triple_product(m0, a, b, c2)
+                continue
+            r2 = ms.triple_product(m0, a, b, c2)
+            assert r2.status == r1.status
+            assert all(_in_class_span(_class_dict(v), r1.indeterminacy) for v in r2.indeterminacy)
+            assert all(_in_class_span(_class_dict(v), r2.indeterminacy) for v in r1.indeterminacy)
+            v1, v2 = _class_dict(r1.value), _class_dict(r2.value)
+            diff = {key: v1.get(key, 0) - v2.get(key, 0) for key in set(v1) | set(v2)}
+            assert _in_class_span(diff, r1.indeterminacy)
+            changed += c2 != c
+            nontrivial += r1.status == ms.NONTRIVIAL_CERTIFIED
+    assert changed >= 15 and nontrivial >= 3
 
 
 def test_triple_criterion_grid(m0):

@@ -190,3 +190,11 @@ def test_parse_representation_rejects_lower_triangular(m0):
     from gradedlie.errors import AlgebraFormatError
     with pytest.raises(AlgebraFormatError):
         reps.parse_representation(m0, text)
+
+
+@pytest.mark.parametrize("header", ["rep n=abc", "rep n=-1", "rep"])
+def test_parse_representation_rejects_bad_header(m0, header):
+    from gradedlie.errors import AlgebraFormatError
+    with pytest.raises(AlgebraFormatError) as info:
+        reps.parse_representation(m0, header + "\ne1 = [[0,1],[0,0]]\n")
+    assert info.value.line_no == 1
