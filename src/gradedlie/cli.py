@@ -40,6 +40,13 @@ def _parse_range(text, what):
     return [_int(text, what)]
 
 
+def _at_least(value, lowest, what):
+    """value unchanged (None included) unless it is below lowest."""
+    if value is not None and value < lowest:
+        raise UsageError(f"{what} must be at least {lowest}, got {value}")
+    return value
+
+
 def _env_cutoff():
     env = os.environ.get("GRADEDLIE_CUTOFF")
     return _int(env, "GRADEDLIE_CUTOFF") if env else None
@@ -107,16 +114,16 @@ def _identity_report(cutoff, seed):
 
 def cmd_check(args):
     fmt = args.format
+    qmax = _at_least(args.qmax, 1, "--qmax")
+    kmax = _at_least(args.kmax, 1, "--kmax")
     if args.which == "goncharova":
-        qmax = args.qmax or 3
-        kmax = args.kmax or _default_cutoff(args, (3 * qmax * qmax + qmax) // 2)
-        report = coh.check_goncharova(qmax, kmax)
-        return _print_report(report, fmt)
+        qmax = 3 if qmax is None else qmax
+        kmax = _default_cutoff(args, (3 * qmax * qmax + qmax) // 2) if kmax is None else kmax
+        return _print_report(coh.check_goncharova(qmax, kmax), fmt)
     if args.which == "m0dims":
-        qmax = args.qmax or 4
-        kmax = args.kmax or _default_cutoff(args, 20)
-        report = coh.check_m0_dimensions(qmax, kmax)
-        return _print_report(report, fmt)
+        qmax = 4 if qmax is None else qmax
+        kmax = _default_cutoff(args, 20) if kmax is None else kmax
+        return _print_report(coh.check_m0_dimensions(qmax, kmax), fmt)
     if args.which == "identities":
         rows = _identity_report(_default_cutoff(args, 14), args.seed)
         ok = all(r[1] for r in rows)
@@ -179,6 +186,8 @@ def cmd_massey(args):
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
     # eval
+    _at_least(args.samples, 1, "--samples")
+    _at_least(args.budget, 0, "--budget")
     cutoff = args.cutoff if args.cutoff is not None else _env_cutoff()
     if args.algebra in ("m0", "L1"):
         probe = load_preset(args.algebra, cutoff or 48)

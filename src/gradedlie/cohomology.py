@@ -44,11 +44,20 @@ class CohomologySlice:
     rep_vectors: tuple
     dimension: int = field(default=0)
 
+    @cached_property
+    def index(self):
+        """{monomial: position in basis}."""
+        return {m: i for i, m in enumerate(self.basis)}
+
     def vector_of(self, form):
-        comp = form.weight_part(self.k).degree_part(self.q)
-        if comp.terms != form.terms:
-            raise NotACocycle(f"form is not homogeneous of (q={self.q}, k={self.k})")
-        return _vec(self.basis, form)
+        index = self.index
+        vec = [Fraction(0)] * len(self.basis)
+        for m, c in form.terms.items():
+            i = index.get(m)
+            if i is None:
+                raise NotACocycle(f"form is not homogeneous of (q={self.q}, k={self.k})")
+            vec[i] = c
+        return vec
 
     @cached_property
     def coordinate_map(self):
@@ -172,8 +181,8 @@ def class_coordinates_form(g, c_form):
     if c_form.is_zero():
         return {}
     q = c_form.degree()
-    return {k: class_coordinates(cohomology_slice(g, q, k), c_form.weight_part(k))
-            for k in c_form.weights()}
+    return {k: class_coordinates(cohomology_slice(g, q, k), comp)
+            for k, comp in c_form.weight_components().items()}
 
 
 def class_terms(g, c_form):

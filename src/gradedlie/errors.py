@@ -77,7 +77,8 @@ class InternalCheckFailed(GradedLieError):
 
 
 class UsageError(GradedLieError):
-    """Malformed command-line argument or environment value."""
+    """Malformed or out-of-range argument: a command-line option, an
+    environment value or a library parameter."""
 
 
 def internal_check(condition, message):

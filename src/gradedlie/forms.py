@@ -91,21 +91,20 @@ class Form:
         w = self.alg.weight
         return sorted({sum(w(i) for i in m) for m in self.terms})
 
-    def monomial_weight(self, mono):
-        return sum(self.alg.weight(i) for i in mono)
-
     def degree(self):
         degs = self.degrees()
         if len(degs) != 1:
             raise ArityMismatch(f"form is not degree-homogeneous: degrees {degs}")
         return degs[0]
 
-    def degree_part(self, q):
-        return Form(self.alg, {m: c for m, c in self.terms.items() if len(m) == q})
-
-    def weight_part(self, k):
-        return Form(self.alg, {m: c for m, c in self.terms.items()
-                               if self.monomial_weight(m) == k})
+    def weight_components(self):
+        """{weight: component of that weight}, weights ascending, from one pass
+        over the terms; the components partition the terms."""
+        w = self.alg.weight
+        parts = {}
+        for m, c in self.terms.items():
+            parts.setdefault(sum(map(w, m)), {})[m] = c
+        return {k: Form(self.alg, parts[k]) for k in sorted(parts)}
 
     # -- arithmetic -----------------------------------------------------------
     def _check_ambient(self, other):
@@ -156,7 +155,9 @@ def wedge(a, b):
             if norm is None:
                 continue
             sign, mono = norm
-            c = (sign * ca) * cb
+            c = ca * cb
+            if sign < 0:
+                c = -c
             s = terms.get(mono)
             terms[mono] = c if s is None else s + c
     return Form(a.alg, terms)

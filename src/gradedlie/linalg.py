@@ -4,9 +4,11 @@ Elimination runs on integer rows: fraction-free (Bareiss) forward steps,
 back-substitution on primitive rows, and Fractions only in the final
 normalisation by the pivots.  Span tests reduce against an incrementally
 grown integer echelon (``Echelon``).  A matrix that is queried many times is
-reduced once (``Reduction``): every later solve or coordinate query is a
-matrix-vector product.  No floating point anywhere: triviality decisions
-downstream are exact yes/no questions.
+reduced once (``Reduction``) and keeps its transform as integer columns with
+one denominator per row: every later solve or coordinate query is one
+integer matrix-vector product and one Fraction per nonzero entry of the
+result.  No floating point anywhere: triviality decisions downstream are
+exact yes/no questions.
 """
 
 from __future__ import annotations
@@ -60,6 +62,16 @@ def _integerize(row):
     return [int(v * denom) for v in row]
 
 
+def _scaled_to_integers(vec):
+    """(integer vector, d) with vec = integer vector / d, d the least common
+    denominator of the entries (ints or Fractions)."""
+    denom = 1
+    for v in vec:
+        if v:
+            denom = denom * v.denominator // gcd(denom, v.denominator)
+    return [v.numerator * (denom // v.denominator) for v in vec], denom
+
+
 def _forward_eliminate(rows):
     """Fraction-free (Bareiss) forward elimination.
 
@@ -110,12 +122,9 @@ def _eliminate(row, pivot_row, col):
     return _primitive([a * x - b * y for x, y in zip(row, pivot_row)])
 
 
-def rref(rows):
-    """Reduced row echelon form over the rationals.
-
-    Returns (list of Fraction rows, pivot columns).  Input rows may be any
-    exact rationals; zero rows are dropped.
-    """
+def _integer_rref(rows):
+    """(primitive integer rows, pivot columns): row i divided by its entry at
+    pivots[i] is row i of the reduced row echelon form."""
     if not rows:
         return [], []
     echelon, pivots = _forward_eliminate(rows)
@@ -126,6 +135,16 @@ def rref(rows):
         for j in range(i):
             if work[j][piv_col]:
                 work[j] = _eliminate(work[j], work[i], piv_col)
+    return work, pivots
+
+
+def rref(rows):
+    """Reduced row echelon form over the rationals.
+
+    Returns (list of Fraction rows, pivot columns).  Input rows may be any
+    exact rationals; zero rows are dropped.
+    """
+    work, pivots = _integer_rref(rows)
     return [[Fraction(v, row[pc]) for v in row] for row, pc in zip(work, pivots)], pivots
 
 
@@ -183,7 +202,7 @@ class Echelon:
     def reduce(self, vec):
         """Integer multiple of vec minus a combination of the stored rows that
         is zero at every pivot column; zero iff vec is in the span."""
-        row = _integerize(vec)
+        row = _scaled_to_integers(vec)[0]
         for pc, pivot_row in zip(self.pivots, self.rows):
             if row[pc]:
                 row = _eliminate(row, pivot_row, pc)
@@ -243,6 +262,9 @@ def solve(m, target):
     return Solution(True, particular, _kernel_from_rref(red, pivots, ncols))
 
 
+_ZERO = Fraction(0)
+
+
 class Reduction:
     """One elimination of an n x m matrix M, reused by every later query.
 
@@ -250,30 +272,40 @@ class Reduction:
     rows; the others are zero) and an invertible n x n transform E with
     E M = R.  So a vector v lies in the column span of M iff the rows of E v
     past the rank vanish, and M x = t is solved by reading E t.
+
+    E is kept as it leaves the integer elimination: row i of [R | E] is a
+    primitive integer row divided by its pivot entry, so E is stored as
+    sparse integer columns plus that one denominator per row, and E v is
+    an integer product followed by one Fraction per nonzero row.
     """
 
-    __slots__ = ("ncols", "rank", "pivots", "kernel", "columns")
+    __slots__ = ("ncols", "rank", "pivots", "kernel", "columns", "denominators")
 
     def __init__(self, rows, ncols):
         n = len(rows)
-        red, pivots = rref([list(row) + [int(i == r) for i in range(n)]
-                            for r, row in enumerate(rows)])
+        work, pivots = _integer_rref([list(row) + [int(i == r) for i in range(n)]
+                                      for r, row in enumerate(rows)])
         self.ncols = ncols
         self.rank = bisect_left(pivots, ncols)
         self.pivots = pivots[:self.rank]
+        red = [[Fraction(v, row[pc]) for v in row[:ncols]]
+               for row, pc in zip(work, self.pivots)]
         self.kernel = _kernel_from_rref(red, self.pivots, ncols)
-        # E stored by sparse columns: E v touches only the columns where v is nonzero
-        self.columns = [[(i, row[ncols + j]) for i, row in enumerate(red) if row[ncols + j]]
+        self.denominators = [row[pc] for row, pc in zip(work, pivots)]
+        # E by sparse columns: E v touches only the columns where v is nonzero
+        self.columns = [[(i, row[ncols + j]) for i, row in enumerate(work) if row[ncols + j]]
                         for j in range(n)]
 
     def image(self, vec):
         """E vec."""
-        out = [Fraction(0)] * len(self.columns)
-        for j, v in enumerate(vec):
+        nums, denom = _scaled_to_integers(vec)
+        acc = [0] * len(self.columns)
+        for j, v in enumerate(nums):
             if v:
                 for i, e in self.columns[j]:
-                    out[i] += e * v
-        return out
+                    acc[i] += e * v
+        return [Fraction(a, d * denom) if a else _ZERO
+                for a, d in zip(acc, self.denominators)]
 
     def solve(self, target):
         """Same Solution as ``solve(M, target)``: when [M | target] is
@@ -331,13 +363,13 @@ def coboundary_preimage(g, c_form):
         raise NotACocycle("cannot take a preimage of a scalar")
     if not differential(g, c_form).is_zero():
         raise NotACocycle("form is not closed")
-    weights = c_form.weights()
-    if max(weights) > g.cutoff:
-        raise CutoffTooSmall(max(weights), g.cutoff, "coboundary preimage")
+    components = c_form.weight_components()
+    top = max(components)
+    if top > g.cutoff:
+        raise CutoffTooSmall(top, g.cutoff, "coboundary preimage")
     particular = Form.zero(g)
     kernel_forms = []
-    for k in weights:
-        comp = c_form.weight_part(k)
+    for k, comp in components.items():
         mat = d_matrix(g, q - 1, k)
         target = [comp.terms.get(m, Fraction(0)) for m in mat.row_labels]
         sol = mat.reduction.solve(target)

@@ -32,7 +32,8 @@ from . import linalg
 from .algebra import is_m0_like
 from .cohomology import class_terms, cohomology_slice, representatives
 from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined,
-                     NotACocycle, NotApplicable, UnverifiedInput, internal_check)
+                     NotACocycle, NotApplicable, UnverifiedInput, UsageError,
+                     internal_check)
 from .forms import Form, bar, differential, parse_form, render_form, wedge
 from .params import ParamPoly
 
@@ -593,15 +594,18 @@ def triple_product(g, a, b, c):
         if x.is_zero() or not differential(g, x).is_zero():
             raise NotACocycle("triple product needs nonzero cocycles")
     p, q, r = a.degree(), b.degree(), c.degree()
-    total_weight = max(a.weights()) + max(b.weights()) + max(c.weights())
+    a_weights, c_weights = a.weights(), c.weights()   # ascending
+    wa, wb, wc = a_weights[-1], max(b.weights()), c_weights[-1]
+    total_weight = wa + wb + wc
     if total_weight > g.cutoff:
         raise CutoffTooSmall(total_weight, g.cutoff, "triple product")
+    # signs (-1)^(p+1), (-1)^(q+1) and (-1)^(p+q) applied by negation
     ab = wedge(a, b)
     sol_f = linalg.coboundary_preimage(g, ab) if not ab.is_zero() else None
     if ab.is_zero():
         f0 = Form.zero(g)
     elif sol_f:
-        f0 = ((-1) ** (p + 1)) * sol_f.particular
+        f0 = sol_f.particular if p % 2 else -sol_f.particular
     else:
         raise MasseyNotDefined((1, 2), "[a][b] is not exact")
     bc = wedge(b, c)
@@ -609,23 +613,19 @@ def triple_product(g, a, b, c):
     if bc.is_zero():
         g0 = Form.zero(g)
     elif sol_g:
-        g0 = ((-1) ** (q + 1)) * sol_g.particular
+        g0 = sol_g.particular if q % 2 else -sol_g.particular
     else:
         raise MasseyNotDefined((2, 3), "[b][c] is not exact")
 
-    sign_ag = (-1) ** (p + 1)
-    sign_fc = (-1) ** (p + q)
-    value_form = sign_ag * wedge(a, g0) + sign_fc * wedge(f0, c)
+    ag, fc = wedge(a, g0), wedge(f0, c)
+    value_form = (ag if p % 2 else -ag) + (fc if (p + q) % 2 == 0 else -fc)
     target_degree = p + q + r - 1
 
-    wa = max(a.weights())
-    wb = max(b.weights())
-    wc = max(c.weights())
     # mixed-weight outer classes widen the window: a generator of weight up
     # to wb + wc + (wa - min_wt(a)) can still land inside the value weights
     # through the low-weight part of a (and symmetrically for c)
-    spread_a = wa - min(a.weights())
-    spread_c = wc - min(c.weights())
+    spread_a = wa - a_weights[0]
+    spread_c = wc - c_weights[0]
     bound = min(g.cutoff, wa + wb + wc + max(spread_a, spread_c))
     slices, offsets, total = _class_vector_space(g, target_degree, bound)
 
@@ -633,13 +633,11 @@ def triple_product(g, a, b, c):
     # [h ^ c] for closed h (deg p+q-1); classes depend only on [h], [h']
     gens = []
     gen_forms = []
-    for h in _reps_up_to(g, q + r - 1, min(g.cutoff - min(a.weights()),
-                                           wb + wc + spread_a)):
+    for h in _reps_up_to(g, q + r - 1, min(g.cutoff - a_weights[0], wb + wc + spread_a)):
         form = wedge(a, h)
         gens.append(_class_vector(g, form, offsets, total))
         gen_forms.append(("g", h))
-    for h in _reps_up_to(g, p + q - 1, min(g.cutoff - min(c.weights()),
-                                           wa + wb + spread_c)):
+    for h in _reps_up_to(g, p + q - 1, min(g.cutoff - c_weights[0], wa + wb + spread_c)):
         form = wedge(h, c)
         gens.append(_class_vector(g, form, offsets, total))
         gen_forms.append(("f", h))
@@ -648,17 +646,13 @@ def triple_product(g, a, b, c):
 
     span = linalg.Echelon()
     indet = [vec for vec in gens if span.add(vec)]
-
-    if total == 0:
-        solvable = True
-        coeffs = [Fraction(0)] * len(gens)
+    solvable = span.contains(value_vec)
+    if solvable and any(value_vec):
+        # the echelon particular solution; a zero value takes all-zero coefficients
+        matrix = [[col[r_] for col in gens] for r_ in range(total)]
+        coeffs = linalg.solve(matrix, [-v for v in value_vec]).particular
     else:
-        cols = gens if gens else []
-        matrix = [[col[r_] for col in cols] for r_ in range(total)] if cols else \
-            [[] for _ in range(total)]
-        sol = linalg.solve(matrix, [-v for v in value_vec])
-        solvable = bool(sol)
-        coeffs = sol.particular if sol else None
+        coeffs = [Fraction(0)] * len(gens)
 
     indet_classes = tuple(_vector_to_valueclass(slices, offsets, v, target_degree)
                           for v in indet)
@@ -1067,12 +1061,15 @@ def leading_coefficient_certificate(g, classes, samples=100, seed=0):
     when the shape does not apply.
 
     The residual freedom e^1 ^ Omega of an arbitrary system is only sampled,
-    not proved away; the certificate records this caveat.
+    not proved away; the certificate records this caveat.  Raises UsageError
+    for samples < 1: a certificate needs at least one sample.
     """
     import random
 
     from .mzero import omega, omega_weight
 
+    if samples < 1:
+        raise UsageError(f"a sampling certificate needs samples >= 1, got {samples}")
     shape = _main_shape(g, classes)
     if shape is None:
         return None

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gradedlie
 from gradedlie import linalg
 from gradedlie.cli import main
 
@@ -181,11 +185,58 @@ def test_bad_integer_exit2(capsys, monkeypatch, env, argv):
     assert "must be an integer" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "goncharova", "--qmax", "0"], "--qmax must be at least 1, got 0"),
+    (["check", "goncharova", "--kmax", "0"], "--kmax must be at least 1, got 0"),
+    (["check", "m0dims", "--qmax", "-1"], "--qmax must be at least 1, got -1"),
+    (["check", "m0dims", "--qmax", "0"], "--qmax must be at least 1, got 0"),
+    (["check", "m0dims", "--kmax", "0"], "--kmax must be at least 1, got 0"),
+    (["massey", "eval", "e2; e1; e1; e2", "--samples", "0"],
+     "--samples must be at least 1, got 0"),
+    (["massey", "eval", "e2; e1; e1; e2", "--samples", "-1"],
+     "--samples must be at least 1, got -1"),
+    (["massey", "eval", "e2; e1; e1; e2", "--budget", "-1"],
+     "--budget must be at least 0, got -1"),
+])
+def test_bad_bound_exit2(capsys, argv, message):
+    # a zero or negative bound used to fall back to the default or to print
+    # an empty report reading "all match"
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "goncharova", "--qmax", "1", "--kmax", "2", "--format", "csv"],
+    ["massey", "eval", "e2; e1; e1; e2", "--samples", "1", "--budget", "0"],
+])
+def test_smallest_bounds_accepted(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+
+
 def test_internal_check_failure_exit1(capsys, monkeypatch):
     monkeypatch.setattr(linalg, "coboundary_preimage", lambda g, c: linalg.NO_SOLUTION)
     code, out, err = run(capsys, "massey", "eval", "e1; e1; e1", "--algebra", "m0")
     assert code == 1 and out == ""
     assert err.startswith("error: internal check failed")
+
+
+def test_internal_check_survives_python_O():
+    # the checks that back a certificate are internal_check calls, not
+    # asserts, so python -O must still turn a failed re-check into exit 1
+    script = ("import sys\n"
+              "from gradedlie import cli, linalg\n"
+              "assert False, 'python -O strips this assert'\n"
+              "linalg.coboundary_preimage = lambda g, c: linalg.NO_SOLUTION\n"
+              "sys.exit(cli.main(['massey', 'eval', 'e1; e1; e1', '--algebra', 'm0']))\n")
+    src = os.path.dirname(os.path.dirname(gradedlie.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: internal check failed")
 
 
 def test_report_failure_exit1(capsys):

@@ -67,6 +67,15 @@ def test_class_coordinates_rejects_noncocycle(L1):
         coh.class_coordinates(slc, mono(L1, 2, 4))
 
 
+def test_class_coordinates_rejects_monomials_outside_the_slice(L1):
+    # a term of another weight or degree must not be dropped or misplaced
+    slc = coh.cohomology_slice(L1, 2, 5)
+    g2m = mono(L1, 1, 4)
+    for stray in (mono(L1, 1, 5), mono(L1, 1, 2, 3), mono(L1, 5)):
+        with pytest.raises(NotACocycle, match="not homogeneous of"):
+            coh.class_coordinates(slc, g2m + stray)
+
+
 @pytest.mark.parametrize("name", ["m0", "L1"])
 def test_class_coordinates_recover_random_combinations(name):
     g = load_preset(name, 14)

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradedlie.algebra import load_preset
 from gradedlie.errors import AmbientMismatch, ArityMismatch, CutoffTooSmall
 from gradedlie.forms import (Form, bar, differential, differential_direct,
                              evaluate, parse_form, render_form, slice_basis,
@@ -166,3 +169,40 @@ def test_parse_form_signs_without_spaces(m0):
     assert parse_form(m0, "-e1 - -2*e3") == -mono(m0, 1) + 2 * mono(m0, 3)
     assert parse_form(m0, "3*e2^e3-1/2*e2^e5") == \
         3 * mono(m0, 2, 3) - Fraction(1, 2) * mono(m0, 2, 5)
+
+
+# -- property tests -------------------------------------------------------------
+
+ALGEBRAS = st.sampled_from([load_preset("m0", 10), load_preset("L1", 10)])
+COEFF = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def forms(draw, g, degrees):
+    """Forms over g whose monomials have degrees drawn from degrees."""
+    monomial = st.sampled_from(degrees).flatmap(lambda q: st.lists(
+        st.sampled_from(g.indices), min_size=q, max_size=q, unique=True).map(
+            lambda idx: tuple(sorted(idx))))
+    return Form(g, draw(st.dictionaries(monomial, COEFF, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ALGEBRAS.flatmap(lambda g: forms(g, range(5))))
+def test_weight_components_partition_the_form(a):
+    parts = a.weight_components()
+    assert list(parts) == sorted(parts)
+    for k, part in parts.items():
+        assert part.weights() == [k]
+    seen = [m for part in parts.values() for m in part.terms]
+    assert sorted(seen) == sorted(a.terms) and len(seen) == len(set(seen))
+    total = Form.zero(a.alg)
+    for part in parts.values():
+        total = total + part
+    assert total == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(ALGEBRAS, st.integers(0, 3), st.integers(0, 3), st.data())
+def test_wedge_graded_commutative(g, p, q, data):
+    a, b = data.draw(forms(g, [p])), data.draw(forms(g, [q]))
+    assert wedge(a, b) == (-1) ** (p * q) * wedge(b, a)

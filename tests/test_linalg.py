@@ -252,3 +252,28 @@ def test_reduction_matches_solve(rows, data):
         assert bool(sol) == bool(ref)
         if ref:
             assert sol.particular == ref.particular and sol.kernel == ref.kernel
+
+
+@st.composite
+def matrices_with_zero_rows(draw):
+    rows = draw(matrices())
+    for r in draw(st.sets(st.integers(0, len(rows) - 1))):
+        rows[r] = [Fraction(0)] * len(rows[r])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_with_zero_rows(), st.data())
+def test_reduction_image_matches_transform(rows, data):
+    # E read from the textbook reduced form of [M | I]; image() keeps E as
+    # integer columns with one denominator per row and must give E v exactly
+    n, ncols = len(rows), len(rows[0])
+    red, _ = _gauss_jordan([row + [Fraction(int(i == r)) for i in range(n)]
+                            for r, row in enumerate(rows)])
+    transform = [row[ncols:] for row in red]
+    reduction = linalg.Reduction(rows, ncols)
+    for _ in range(3):
+        vec = data.draw(st.lists(ENTRY, min_size=n, max_size=n))
+        image = reduction.image(vec)
+        assert image == _times(transform, vec)
+        assert all(type(x) is Fraction for x in image)

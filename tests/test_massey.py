@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product as iter_product
@@ -6,11 +8,12 @@ import pytest
 
 from gradedlie import linalg
 from gradedlie import massey as ms
+from gradedlie.algebra import load_preset
 from gradedlie.checks import bianchi_suite
 from gradedlie.cohomology import class_coordinates_form, representatives
-from gradedlie.errors import (InternalCheckFailed, MasseyNotDefined, NotACocycle,
-                              NotApplicable)
-from gradedlie.forms import Form, differential, parse_form, slice_basis, wedge
+from gradedlie.errors import (GradedLieError, InternalCheckFailed, MasseyNotDefined,
+                              NotACocycle, NotApplicable, UsageError)
+from gradedlie.forms import Form, differential, parse_form, render_form, slice_basis, wedge
 from gradedlie.mzero import Dm1, omega
 
 
@@ -328,6 +331,52 @@ def test_triple_criterion_grid(m0):
         assert (res.status == ms.TRIVIAL_WITNESS) == (criterion == 0)
 
 
+def _golden_triples():
+    """(name, algebra, classes) for the golden digest: seeded m0/10 triples
+    of 1-classes, all L1/12 triples over mixed-weight and degree-2 classes
+    (<e1, e1, e1> has an empty coordinate window), and m0/16 triples of
+    classes up to degree 3, whose witnesses need nonzero indeterminacy
+    coefficients and which include undefined products."""
+    m0 = load_preset("m0", 10)
+    rng = random.Random(2006)
+    for pairs in rng.sample(list(iter_product(GRID, repeat=3)), 300):
+        yield "m0", m0, [a * mono(m0, 1) + b * mono(m0, 2) for a, b in pairs]
+    L1 = load_preset("L1", 12)
+    texts = ["e1", "e2", "e1+e2", "2*e1-e2", "e1+1/2*e2", "e1^e4", "e2^e5-3*e3^e4"]
+    for triple in iter_product(texts, repeat=3):
+        yield "L1", L1, [F(L1, t) for t in triple]
+    m16 = load_preset("m0", 16)
+    classes = [rep for q in (1, 2, 3) for k in range(1, 13) for rep in representatives(m16, q, k)]
+    classes += [F(m16, "e1+e2"), F(m16, "e1-2*e2")]
+    for triple in iter_product(classes, repeat=3):
+        if sum(max(c.weights()) for c in triple) <= m16.cutoff:
+            yield "m0", m16, list(triple)
+
+
+# sha256 over the JSON result, or the exception, of every golden triple.
+# Computed with the per-triple solve, Fraction transforms and per-weight
+# filtering that preceded the warm triple path, before any change to src/, so
+# it pins the results (witness coefficients included) across that rewrite.
+GOLDEN_TRIPLE_DIGEST = "17e63152de9da692e1c9a3012bcfe21cf340cda565aa53cadbadcc8296b6feef"
+
+
+def test_golden_triple_digest():
+    digest = hashlib.sha256()
+    seen = set()
+    for name, g, classes in _golden_triples():
+        try:
+            res = ms.triple_product(g, *classes)
+            out, kind = res.to_json(), res.status
+        except GradedLieError as exc:
+            out, kind = f"{type(exc).__name__}: {exc}", type(exc).__name__
+        seen.add(kind)
+        line = json.dumps([name, g.cutoff, [render_form(c) for c in classes], out])
+        digest.update(line.encode() + b"\n")
+    assert {ms.TRIVIAL_WITNESS, ms.NONTRIVIAL_CERTIFIED, "MasseyNotDefined"} <= seen
+    assert ms._class_vector_space(load_preset("L1", 12), 2, 3)[2] == 0  # <e1, e1, e1>
+    assert digest.hexdigest() == GOLDEN_TRIPLE_DIGEST
+
+
 # -- one-class products over m0 ------------------------------------------------
 
 def test_one_class_D_type(m0):
@@ -451,6 +500,20 @@ def test_leading_certificate_34(m0_big):
     assert cert is not None
     assert cert["coefficient"] == "-1"
     assert cert["samples"] == 20 and cert["seed"] == 1
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_leading_certificate_needs_a_sample(m0, samples):
+    # a certificate with no samples would certify on no evidence
+    with pytest.raises(UsageError, match="samples >= 1"):
+        ms.leading_coefficient_certificate(
+            m0, [F(m0, "e2"), omega(m0, [3])], samples=samples, seed=1)
+
+
+def test_leading_certificate_one_sample(m0):
+    cert = ms.leading_coefficient_certificate(
+        m0, [F(m0, "e2"), omega(m0, [3])], samples=1, seed=1)
+    assert cert["samples"] == 1 and len(cert["assignments"]) == 1
 
 
 def test_leading_certificate_inapplicable(m0):
