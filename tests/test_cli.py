@@ -215,6 +215,12 @@ def test_smallest_bounds_accepted(capsys, argv):
     assert code == 0 and err == ""
 
 
+def test_thread_witness_cutoff_exit2(capsys):
+    code, out, err = run(capsys, "massey", "eval", "e1; e1; e1; e2", "--cutoff", "4")
+    assert code == 2 and out == ""
+    assert err == "error: cutoff 4 too small, need at least 5 for thread witness\n"
+
+
 def test_internal_check_failure_exit1(capsys, monkeypatch):
     monkeypatch.setattr(linalg, "coboundary_preimage", lambda g, c: linalg.NO_SOLUTION)
     code, out, err = run(capsys, "massey", "eval", "e1; e1; e1", "--algebra", "m0")

@@ -566,6 +566,25 @@ def test_parse_connection_roundtrip(m0):
     assert matrix == ms.paper_connection_two_e2(m0, 2).matrix
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(1,2) = e2\nconnection n=2\n", "line 1: missing 'connection n=<n>' header"),
+    ("# only a comment\n\n", "line 0: missing 'connection n=<n>' header"),
+    ("connection n=2\n(1,x) = e2\n", "line 2: bad entry key '(1,x)'"),
+    ("connection n=2\n1,2 = e2\n", "line 2: bad entry key '1,2'"),
+    ("connection n=2\n(2,4) = e2\n", "line 2: entry (2,4) outside the matrix"),
+    # errors come in file order: a bad entry before a bad header, and back
+    ("connection n=2\n(1,x) = e2\nconnection n=abc\n", "line 2: bad entry key '(1,x)'"),
+    ("connection n=abc\n(1,x) = e2\n",
+     "line 1: expected 'connection n=<n>' with a nonnegative integer n, "
+     "got 'connection n=abc'"),
+])
+def test_parse_connection_errors(m0, text, message):
+    from gradedlie.errors import AlgebraFormatError
+    with pytest.raises(AlgebraFormatError) as info:
+        ms.parse_connection(m0, text)
+    assert str(info.value) == message
+
+
 def test_one_form_representatives_are_rigid(m0):
     # cohomologous replacements of a second-diagonal 1-form differ by d of a
     # scalar, which vanishes: decidable statuses trivially survive them

@@ -144,3 +144,12 @@ def test_omega_index_lists_against_brute_force():
             brute = [list(c) for c in combinations(range(2, w), q_indices)
                      if omega_weight(list(c)) == w]
             assert omega_index_lists(q_indices, w) == brute, (q_indices, w)
+
+
+def test_Dm1_cutoff_names_the_expansion():
+    from gradedlie.algebra import load_preset
+    from gradedlie.errors import CutoffTooSmall
+    g = load_preset("m0", 6)
+    with pytest.raises(CutoffTooSmall) as info:
+        Dm1(mono(g, 2, 6))
+    assert str(info.value) == "cutoff 6 too small, need at least 7 for D_{-1} expansion"

@@ -198,3 +198,20 @@ def test_parse_representation_rejects_bad_header(m0, header):
     with pytest.raises(AlgebraFormatError) as info:
         reps.parse_representation(m0, header + "\ne1 = [[0,1],[0,0]]\n")
     assert info.value.line_no == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("e1 = [[0,1],[0,0]]\nrep n=1\n", "line 1: missing 'rep n=<n>' header"),
+    ("", "line 0: missing 'rep n=<n>' header"),
+    ("rep n=1\nf1 = [[0,1],[0,0]]\n", "line 2: expected 'e<i> = [[...]]', got 'f1'"),
+    ("rep n=1\nex = [[0,1],[0,0]]\n", "line 2: bad generator 'ex'"),
+    # errors come in file order: a bad entry before a bad header, and back
+    ("rep n=1\nex = [[0,1],[0,0]]\nrep n=abc\n", "line 2: bad generator 'ex'"),
+    ("rep n=abc\nex = [[0,1],[0,0]]\n",
+     "line 1: expected 'rep n=<n>' with a nonnegative integer n, got 'rep n=abc'"),
+])
+def test_parse_representation_errors(m0, text, message):
+    from gradedlie.errors import AlgebraFormatError
+    with pytest.raises(AlgebraFormatError) as info:
+        reps.parse_representation(m0, text)
+    assert str(info.value) == message
