@@ -45,7 +45,7 @@ class GradedLieAlgebra:
     pairs.  Zero brackets are never stored; absence means zero.
     """
 
-    def __init__(self, generators, brackets, cutoff, *, validate=True):
+    def __init__(self, generators, brackets, cutoff):
         if cutoff < 2:
             raise InvalidCutoff(f"cutoff must be >= 2, got {cutoff}")
         gens = tuple(sorted(generators, key=lambda s: s.index))
@@ -69,9 +69,8 @@ class GradedLieAlgebra:
         self.brackets = norm
         self._key = (gens, tuple(sorted(norm.items())), cutoff)
         self._hash = hash(self._key)    # every cache lookup hashes the algebra
-        if validate:
-            self._check_weights()
-            self._check_jacobi()
+        self._check_weights()
+        self._check_jacobi()
 
     # -- identity ---------------------------------------------------------
     def __eq__(self, other):

@@ -32,12 +32,15 @@ def _int(text, what):
 
 
 def _parse_range(text, what):
+    """Values of 'A' or 'A..B', nonnegative and with A <= B; '' gives none."""
     if not text:
         return []
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(_int(lo, what), _int(hi, what) + 1))
-    return [_int(text, what)]
+    lo, sep, hi = text.partition("..")
+    lo = _at_least(_int(lo, what), 0, what)
+    hi = _at_least(_int(hi, what), 0, what) if sep else lo
+    if lo > hi:
+        raise UsageError(f"{what} range {text} is empty")
+    return list(range(lo, hi + 1))
 
 
 def _at_least(value, lowest, what):
@@ -52,11 +55,21 @@ def _env_cutoff():
     return _int(env, "GRADEDLIE_CUTOFF") if env else None
 
 
+def _read_text(path):
+    """Contents of a UTF-8 text file; an unreadable file is bad input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path!r} is not UTF-8 text: {exc}") from None
+
+
 def _load_algebra(source, cutoff):
     if source in ("m0", "L1"):
         return load_preset(source, cutoff)
-    with open(source, "r", encoding="utf-8") as fh:
-        g = parse_algebra(fh.read())
+    g = parse_algebra(_read_text(source))
     if g.cutoff < cutoff:
         raise CutoffTooSmall(cutoff, g.cutoff, "algebra file")
     return g
@@ -141,9 +154,9 @@ def cmd_check(args):
         results = []
         for w in range(3, cutoff + 1):
             L1 = load_preset("L1", w)
-            witness = m0_normal_form(associated_graded(L1))
-            h1 = coh.betti(L1, 1, 1) + coh.betti(L1, 1, 2)
             gr = associated_graded(L1)
+            witness = m0_normal_form(gr)
+            h1 = coh.betti(L1, 1, 1) + coh.betti(L1, 1, 2)
             h1gr = sum(coh.betti(gr, 1, k) for k in range(1, gr.cutoff + 1))
             results.append((w, bool(witness), h1 == 2 and h1gr == 2))
         ok = all(w and h for _, w, h in results)
@@ -172,8 +185,7 @@ def cmd_massey(args):
                          indent=2, sort_keys=True))
         return 0
     if sub == "verify":
-        with open(args.payload, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(args.payload)
         g = _load_algebra(args.algebra, _default_cutoff(args, 12))
         matrix = ms.parse_connection(g, text)
         ok, tau = ms.is_formal_connection(matrix)
@@ -250,12 +262,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AlgebraFormatError, CutoffTooSmall) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InternalCheckFailed as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 1

@@ -35,7 +35,7 @@ from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined,
                      NotACocycle, NotApplicable, UnverifiedInput, UsageError,
                      internal_check)
 from .forms import Form, bar, differential, parse_form, render_form, wedge
-from .params import ParamPoly
+from .params import ParamPoly, as_poly
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ class ConnectionMatrix:
         self.n = n
         size = n + 1
         if rows is None:
-            rows = [[Form.zero(alg) for _ in range(size)] for _ in range(size)]
+            rows = _zero_rows(alg, size)
         self.rows = rows
         for r in range(size):
             for c in range(r + 1):
@@ -254,7 +254,7 @@ def conjugate(a, c):
     size = a.size
     if len(ce) != size:
         raise NotApplicable(f"conjugator must be {size}x{size}")
-    tmp = [[Form.zero(a.alg) for _ in range(size)] for _ in range(size)]
+    tmp = _zero_rows(a.alg, size)
     for r in range(size):
         for k in range(size):
             if inv[r][k] == 0:
@@ -263,7 +263,7 @@ def conjugate(a, c):
                 e = a.rows[k][col]
                 if not e.is_zero():
                     tmp[r][col] = tmp[r][col] + e.scaled(inv[r][k])
-    rows = [[Form.zero(a.alg) for _ in range(size)] for _ in range(size)]
+    rows = _zero_rows(a.alg, size)
     for r in range(size):
         for k in range(size):
             e = tmp[r][k]
@@ -311,10 +311,15 @@ def value_class_of(g, c_form):
     """ValueClass of a closed degree-homogeneous form."""
     if c_form.is_zero():
         return ValueClass(0, ())
-    q = c_form.degree()
-    return ValueClass(q, tuple(
-        (k, i, coeff, render_form(cohomology_slice(g, q, k).representatives[i]))
-        for (k, i), coeff in class_terms(g, c_form).items()))
+    return _value_class(g, c_form.degree(), class_terms(g, c_form))
+
+
+def _value_class(g, degree, terms):
+    """ValueClass of sum coeff * [representative (weight, index)] over the
+    class-term dict {(weight, index): coeff}, in its key order."""
+    return ValueClass(degree, tuple(
+        (k, i, coeff, render_form(cohomology_slice(g, degree, k).representatives[i]))
+        for (k, i), coeff in terms.items()))
 
 
 @dataclass
@@ -354,9 +359,7 @@ def _split_by_param(form):
     """PForm -> {param monomial: Form with Fraction coefficients}."""
     out = {}
     for mono, poly in form.terms.items():
-        if isinstance(poly, Fraction):
-            poly = ParamPoly.const(poly)
-        for pm, c in poly.terms.items():
+        for pm, c in as_poly(poly).terms.items():
             out.setdefault(pm, {})[mono] = c
     return {pm: Form(form.alg, terms) for pm, terms in out.items()}
 
@@ -364,8 +367,7 @@ def _split_by_param(form):
 def _substitute_form(form, assignment, numeric=False):
     terms = {}
     for mono, poly in form.terms.items():
-        if isinstance(poly, Fraction):
-            poly = ParamPoly.const(poly)
+        poly = as_poly(poly)
         val = poly.evaluate(assignment) if numeric else poly.substitute(assignment)
         if val:
             terms[mono] = val
@@ -377,20 +379,13 @@ class Obstruction:
     position: tuple                  # (i, j) a-coordinates
     coordinates: dict                # {param monomial: {(weight, rep_index): coeff}}
 
-    def to_json_dict(self):
-        return {"position": list(self.position),
-                "coordinates": {"*".join(f"p{i}" for i in pm) or "1":
-                                {f"{k}/{idx}": str(c) for (k, idx), c in coords.items()}
-                                for pm, coords in self.coordinates.items()}}
-
 
 class FamilyResult:
     """Parametrized family of defining systems (or the first obstruction)."""
 
-    def __init__(self, alg, classes, graded, complete):
+    def __init__(self, alg, classes, complete):
         self.alg = alg
         self.classes = classes
-        self.graded = graded
         self.complete = complete
         self.entries = {}
         self.params = []             # (pid, (i, j))
@@ -407,13 +402,13 @@ class FamilyResult:
     def entry(self, i, j):
         return self.entries[(i, j)]
 
-    def substitute(self, assignment, verify=True):
-        """Numeric substitution -> a concrete DefiningSystem."""
+    def substitute(self, assignment):
+        """Numeric substitution -> a concrete, verified DefiningSystem."""
         assign = {pid: Fraction(assignment.get(pid, 0)) for pid, _ in self.params}
         rows = _zero_rows(self.alg, self.n + 1)
         for (i, j), pform in self.entries.items():
             rows[i - 1][j] = _substitute_form(pform, assign, numeric=True)
-        return DefiningSystem(ConnectionMatrix(self.alg, self.n, rows), verify=verify)
+        return DefiningSystem(ConnectionMatrix(self.alg, self.n, rows))
 
     def related_cocycle_family(self):
         return _window_sum(self.alg, self.entry, 1, self.n)
@@ -441,7 +436,7 @@ def _kernel_forms(g, degree, weights):
     return out
 
 
-def solve_defining_system(g, classes, graded=None, max_kernel_weight=None):
+def solve_defining_system(g, classes, graded=None):
     """Diagonal-by-diagonal construction of the parametrized family.
 
     Free parameters are attached to every closed form that may be added at a
@@ -471,9 +466,7 @@ def solve_defining_system(g, classes, graded=None, max_kernel_weight=None):
 
     all_degree_one = all(d == 1 for d in degrees)
     complete = (all_degree_one and not graded) or (graded and is_m0_like(g))
-    fam = FamilyResult(g, classes, graded, complete)
-    if max_kernel_weight is None:
-        max_kernel_weight = min(g.cutoff, total_weight)
+    fam = FamilyResult(g, classes, complete)
 
     for i in range(1, n + 1):
         fam.entries[(i, i)] = _lift(classes[i - 1])
@@ -509,7 +502,7 @@ def solve_defining_system(g, classes, graded=None, max_kernel_weight=None):
             if graded:
                 kernel_weights = [sum(weights_max[r - 1] for r in range(i, j + 1))]
             else:
-                kernel_weights = list(range(1, max_kernel_weight + 1))
+                kernel_weights = list(range(1, min(g.cutoff, total_weight) + 1))
             kernel = _kernel_forms(g, entry_degree, kernel_weights)
             for kf in kernel:
                 pid = next_pid
@@ -559,30 +552,6 @@ def _resolve_linear_obstruction(fam, bad):
 # triple products (exact)
 # ---------------------------------------------------------------------------
 
-def _class_vector_space(g, degree, weight_bound):
-    """Representative data for all weights 1..weight_bound of one degree:
-    returns (slices, offsets, total_dim) for coordinate concatenation."""
-    slices = []
-    offsets = {}
-    total = 0
-    for k in range(1, weight_bound + 1):
-        slc = cohomology_slice(g, degree, k)
-        if slc.dimension:
-            slices.append(slc)
-            offsets[k] = total
-            total += slc.dimension
-    return slices, offsets, total
-
-
-def _class_vector(g, form, offsets, total):
-    vec = [Fraction(0)] * total
-    for (k, i), c in class_terms(g, form).items():
-        if k not in offsets:
-            raise NotApplicable("class escapes the coordinate window")
-        vec[offsets[k] + i] = c
-    return vec
-
-
 def triple_product(g, a, b, c):
     """Exact triple Massey product <[a],[b],[c]>.
 
@@ -600,67 +569,50 @@ def triple_product(g, a, b, c):
     if total_weight > g.cutoff:
         raise CutoffTooSmall(total_weight, g.cutoff, "triple product")
     # signs (-1)^(p+1), (-1)^(q+1) and (-1)^(p+q) applied by negation
-    ab = wedge(a, b)
-    sol_f = linalg.coboundary_preimage(g, ab) if not ab.is_zero() else None
-    if ab.is_zero():
-        f0 = Form.zero(g)
-    elif sol_f:
-        f0 = sol_f.particular if p % 2 else -sol_f.particular
-    else:
-        raise MasseyNotDefined((1, 2), "[a][b] is not exact")
-    bc = wedge(b, c)
-    sol_g = linalg.coboundary_preimage(g, bc) if not bc.is_zero() else None
-    if bc.is_zero():
-        g0 = Form.zero(g)
-    elif sol_g:
-        g0 = sol_g.particular if q % 2 else -sol_g.particular
-    else:
-        raise MasseyNotDefined((2, 3), "[b][c] is not exact")
-
+    f0 = _signed_primitive(g, wedge(a, b), p, (1, 2), "[a][b] is not exact")
+    g0 = _signed_primitive(g, wedge(b, c), q, (2, 3), "[b][c] is not exact")
     ag, fc = wedge(a, g0), wedge(f0, c)
     value_form = (ag if p % 2 else -ag) + (fc if (p + q) % 2 == 0 else -fc)
     target_degree = p + q + r - 1
 
-    # mixed-weight outer classes widen the window: a generator of weight up
+    # indeterminacy generators: [a ^ h'] for closed h' (deg q+r-1) and
+    # [h ^ c] for closed h (deg p+q-1); classes depend only on [h], [h'].
+    # Mixed-weight outer classes widen the search: a generator of weight up
     # to wb + wc + (wa - min_wt(a)) can still land inside the value weights
     # through the low-weight part of a (and symmetrically for c)
     spread_a = wa - a_weights[0]
     spread_c = wc - c_weights[0]
-    bound = min(g.cutoff, wa + wb + wc + max(spread_a, spread_c))
-    slices, offsets, total = _class_vector_space(g, target_degree, bound)
+    gen_forms = [("g", h) for h in _reps_up_to(
+        g, q + r - 1, min(g.cutoff - a_weights[0], wb + wc + spread_a))]
+    gen_forms += [("f", h) for h in _reps_up_to(
+        g, p + q - 1, min(g.cutoff - c_weights[0], wa + wb + spread_c))]
+    gen_terms = [class_terms(g, wedge(a, h) if kind == "g" else wedge(h, c))
+                 for kind, h in gen_forms]
+    value_terms = class_terms(g, value_form)
 
-    # indeterminacy generators: [a ^ h'] for closed h' (deg q+r-1) and
-    # [h ^ c] for closed h (deg p+q-1); classes depend only on [h], [h']
-    gens = []
-    gen_forms = []
-    for h in _reps_up_to(g, q + r - 1, min(g.cutoff - a_weights[0], wb + wc + spread_a)):
-        form = wedge(a, h)
-        gens.append(_class_vector(g, form, offsets, total))
-        gen_forms.append(("g", h))
-    for h in _reps_up_to(g, p + q - 1, min(g.cutoff - c_weights[0], wa + wb + spread_c)):
-        form = wedge(h, c)
-        gens.append(_class_vector(g, form, offsets, total))
-        gen_forms.append(("f", h))
-
-    value_vec = _class_vector(g, value_form, offsets, total)
+    # coordinates on the classes that occur, (weight, index) ascending; a
+    # class that no vector touches would be a zero column
+    keys = sorted({key for terms in gen_terms + [value_terms] for key in terms})
+    gens = [[terms.get(key, Fraction(0)) for key in keys] for terms in gen_terms]
+    value_vec = [value_terms.get(key, Fraction(0)) for key in keys]
 
     span = linalg.Echelon()
     indet = [vec for vec in gens if span.add(vec)]
     solvable = span.contains(value_vec)
     if solvable and any(value_vec):
         # the echelon particular solution; a zero value takes all-zero coefficients
-        matrix = [[col[r_] for col in gens] for r_ in range(total)]
+        matrix = [[col[r_] for col in gens] for r_ in range(len(keys))]
         coeffs = linalg.solve(matrix, [-v for v in value_vec]).particular
     else:
         coeffs = [Fraction(0)] * len(gens)
 
-    indet_classes = tuple(_vector_to_valueclass(slices, offsets, v, target_degree)
-                          for v in indet)
-    value_cls = _vector_to_valueclass(slices, offsets, value_vec, target_degree)
+    indet_classes = tuple(
+        _value_class(g, target_degree, {key: x for key, x in zip(keys, vec) if x})
+        for vec in indet)
+    value_cls = _value_class(g, target_degree, value_terms)
 
     if solvable:
-        f_w = f0
-        g_w = g0
+        f_w, g_w = f0, g0
         for coeff, (kind, h) in zip(coeffs, gen_forms):
             if coeff == 0:
                 continue
@@ -680,6 +632,17 @@ def triple_product(g, a, b, c):
                                      "detail": "0 is not in the affine value set"})
 
 
+def _signed_primitive(g, form, degree, window, message):
+    """(-1)^(degree+1) times the particular primitive of form (zero for the
+    zero form); raises MasseyNotDefined(window) when form is not exact."""
+    if form.is_zero():
+        return Form.zero(g)
+    sol = linalg.coboundary_preimage(g, form)
+    if not sol:
+        raise MasseyNotDefined(window, message)
+    return sol.particular if degree % 2 else -sol.particular
+
+
 def _reps_up_to(g, degree, weight_bound):
     out = []
     if degree < 1:
@@ -687,17 +650,6 @@ def _reps_up_to(g, degree, weight_bound):
     for k in range(1, max(weight_bound, 0) + 1):
         out.extend(representatives(g, degree, k))
     return out
-
-
-def _vector_to_valueclass(slices, offsets, vec, degree):
-    entries = []
-    for slc in slices:
-        base = offsets[slc.k]
-        for i in range(slc.dimension):
-            if vec[base + i]:
-                entries.append((slc.k, i, vec[base + i],
-                                render_form(slc.representatives[i])))
-    return ValueClass(degree, tuple(entries))
 
 
 def _triple_system(g, a, b, c, f, gg):
@@ -714,10 +666,10 @@ def _triple_system(g, a, b, c, f, gg):
 # products of 1-classes over m0: the graded thread-module decision
 # ---------------------------------------------------------------------------
 
-def _superdiag_matrix(values, size, offset=1):
+def _superdiag_matrix(values, size):
     m = [[Fraction(0)] * size for _ in range(size)]
     for i, v in enumerate(values):
-        m[i][i + offset] = Fraction(v)
+        m[i][i + 1] = Fraction(v)
     return m
 
 
@@ -792,27 +744,29 @@ def thread_candidate(pairs):
     return rho, off_corner, corner
 
 
+def one_form_connection(g, images, size, what):
+    """Connection matrix of 1-forms a_rc = sum_k images[k][r][c] e^k.
+    Raises CutoffTooSmall (for `what`) at the first index k, entry by entry,
+    that has a nonzero image but no generator in g."""
+    rows = _zero_rows(g, size)
+    for r in range(size):
+        for c in range(r + 1, size):
+            terms = {}
+            for k, mat in images.items():
+                if mat[r][c]:
+                    if not g.has_index(k):
+                        raise CutoffTooSmall(k, g.cutoff, what)
+                    terms[(k,)] = mat[r][c]
+            rows[r][c] = Form(g, terms)
+    return ConnectionMatrix(g, size - 1, rows)
+
+
 def thread_defining_system(g, pairs, rho):
     """Defining system read off the candidate: entry a(i,j) = sum_k
     rho(e_k)[i-1][j] e^k, corner dropped.  Also returns the corner 1-form."""
     n = len(pairs)
-    size = n + 1
-    rows = _zero_rows(g, size)
-    corner_form = Form.zero(g)
-    for r in range(size):
-        for c in range(r + 1, size):
-            terms = {}
-            for k, mat in rho.items():
-                if mat[r][c]:
-                    if not g.has_index(k):
-                        raise CutoffTooSmall(k, g.cutoff, "thread witness")
-                    terms[(k,)] = mat[r][c]
-            form = Form(g, terms)
-            if (r, c) == (0, size - 1):
-                corner_form = form
-            else:
-                rows[r][c] = form
-    return DefiningSystem(ConnectionMatrix(g, n, rows)), corner_form
+    conn = one_form_connection(g, rho, n + 1, "thread witness")
+    return DefiningSystem(conn.with_entry(1, n, Form.zero(g))), conn.corner()
 
 
 def _one_class_result(g, classes, pairs):
@@ -847,7 +801,7 @@ GRID_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
                Fraction(-1, 2), Fraction(2), Fraction(-2))
 
 
-def evaluate_product(g, classes, graded=None, budget=2000, samples=100, seed=0):
+def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
     """Evaluate the n-fold Massey product of the given cocycles.
 
     Exact for n = 2, n = 3 and for products of 1-classes over an m0-type
@@ -879,10 +833,9 @@ def evaluate_product(g, classes, graded=None, budget=2000, samples=100, seed=0):
     if pairs is not None:
         return _one_class_result(g, classes, pairs)
 
-    if graded is None and all(cl.degree() == 1 for cl in classes):
-        # the ungraded family over degree-1 classes is complete (closed
-        # 1-forms exhaust the entry freedom), so prefer it for decisions
-        graded = False
+    # the ungraded family over degree-1 classes is complete (closed 1-forms
+    # exhaust the entry freedom), so prefer it for decisions
+    graded = False if all(cl.degree() == 1 for cl in classes) else None
     fam = solve_defining_system(g, classes, graded=graded)
     notes = []
     if not fam.ok:
@@ -973,6 +926,18 @@ def _grid_search(g, fam, coords, budget):
 # explicit paper systems and the sampling certificate
 # ---------------------------------------------------------------------------
 
+def _paper_rows(g, n):
+    """Rows of an n-fold paper system before its last column: e^{s+1} with
+    sign (-1)^{s+1} at a(1, s) and e^1 at a(i, i) for 1 < i < n."""
+    rows = _zero_rows(g, n + 1)
+    for s in range(1, n):
+        rows[0][s] = Form.generator(g, s + 1,
+                                    Fraction(1) if (s + 1) % 2 == 0 else Fraction(-1))
+    for i in range(2, n):
+        rows[i - 1][i] = Form.generator(g, 1)
+    return rows
+
+
 def paper_connection_two_e2(g, k):
     """The explicit defining system for <e^2, e^1, ..., e^1, e^2> with 2k-3
     middle classes: alternating powers along the first row, e^1 on the
@@ -987,14 +952,8 @@ def paper_connection_two_e2(g, k):
     n = 2 * k - 1
     if g.cutoff < 2 * k + 1:
         raise CutoffTooSmall(2 * k + 1, g.cutoff, "two-e2 connection")
-    rows = _zero_rows(g, n + 1)
-    for s in range(1, n):
-        rows[0][s] = Form.generator(g, s + 1,
-                                    Fraction(1) if (s + 1) % 2 == 0 else Fraction(-1))
-    for i in range(2, n):
-        rows[i - 1][i] = Form.generator(g, 1)
-    rows[n - 1][n] = Form.generator(g, 2)
-    for s in range(2, n):
+    rows = _paper_rows(g, n)
+    for s in range(2, n + 1):              # s = n puts e^2 at a(n, n)
         rows[s - 1][n] = Form.generator(g, 2 * k + 1 - s)
     return DefiningSystem(ConnectionMatrix(g, n, rows))
 
@@ -1009,15 +968,9 @@ def paper_connection_main(g, i1, tail):
     tail = list(tail)
     if i1 < 2 or not tail or i1 >= tail[0]:
         raise NotApplicable("need 2 <= i1 < first tail index")
-    om = omega(g, tail)
+    power = omega(g, tail)
     n = i1
-    rows = _zero_rows(g, n + 1)
-    for s in range(1, n):
-        rows[0][s] = Form.generator(g, s + 1,
-                                    Fraction(1) if (s + 1) % 2 == 0 else Fraction(-1))
-    for i in range(2, n):
-        rows[i - 1][i] = Form.generator(g, 1)
-    power = om
+    rows = _paper_rows(g, n)
     for s in range(n, 1, -1):
         rows[s - 1][n] = power
         if s > 2:
@@ -1214,17 +1167,37 @@ def parse_product(g, text):
     return [parse_form(g, c) for c in chunks]
 
 
-def parse_size_header(line, keyword, line_no):
-    """n of a '<keyword> n=<n>' header line, a nonnegative integer."""
-    body = line[len(keyword):].strip()
-    try:
-        n = int(body[2:]) if body.startswith("n=") else -1
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise AlgebraFormatError(line_no, f"expected '{keyword} n=<n>' with a "
-                                          f"nonnegative integer n, got {line!r}")
-    return n
+def sized_file_lines(text, keyword):
+    """Lazily read a file of '<keyword> n=<n>' headers (n a nonnegative
+    integer) and '<head> = <rhs>' entry lines; '#' starts a comment.
+
+    Yields (line_no, n, head, rhs) for each entry and (line_no, n, None, None)
+    for each header, n being the size in force.  A bad header, an entry before
+    any header and a missing header raise AlgebraFormatError when the reader
+    reaches them, so errors come in file order."""
+    missing = f"missing '{keyword} n=<n>' header"
+    n = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith(keyword):
+            body = line[len(keyword):].strip()
+            try:
+                n = int(body[2:]) if body.startswith("n=") else -1
+            except ValueError:
+                n = -1
+            if n < 0:
+                raise AlgebraFormatError(line_no, f"expected '{keyword} n=<n>' with a "
+                                                  f"nonnegative integer n, got {line!r}")
+            yield line_no, n, None, None
+        elif n is None:
+            raise AlgebraFormatError(line_no, missing)
+        else:
+            head, _, rhs = line.partition("=")
+            yield line_no, n, head.strip(), rhs.strip()
+    if n is None:
+        raise AlgebraFormatError(0, missing)
 
 
 def parse_connection(g, text):
@@ -1233,19 +1206,10 @@ def parse_connection(g, text):
         connection n=<n>
         (i,j) = <form>        # 1-based matrix coordinates, i < j
     """
-    n = None
     entries = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for line_no, n, head, rhs in sized_file_lines(text, "connection"):
+        if head is None:
             continue
-        if line.startswith("connection"):
-            n = parse_size_header(line, "connection", line_no)
-            continue
-        if n is None:
-            raise AlgebraFormatError(line_no, "missing 'connection n=<n>' header")
-        head, _, rhs = line.partition("=")
-        head = head.strip()
         if not (head.startswith("(") and head.endswith(")")):
             raise AlgebraFormatError(line_no, f"bad entry key {head!r}")
         try:
@@ -1255,9 +1219,7 @@ def parse_connection(g, text):
             raise AlgebraFormatError(line_no, f"bad entry key {head!r}") from None
         if not (1 <= i < j <= n + 1):
             raise AlgebraFormatError(line_no, f"entry ({i},{j}) outside the matrix")
-        entries[(i, j)] = parse_form(g, rhs.strip())
-    if n is None:
-        raise AlgebraFormatError(0, "missing 'connection n=<n>' header")
+        entries[(i, j)] = parse_form(g, rhs)
     rows = _zero_rows(g, n + 1)
     for (i, j), form in entries.items():
         rows[i - 1][j - 1] = form

@@ -49,27 +49,33 @@ def D1(x):
     return Form(x.alg, out)
 
 
+def _expand(xi, i):
+    """sum_{l>=0} (-1)^l D_1^l(xi) ^ e^{i+1+l} for a tail form xi whose
+    indices are all below i + 1 (D_1 only lowers them, so every monomial
+    stays normalized)."""
+    alg = xi.alg
+    out = Form.zero(alg)
+    l = 0
+    while not xi.is_zero():
+        top = i + 1 + l
+        if top > alg.cutoff:
+            raise CutoffTooSmall(top, alg.cutoff, "D_{-1} expansion")
+        out = out + Form(alg, {m + (top,): (c if l % 2 == 0 else -c)
+                               for m, c in xi.terms.items()})
+        xi = D1(xi)
+        l += 1
+    return out
+
+
 def Dm1(x):
     """Right inverse of D1, monomial-by-monomial on normalized monomials
     (last factor = highest index, so the xi ^ e^i decomposition is canonical)."""
     require_tail(x)
-    alg = x.alg
-    out = Form.zero(alg)
+    out = Form.zero(x.alg)
     for mono, coeff in x.terms.items():
         if not mono:
             raise NotApplicable("D_{-1} is undefined on scalars")
-        xi = Form(alg, {mono[:-1]: coeff})
-        i = mono[-1]
-        l = 0
-        while not xi.is_zero():
-            top = i + 1 + l
-            if top > alg.cutoff:
-                raise CutoffTooSmall(top, alg.cutoff, "D_{-1} expansion")
-            seg = Form(alg, {m + (top,): (c if l % 2 == 0 else -c)
-                             for m, c in xi.terms.items()})
-            out = out + seg
-            xi = D1(xi)
-            l += 1
+        out = out + _expand(Form(x.alg, {mono[:-1]: coeff}), mono[-1])
     return out
 
 
@@ -80,20 +86,10 @@ def omega(alg, indices):
     idx = list(indices)
     if not idx or idx[0] < 2 or any(a >= b for a, b in zip(idx, idx[1:])):
         raise NotApplicable(f"omega needs strictly increasing indices >= 2, got {idx}")
-    weight = sum(idx[:-1]) + 2 * idx[-1] + 1
+    weight = omega_weight(idx)
     if weight > alg.cutoff:
         raise CutoffTooSmall(weight, alg.cutoff, f"omega({idx})")
-    head = Form(alg, {tuple(idx): Fraction(1)})
-    out = Form.zero(alg)
-    l = 0
-    top = idx[-1] + 1
-    while not head.is_zero():
-        seg = Form(alg, {m + (top + l,): (c if l % 2 == 0 else -c)
-                         for m, c in head.terms.items() if m[-1] < top + l})
-        out = out + seg
-        head = D1(head)
-        l += 1
-    return out
+    return _expand(Form(alg, {tuple(idx): Fraction(1)}), idx[-1])
 
 
 def omega_weight(indices):

@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _coerce(value):
+def as_poly(value):
+    """value as a ParamPoly (a number becomes a constant)."""
     if isinstance(value, ParamPoly):
         return value
     return ParamPoly({(): Fraction(value)})
@@ -41,7 +42,7 @@ class ParamPoly:
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other):
-        other = _coerce(other)
+        other = as_poly(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
             s = terms.get(m)
@@ -54,13 +55,13 @@ class ParamPoly:
         return ParamPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + (-as_poly(other))
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return as_poly(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = as_poly(other)
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -77,7 +78,7 @@ class ParamPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _coerce(other)
+            other = as_poly(other)
         return isinstance(other, ParamPoly) and self.terms == other.terms
 
     def __hash__(self):
@@ -124,7 +125,7 @@ class ParamPoly:
             acc = ParamPoly.const(c)
             for pid in mono:
                 rep = assignment.get(pid)
-                acc = acc * (ParamPoly.var(pid) if rep is None else _coerce(rep))
+                acc = acc * (ParamPoly.var(pid) if rep is None else as_poly(rep))
             out = out + acc
         return out
 
@@ -137,7 +138,3 @@ class ParamPoly:
                 prod *= Fraction(assignment[pid])
             total += prod
         return total
-
-
-ZERO = ParamPoly()
-ONE = ParamPoly.const(1)

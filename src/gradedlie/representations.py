@@ -19,7 +19,8 @@ from .errors import (AlgebraFormatError, NotApplicable, UnverifiedInput,
                      internal_check)
 from .forms import Form
 from .massey import (ClassificationTag, ConnectionMatrix, classify_trivial_ones,
-                     parse_size_header, related_cocycle, _mat_bracket, _zero_rows)
+                     one_form_connection, related_cocycle, sized_file_lines,
+                     _mat_bracket, _zero_rows)
 
 
 def _is_strictly_upper(m):
@@ -101,17 +102,7 @@ def connection_of(rep):
     the strong Maurer-Cartan equation (zero residual including the corner)."""
     if not rep.verified:
         raise UnverifiedInput("run check_homomorphism first")
-    g = rep.algebra
-    size = rep.size
-    rows = _zero_rows(g, size)
-    for r in range(size):
-        for c in range(r + 1, size):
-            terms = {}
-            for idx, mat in rep.images.items():
-                if mat[r][c]:
-                    terms[(idx,)] = mat[r][c]
-            rows[r][c] = Form(g, terms)
-    return ConnectionMatrix(g, size - 1, rows)
+    return one_form_connection(rep.algebra, rep.images, rep.size, "representation image")
 
 
 def representation_from_connection(matrix):
@@ -135,19 +126,14 @@ def representation_from_connection(matrix):
     return rep
 
 
-def generator_gr_levels(g):
-    """Filtration level of each generator under the descending central series."""
-    filt = central_series(g)
-    return {i: filt.level(i) for i in g.indices}
-
-
 def associated_graded_rep(rep):
     """Truncate each connection entry to its diagonal's forced degree: the
     k-th diagonal keeps only components of filtration degree k-1."""
     if not rep.verified:
         raise UnverifiedInput("run check_homomorphism first")
     g = rep.algebra
-    levels = generator_gr_levels(g)
+    filt = central_series(g)      # filtration level of each generator
+    levels = {i: filt.level(i) for i in g.indices}
     conn = connection_of(rep)
     size = rep.size
     rows = _zero_rows(g, size)
@@ -156,9 +142,7 @@ def associated_graded_rep(rep):
             entry = conn.rows[r][c]
             keep = {m: v for m, v in entry.terms.items() if levels[m[0]] == c - r}
             rows[r][c] = Form(g, keep)
-    graded_conn = ConnectionMatrix(g, size - 1, rows)
-    rep2 = representation_from_connection(graded_conn)
-    return rep2
+    return representation_from_connection(ConnectionMatrix(g, size - 1, rows))
 
 
 # -- thread modules -----------------------------------------------------------
@@ -231,26 +215,15 @@ def parse_representation(g, text):
         rep n=<n>
         e<i> = [[...], [...], ...]    # rational entries, strictly upper
     """
-    n = None
     images = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for line_no, n, head, rhs in sized_file_lines(text, "rep"):
+        if head is None:
             continue
-        if line.startswith("rep"):
-            n = parse_size_header(line, "rep", line_no)
-            continue
-        if n is None:
-            raise AlgebraFormatError(line_no, "missing 'rep n=<n>' header")
-        head, _, rhs = line.partition("=")
-        head = head.strip()
         if not head.startswith("e"):
             raise AlgebraFormatError(line_no, f"expected 'e<i> = [[...]]', got {head!r}")
         try:
             idx = int(head[1:])
         except ValueError:
             raise AlgebraFormatError(line_no, f"bad generator {head!r}") from None
-        images[idx] = _parse_matrix(rhs.strip(), line_no)
-    if n is None:
-        raise AlgebraFormatError(0, "missing 'rep n=<n>' header")
+        images[idx] = _parse_matrix(rhs, line_no)
     return UpperTriangularRep(g, n, images)

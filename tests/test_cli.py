@@ -197,6 +197,12 @@ def test_bad_integer_exit2(capsys, monkeypatch, env, argv):
      "--samples must be at least 1, got -1"),
     (["massey", "eval", "e2; e1; e1; e2", "--budget", "-1"],
      "--budget must be at least 0, got -1"),
+    # a negative degree or weight used to print a row of zeros, an empty
+    # range only the header
+    (["betti", "--algebra", "L1", "--q", "-1", "--k", "3"], "--q must be at least 0, got -1"),
+    (["betti", "--algebra", "L1", "--q", "1", "--k", "0..-2"], "--k must be at least 0, got -2"),
+    (["betti", "--algebra", "L1", "--q", "5..3", "--k", "3"], "--q range 5..3 is empty"),
+    (["betti", "--algebra", "L1", "--q", "1", "--k", "4..2"], "--k range 4..2 is empty"),
 ])
 def test_bad_bound_exit2(capsys, argv, message):
     # a zero or negative bound used to fall back to the default or to print
@@ -209,10 +215,35 @@ def test_bad_bound_exit2(capsys, argv, message):
 @pytest.mark.parametrize("argv", [
     ["check", "goncharova", "--qmax", "1", "--kmax", "2", "--format", "csv"],
     ["massey", "eval", "e2; e1; e1; e2", "--samples", "1", "--budget", "0"],
+    ["betti", "--algebra", "L1", "--q", "0", "--k", "0"],
+    ["betti", "--algebra", "L1", "--q", "0..0", "--k", "3..3"],
 ])
 def test_smallest_bounds_accepted(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("which", ["algebra-dir", "algebra-binary", "verify-dir"])
+def test_unreadable_file_exit2(tmp_path, capsys, which):
+    # a directory or a non-UTF-8 file used to end in a traceback and exit 1
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe\x00 not text")
+    argv, reason = {
+        "algebra-dir": (["betti", "--algebra", str(tmp_path), "--q", "1", "--k", "1"],
+                        "Is a directory"),
+        "algebra-binary": (["betti", "--algebra", str(tmp_path / "binary.txt"),
+                            "--q", "1", "--k", "1"], "is not UTF-8 text"),
+        "verify-dir": (["massey", "verify", str(tmp_path), "--algebra", "m0"],
+                       "Is a directory"),
+    }[which]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
+
+
+def test_missing_file_exit2(capsys):
+    code, out, err = run(capsys, "massey", "verify", "no/such/file.txt", "--algebra", "m0")
+    assert code == 2 and out == ""
+    assert err == "error: [Errno 2] No such file or directory: 'no/such/file.txt'\n"
 
 
 def test_thread_witness_cutoff_exit2(capsys):

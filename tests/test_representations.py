@@ -65,6 +65,16 @@ def test_connection_of_n1_closed_form(m0):
     assert differential(m0, form).is_zero()
 
 
+def test_connection_of_rejects_an_image_outside_the_algebra(m0):
+    # an image of e20 over m0/16 has no 1-form e^20 to carry it
+    from gradedlie.errors import CutoffTooSmall
+    rep = reps.UpperTriangularRep(m0, 1, {1: [[0, 1], [0, 0]], 20: [[0, 1], [0, 0]]})
+    ok, _, full = reps.check_homomorphism(m0, rep, derive=False)
+    assert ok
+    with pytest.raises(CutoffTooSmall, match="need at least 20 for representation image"):
+        reps.connection_of(full)
+
+
 def test_strong_mc_iff_homomorphism(m0, paper_rep):
     a = reps.connection_of(paper_rep)
     ok, tau = ms.is_formal_connection(a)
