@@ -674,3 +674,57 @@ def test_thread_branch_family_solver_never_conflict(m0):
         elif any(p.is_constant() and p.constant_term() != 0
                  for p in coords.values()):
             assert rep_status == ms.NONTRIVIAL_CERTIFIED
+
+
+# (algebra, product) pairs at cutoff 12, at least two for each rung of the
+# family path of evaluate_product, and two products the family proves undefined
+GOLDEN_FAMILY_PRODUCTS = [
+    ("m0", "e1; e2; e1; e2^e3"),           # constant-coordinate
+    ("m0", "e1; e2^e3; e2; e1"),
+    ("m0", "e2^e3; e2; e2; e2"),           # exact-affine-family
+    ("L1", "e2; e2; e2; e2"),
+    ("m0", "e2; e1; e1; e2^e3"),
+    ("m0", "e1; e1; e2; e2^e3"),           # grid-witness
+    ("m0", "e2; e2^e3; e1; e1"),
+    ("L1", "e1; e1^e4; e1; e1"),           # identically-zero-class
+    ("m0", "e1; e1; e1; e2^e3"),
+    ("L1", "e2; e2; e1; e1^e4"),           # Undecided
+    ("m0", "e1; e2; e1+e2; e2^e3"),
+    ("L1", "e1+e2; e1; e1; e1; e1"),       # ValueSet
+    ("L1", "e1; e1; e1; e1; e1+e2"),
+    ("L1", "e2; e1; e2; e1"),              # NotDefined from the family
+    ("m0", "e1; e2; e2; e2^e3"),
+]
+
+# sha256 over the JSON result, or the exception, of every product above, then
+# the leading-coefficient certificate of (i1, tail) = (3, [4]) over m0/18 and
+# value_polynomial() and substitute({}) of <e2, e1, e1, e1> over L1/12.
+# Computed before the family entries became per-monomial pieces, so it pins
+# the family path across that rewrite.
+GOLDEN_FAMILY_DIGEST = "d306548303bd24621d1f7d5ebbed56a6ec66b7049fcc066e0faf767bae43589e"
+
+
+def test_golden_family_digest():
+    digest = hashlib.sha256()
+    algebras = {name: load_preset(name, 12) for name in ("m0", "L1")}
+    kinds = []
+    for name, text in GOLDEN_FAMILY_PRODUCTS:
+        g = algebras[name]
+        try:
+            res = ms.evaluate_product(g, ms.parse_product(g, text))
+            out, kind = res.to_json(), res.certificate.get("kind", res.status)
+        except GradedLieError as exc:
+            out, kind = f"{type(exc).__name__}: {exc}", type(exc).__name__
+        kinds.append(kind)
+        digest.update(json.dumps([name, text, out]).encode() + b"\n")
+    assert all(kinds.count(k) >= 2 for k in kinds)
+    m18 = load_preset("m0", 18)
+    cert = ms.leading_coefficient_certificate(m18, [mono(m18, 2), mono(m18, 1), omega(m18, [4])])
+    assert cert["kind"] == "leading-coefficient"
+    digest.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
+    L1 = algebras["L1"]
+    fam = ms.solve_defining_system(L1, ms.parse_product(L1, "e2; e1; e1; e1"))
+    coords = sorted((key, repr(poly)) for key, poly in fam.value_polynomial().items())
+    assert coords
+    digest.update(json.dumps([coords, fam.substitute({}).matrix.render()]).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_FAMILY_DIGEST
