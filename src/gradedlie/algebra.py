@@ -236,9 +236,7 @@ def central_series(g):
             break
         terms.append(nxt)
         current = nxt
-    if terms[-1]:
-        terms.append(frozenset())
-    return Filtration(tuple(terms[:-1]) if not terms[-1] else tuple(terms))
+    return Filtration(tuple(t for t in terms if t))   # only the last term can be empty
 
 
 def associated_graded(g):

@@ -256,14 +256,12 @@ def pentagonal_weights(q):
     return ((3 * q * q - q) // 2, (3 * q * q + q) // 2)
 
 
-def check_goncharova(cutoff_q, cutoff_k, algebra=None):
+def check_goncharova(cutoff_q, cutoff_k):
     """dim H^q_k(L1) = 1 exactly at the pentagonal weights (3q^2 +- q)/2."""
     need = (3 * cutoff_q * cutoff_q + cutoff_q) // 2
     if cutoff_k < need:
         raise CutoffTooSmall(need, cutoff_k, "Goncharova check")
-    g = algebra if algebra is not None else load_preset("L1", cutoff_k)
-    if g.cutoff < cutoff_k:
-        raise CutoffTooSmall(cutoff_k, g.cutoff, "Goncharova check")
+    g = load_preset("L1", cutoff_k)
     rows = []
     for q in range(1, cutoff_q + 1):
         lo, hi = pentagonal_weights(q)
@@ -273,12 +271,10 @@ def check_goncharova(cutoff_q, cutoff_k, algebra=None):
     return Report("goncharova", tuple(rows))
 
 
-def check_m0_dimensions(cutoff_q, cutoff_k, algebra=None):
+def check_m0_dimensions(cutoff_q, cutoff_k):
     """dim H^q_{k + q(q+1)/2}(m0) = P_q(k) - P_q(k-1) for positive k;
     the q = 1 sector is spanned by e^1, e^2 (weights 1 and 2)."""
-    g = algebra if algebra is not None else load_preset("m0", cutoff_k)
-    if g.cutoff < cutoff_k:
-        raise CutoffTooSmall(cutoff_k, g.cutoff, "m0 dimension check")
+    g = load_preset("m0", cutoff_k)
     rows = []
     for q in range(1, cutoff_q + 1):
         shift = q * (q + 1) // 2

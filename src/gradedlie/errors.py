@@ -36,6 +36,7 @@ class AlgebraFormatError(GradedLieError):
 
     def __init__(self, line_no, message):
         self.line_no = line_no
+        self.message = message
         super().__init__(f"line {line_no}: {message}")
 
 

@@ -39,12 +39,8 @@ def _iszero(c):
 
 
 class Form:
-    """Sparse exterior form over an ambient algebra.
-
-    Coefficients are Fractions in normal use; any exact coefficient ring with
-    +, -, * and a falsy zero works (the Massey solver uses parameter
-    polynomials).
-    """
+    """Sparse exterior form over an ambient algebra, with rational (Fraction)
+    coefficients."""
 
     __slots__ = ("alg", "terms")
 

@@ -35,7 +35,7 @@ from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined,
                      NotACocycle, NotApplicable, UnverifiedInput, UsageError,
                      internal_check)
 from .forms import Form, bar, differential, parse_form, render_form, wedge
-from .params import ParamPoly, as_poly
+from .params import ParamPoly
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +188,22 @@ class DefiningSystem:
         return sub, self.matrix.entry(l, q)
 
 
-def _window_sum(g, entry, i, j):
-    """sum_{r=i}^{j-1} bar(a(i,r)) a(r+1,j) for the entries a(i, j) = entry(i, j)."""
-    total = Form.zero(g)
+def _window_sum(pieces, i, j):
+    """sum_{r=i}^{j-1} bar(a(i,r)) a(r+1,j) over entries given as pieces:
+    pieces(i, j) is {parameter monomial: nonzero Form}.  Returns the pieces
+    of the sum in the same form."""
+    total = {}
     for r in range(i, j):
-        left = entry(i, r)
-        right = entry(r + 1, j)
-        if left.is_zero() or right.is_zero():
-            continue
-        total = total + wedge(bar(left), right)
-    return total
+        right_pieces = pieces(r + 1, j)
+        for pl, left in pieces(i, r).items():
+            left = bar(left)
+            for pr, right in right_pieces.items():
+                _add_piece(total, tuple(sorted(pl + pr)), wedge(left, right))
+    return {pm: form for pm, form in total.items() if not form.is_zero()}
+
+
+def _add_piece(pieces, pm, form):
+    pieces[pm] = pieces[pm] + form if pm in pieces else form
 
 
 def related_cocycle(system):
@@ -205,7 +211,11 @@ def related_cocycle(system):
     if not getattr(system, "verified", False):
         raise UnverifiedInput("defining system must be verified first")
     m = system.matrix
-    return _window_sum(m.alg, m.entry, 1, m.n)
+
+    def pieces(i, j):
+        entry = m.entry(i, j)
+        return {(): entry} if not entry.is_zero() else {}
+    return _window_sum(pieces, 1, m.n).get((), Form.zero(m.alg))
 
 
 # ---------------------------------------------------------------------------
@@ -347,32 +357,25 @@ class MasseyResult:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
+def _witness_result(witness, value, certificate, indeterminacy=()):
+    """TrivialWitness result, built only after re-checking that the witness's
+    related cocycle has a coboundary preimage."""
+    internal_check(linalg.coboundary_preimage(witness.alg, related_cocycle(witness)),
+                   f"{certificate['kind']} witness must have an exact related cocycle")
+    return MasseyResult(TRIVIAL_WITNESS, witness=witness, value=value,
+                        indeterminacy=indeterminacy, certificate=certificate)
+
+
+def _require_cocycles(g, classes, message):
+    """Raise NotACocycle(message) unless every class is a nonzero cocycle."""
+    for a in classes:
+        if a.is_zero() or not differential(g, a).is_zero():
+            raise NotACocycle(message)
+
+
 # ---------------------------------------------------------------------------
 # the parametrized solver
 # ---------------------------------------------------------------------------
-
-def _lift(form):
-    return Form(form.alg, {m: ParamPoly.const(c) for m, c in form.terms.items()})
-
-
-def _split_by_param(form):
-    """PForm -> {param monomial: Form with Fraction coefficients}."""
-    out = {}
-    for mono, poly in form.terms.items():
-        for pm, c in as_poly(poly).terms.items():
-            out.setdefault(pm, {})[mono] = c
-    return {pm: Form(form.alg, terms) for pm, terms in out.items()}
-
-
-def _substitute_form(form, assignment, numeric=False):
-    terms = {}
-    for mono, poly in form.terms.items():
-        poly = as_poly(poly)
-        val = poly.evaluate(assignment) if numeric else poly.substitute(assignment)
-        if val:
-            terms[mono] = val
-    return Form(form.alg, terms)
-
 
 @dataclass
 class Obstruction:
@@ -381,7 +384,10 @@ class Obstruction:
 
 
 class FamilyResult:
-    """Parametrized family of defining systems (or the first obstruction)."""
+    """Parametrized family of defining systems (or the first obstruction).
+
+    Each entry is stored as pieces {parameter monomial: Form}: the entry is
+    sum_pm pm * pieces[pm], with () the constant piece."""
 
     def __init__(self, alg, classes, complete):
         self.alg = alg
@@ -406,18 +412,16 @@ class FamilyResult:
         """Numeric substitution -> a concrete, verified DefiningSystem."""
         assign = {pid: Fraction(assignment.get(pid, 0)) for pid, _ in self.params}
         rows = _zero_rows(self.alg, self.n + 1)
-        for (i, j), pform in self.entries.items():
-            rows[i - 1][j] = _substitute_form(pform, assign, numeric=True)
+        for (i, j), pieces in self.entries.items():
+            for pm, form in pieces.items():
+                rows[i - 1][j] = rows[i - 1][j] + ParamPoly({pm: 1}).evaluate(assign) * form
         return DefiningSystem(ConnectionMatrix(self.alg, self.n, rows))
-
-    def related_cocycle_family(self):
-        return _window_sum(self.alg, self.entry, 1, self.n)
 
     def value_polynomial(self):
         """Class coordinates of the related cocycle as ParamPolys:
         {(weight, rep_index): ParamPoly}; every component verified closed."""
         coords = {}
-        for pm, comp in _split_by_param(self.related_cocycle_family()).items():
+        for pm, comp in _window_sum(self.entry, 1, self.n).items():
             for key, coeff in class_terms(self.alg, comp).items():
                 coords[key] = coords.get(key, ParamPoly()) + ParamPoly({pm: coeff})
         return coords
@@ -428,8 +432,6 @@ def _kernel_forms(g, degree, weights):
     bases of the slices, as Forms)."""
     out = []
     for k in weights:
-        if k > g.cutoff:
-            raise CutoffTooSmall(k, g.cutoff, "kernel slice")
         slc = cohomology_slice(g, degree, k)
         for vec in slc.cocycles:
             out.append(Form(g, {slc.basis[i]: v for i, v in enumerate(vec) if v}))
@@ -448,11 +450,9 @@ def solve_defining_system(g, classes, graded=None):
     n = len(classes)
     if n < 2:
         raise NotApplicable("need at least 2 classes")
-    for a in classes:
-        if a.alg != g:
-            raise NotApplicable("class ambient mismatch")
-        if a.is_zero() or not differential(g, a).is_zero():
-            raise NotACocycle("product classes must be nonzero cocycles")
+    if any(a.alg != g for a in classes):
+        raise NotApplicable("class ambient mismatch")
+    _require_cocycles(g, classes, "product classes must be nonzero cocycles")
     degrees = [a.degree() for a in classes]
     homogeneous = all(len(a.weights()) == 1 for a in classes)
     if graded is None:
@@ -469,7 +469,7 @@ def solve_defining_system(g, classes, graded=None):
     fam = FamilyResult(g, classes, complete)
 
     for i in range(1, n + 1):
-        fam.entries[(i, i)] = _lift(classes[i - 1])
+        fam.entries[(i, i)] = {(): classes[i - 1]}
 
     next_pid = 0
     for s in range(1, n):
@@ -479,17 +479,12 @@ def solve_defining_system(g, classes, graded=None):
                 continue
             entry_degree = sum(degrees[r - 1] - 1 for r in range(i, j + 1)) + 1
             while True:
-                pieces = _split_by_param(_window_sum(g, fam.entry, i, j))
-                particular = Form.zero(g)
+                pieces = {}
                 bad = {}
-                for pm, comp in sorted(pieces.items()):
-                    if comp.is_zero():
-                        continue
+                for pm, comp in sorted(_window_sum(fam.entry, i, j).items()):
                     sol = linalg.coboundary_preimage(g, comp)
                     if sol:
-                        part = Form(g, {m: ParamPoly({pm: 1}) * c
-                                        for m, c in sol.particular.terms.items()})
-                        particular = particular + part
+                        pieces[pm] = sol.particular
                     else:
                         bad[pm] = class_terms(g, comp)
                 if not bad:
@@ -505,12 +500,10 @@ def solve_defining_system(g, classes, graded=None):
                 kernel_weights = list(range(1, min(g.cutoff, total_weight) + 1))
             kernel = _kernel_forms(g, entry_degree, kernel_weights)
             for kf in kernel:
-                pid = next_pid
+                fam.params.append((next_pid, (i, j)))
+                pieces[(next_pid,)] = kf
                 next_pid += 1
-                fam.params.append((pid, (i, j)))
-                particular = particular + Form(
-                    g, {m: ParamPoly({(pid,): c}) for m, c in kf.terms.items()})
-            fam.entries[(i, j)] = particular
+            fam.entries[(i, j)] = pieces
     return fam
 
 
@@ -543,8 +536,12 @@ def _resolve_linear_obstruction(fam, bad):
             if coeff:
                 expr = expr + ParamPoly({(pids[fc],): coeff})
         assignment[pids[pc]] = expr
-    for key, pform in list(fam.entries.items()):
-        fam.entries[key] = _substitute_form(pform, assignment)
+    for key, pieces in list(fam.entries.items()):
+        out = {}
+        for pm, form in pieces.items():
+            for new_pm, c in ParamPoly({pm: 1}).substitute(assignment).terms.items():
+                _add_piece(out, new_pm, c * form)
+        fam.entries[key] = {pm: form for pm, form in out.items() if not form.is_zero()}
     return True
 
 
@@ -559,9 +556,7 @@ def triple_product(g, a, b, c):
     subspace basis, and the exact decision whether 0 lies in the affine set.
     Raises MasseyNotDefined when [a][b] or [b][c] is nonzero.
     """
-    for x in (a, b, c):
-        if x.is_zero() or not differential(g, x).is_zero():
-            raise NotACocycle("triple product needs nonzero cocycles")
+    _require_cocycles(g, (a, b, c), "triple product needs nonzero cocycles")
     p, q, r = a.degree(), b.degree(), c.degree()
     a_weights, c_weights = a.weights(), c.weights()   # ascending
     wa, wb, wc = a_weights[-1], max(b.weights()), c_weights[-1]
@@ -620,12 +615,8 @@ def triple_product(g, a, b, c):
                 g_w = g_w + coeff * h
             else:
                 f_w = f_w + coeff * h
-        witness = _triple_system(g, a, b, c, f_w, g_w)
-        cw = related_cocycle(witness)
-        internal_check(linalg.coboundary_preimage(g, cw), "witness related cocycle must be exact")
-        return MasseyResult(TRIVIAL_WITNESS, witness=witness, value=value_cls,
-                            indeterminacy=indet_classes,
-                            certificate={"kind": "exact-affine-triple"})
+        return _witness_result(_triple_system(g, a, b, c, f_w, g_w), value_cls,
+                               {"kind": "exact-affine-triple"}, indet_classes)
     return MasseyResult(NONTRIVIAL_CERTIFIED, value=value_cls,
                         indeterminacy=indet_classes,
                         certificate={"kind": "exact-affine-triple",
@@ -780,11 +771,8 @@ def _one_class_result(g, classes, pairs):
     cocycle = related_cocycle(system)
     value = value_class_of(g, cocycle)
     if not corner:
-        sol = linalg.coboundary_preimage(g, cocycle)
-        internal_check(sol, "corner-complete candidate must have exact related cocycle")
-        return MasseyResult(TRIVIAL_WITNESS, witness=system, value=value,
-                            certificate={"kind": "graded-thread-module",
-                                         "corner": render_form(corner_form)})
+        return _witness_result(system, value, {"kind": "graded-thread-module",
+                                               "corner": render_form(corner_form)})
     internal_check(not value.is_zero(), "corner violations must give a nonzero class")
     return MasseyResult(
         NONTRIVIAL_CERTIFIED, witness=None, value=value,
@@ -813,18 +801,15 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
     n = len(classes)
     if n < 2:
         raise NotApplicable("need at least 2 classes")
-    for cl in classes:
-        if cl.is_zero() or not differential(g, cl).is_zero():
-            raise NotACocycle("all product classes must be nonzero cocycles")
+    _require_cocycles(g, classes, "all product classes must be nonzero cocycles")
     if n == 2:
         c2 = wedge(bar(classes[0]), classes[1])
         value = value_class_of(g, c2)
         if value.is_zero():
             rows = _zero_rows(g, 3)
             rows[0][1], rows[1][2] = classes
-            witness = DefiningSystem(ConnectionMatrix(g, 2, rows))
-            return MasseyResult(TRIVIAL_WITNESS, witness=witness, value=value,
-                                certificate={"kind": "direct-product"})
+            return _witness_result(DefiningSystem(ConnectionMatrix(g, 2, rows)), value,
+                                   {"kind": "direct-product"})
         return MasseyResult(NONTRIVIAL_CERTIFIED, value=value,
                             certificate={"kind": "direct-product"})
     if n == 3:
@@ -852,8 +837,7 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
     base_value = value_class_of(g, related_cocycle(base))
 
     if not coords:
-        return MasseyResult(TRIVIAL_WITNESS, witness=base, value=base_value,
-                            certificate={"kind": "identically-zero-class"})
+        return _witness_result(base, base_value, {"kind": "identically-zero-class"})
 
     if fam.complete:
         for key, poly in sorted(coords.items()):
@@ -873,12 +857,8 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
         sol = linalg.solve(rows, rhs)
         if sol:
             assignment = {pid: sol.particular[i] for i, pid in enumerate(pids)}
-            witness = fam.substitute(assignment)
-            cw = related_cocycle(witness)
-            internal_check(linalg.coboundary_preimage(g, cw), "affine witness must be exact")
-            return MasseyResult(TRIVIAL_WITNESS, witness=witness,
-                                value=base_value,
-                                certificate={"kind": "exact-affine-family"})
+            return _witness_result(fam.substitute(assignment), base_value,
+                                   {"kind": "exact-affine-family"})
         if fam.complete:
             return MasseyResult(NONTRIVIAL_CERTIFIED, value=base_value,
                                 certificate={"kind": "exact-affine-family",
@@ -887,9 +867,7 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
 
     witness = _grid_search(g, fam, coords, budget)
     if witness is not None:
-        return MasseyResult(TRIVIAL_WITNESS, witness=witness,
-                            value=base_value,
-                            certificate={"kind": "grid-witness"})
+        return _witness_result(witness, base_value, {"kind": "grid-witness"})
 
     shape = _main_shape(g, classes)
     if shape is not None:
@@ -1171,10 +1149,10 @@ def sized_file_lines(text, keyword):
     """Lazily read a file of '<keyword> n=<n>' headers (n a nonnegative
     integer) and '<head> = <rhs>' entry lines; '#' starts a comment.
 
-    Yields (line_no, n, head, rhs) for each entry and (line_no, n, None, None)
-    for each header, n being the size in force.  A bad header, an entry before
-    any header and a missing header raise AlgebraFormatError when the reader
-    reaches them, so errors come in file order."""
+    Yields (line_no, n, None, None) for the header and (line_no, n, head, rhs)
+    for each entry.  A bad or second header, an entry before the header and a
+    missing header raise AlgebraFormatError when the reader reaches them, so
+    errors come in file order."""
     missing = f"missing '{keyword} n=<n>' header"
     n = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -1182,6 +1160,8 @@ def sized_file_lines(text, keyword):
         if not line:
             continue
         if line.startswith(keyword):
+            if n is not None:
+                raise AlgebraFormatError(line_no, f"second '{keyword} n=<n>' header")
             body = line[len(keyword):].strip()
             try:
                 n = int(body[2:]) if body.startswith("n=") else -1
@@ -1219,7 +1199,10 @@ def parse_connection(g, text):
             raise AlgebraFormatError(line_no, f"bad entry key {head!r}") from None
         if not (1 <= i < j <= n + 1):
             raise AlgebraFormatError(line_no, f"entry ({i},{j}) outside the matrix")
-        entries[(i, j)] = parse_form(g, rhs)
+        try:
+            entries[(i, j)] = parse_form(g, rhs)
+        except AlgebraFormatError as exc:
+            raise AlgebraFormatError(line_no, exc.message) from None
     rows = _zero_rows(g, n + 1)
     for (i, j), form in entries.items():
         rows[i - 1][j - 1] = form

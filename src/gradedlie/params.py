@@ -1,10 +1,10 @@
 """Exact multivariate polynomials in solver parameters.
 
 Defining-system families carry free parameters (one per closed form added at
-each solvable slot); entries of connection matrices then have coefficients
-that are polynomials in those parameters with rational coefficients.  A
-monomial is a sorted tuple of parameter ids (with repetition); () is the
-constant term.
+each solvable slot).  Their entries are stored as one rational form per
+parameter monomial, so the class coordinates of the related cocycle are
+polynomials in the parameters with rational coefficients.  A monomial is a
+sorted tuple of parameter ids (with repetition); () is the constant term.
 """
 
 from __future__ import annotations

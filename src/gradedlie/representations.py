@@ -23,8 +23,15 @@ from .massey import (ClassificationTag, ConnectionMatrix, classify_trivial_ones,
                      _mat_bracket, _zero_rows)
 
 
-def _is_strictly_upper(m):
-    return all(m[r][c] == 0 for r in range(len(m)) for c in range(r + 1))
+def _checked_image(idx, mat, size, line_no=0):
+    """The image of e<idx> with Fraction entries; AlgebraFormatError (at
+    line_no) unless it is a strictly upper triangular size x size matrix."""
+    mat = [[Fraction(v) for v in row] for row in mat]
+    if len(mat) != size or any(len(r) != size for r in mat):
+        raise AlgebraFormatError(line_no, f"image of e{idx} must be {size}x{size}")
+    if any(mat[r][c] != 0 for r in range(size) for c in range(r + 1)):
+        raise AlgebraFormatError(line_no, f"image of e{idx} is not strictly upper triangular")
+    return mat
 
 
 class UpperTriangularRep:
@@ -34,14 +41,7 @@ class UpperTriangularRep:
         self.algebra = algebra
         self.n = n
         self.size = n + 1
-        self.images = {}
-        for idx, mat in images.items():
-            mat = [[Fraction(v) for v in row] for row in mat]
-            if len(mat) != self.size or any(len(r) != self.size for r in mat):
-                raise AlgebraFormatError(0, f"image of e{idx} must be {self.size}x{self.size}")
-            if not _is_strictly_upper(mat):
-                raise AlgebraFormatError(0, f"image of e{idx} is not strictly upper triangular")
-            self.images[idx] = mat
+        self.images = {idx: _checked_image(idx, mat, self.size) for idx, mat in images.items()}
         self.verified = False
 
     def image(self, idx):
@@ -76,9 +76,8 @@ def check_homomorphism(g, rep, derive=True):
     full = rep
     if derive and is_m0_like(g) and 1 in rep.images and 2 in rep.images:
         full = derive_m0_images(g, rep)
-    for i in g.indices:
-        if i not in full.images:
-            full.images[i] = [[Fraction(0)] * full.size for _ in range(full.size)]
+    # a new rep, so the argument keeps its images and its flag
+    full = UpperTriangularRep(g, full.n, {i: full.image(i) for i in g.indices} | full.images)
     for i in g.indices:
         for j in g.indices:
             if i >= j:
@@ -225,5 +224,5 @@ def parse_representation(g, text):
             idx = int(head[1:])
         except ValueError:
             raise AlgebraFormatError(line_no, f"bad generator {head!r}") from None
-        images[idx] = _parse_matrix(rhs, line_no)
+        images[idx] = _checked_image(idx, _parse_matrix(rhs, line_no), n + 1, line_no)
     return UpperTriangularRep(g, n, images)

@@ -141,6 +141,16 @@ def test_massey_verify_bad_header_exit2(tmp_path, capsys, header):
     assert err.startswith("error: line 1: ") and err.count("\n") == 1
 
 
+def test_massey_verify_second_header_exit2(tmp_path, capsys):
+    # the matrix used to be sized by the last header: an IndexError and exit 1
+    path = tmp_path / "conn.txt"
+    path.write_text("connection n=3\n(1,4) = 1*e2\nconnection n=1\n")
+    code, out, err = run(capsys, "massey", "verify", str(path), "--algebra", "m0",
+                         "--cutoff", "8")
+    assert code == 2 and out == ""
+    assert err == "error: line 3: second 'connection n=<n>' header\n"
+
+
 def test_algebra_file_loading(tmp_path, capsys):
     from gradedlie.algebra import load_preset, write_algebra
     path = tmp_path / "alg.txt"

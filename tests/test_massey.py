@@ -578,6 +578,12 @@ def test_parse_connection_roundtrip(m0):
     ("connection n=abc\n(1,x) = e2\n",
      "line 1: expected 'connection n=<n>' with a nonnegative integer n, "
      "got 'connection n=abc'"),
+    # one header sets the size of the whole file
+    ("connection n=3\n(1,4) = 1*e2\nconnection n=1\n",
+     "line 3: second 'connection n=<n>' header"),
+    # errors inside an entry's form name the entry's line
+    ("connection n=2\n(1,2) = 1/0*e1\n", "line 2: bad coefficient '1/0'"),
+    ("connection n=2\n\n(1,2) = 1*e99\n", "line 3: unknown generator index 99"),
 ])
 def test_parse_connection_errors(m0, text, message):
     from gradedlie.errors import AlgebraFormatError
@@ -674,6 +680,17 @@ def test_thread_branch_family_solver_never_conflict(m0):
         elif any(p.is_constant() and p.constant_term() != 0
                  for p in coords.values()):
             assert rep_status == ms.NONTRIVIAL_CERTIFIED
+
+
+def test_family_pieces_are_keyed_by_sorted_monomials(m0):
+    # a(1, 3) takes its parameters after a(4, 5), so the window sum of a(1, 5)
+    # multiplies pieces whose monomials must be merged in sorted order
+    classes = [F(m0, t) for t in ("e1", "e1", "e1", "e1+e2", "e1", "e1")]
+    fam = ms.solve_defining_system(m0, classes)
+    assert fam.ok
+    pieces = [(pm, form) for entry in fam.entries.values() for pm, form in entry.items()]
+    assert any(len(pm) > 1 for pm, _ in pieces)
+    assert all(list(pm) == sorted(pm) and not form.is_zero() for pm, form in pieces)
 
 
 # (algebra, product) pairs at cutoff 12, at least two for each rung of the

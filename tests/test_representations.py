@@ -65,6 +65,20 @@ def test_connection_of_n1_closed_form(m0):
     assert differential(m0, form).is_zero()
 
 
+def test_check_homomorphism_leaves_its_argument_unchanged():
+    # without derivation, or over an algebra that is not m0-like, the missing
+    # images are filled with zeros on a copy
+    from gradedlie.algebra import load_preset
+    m8, L8 = load_preset("m0", 8), load_preset("L1", 8)
+    for g, derive in ((m8, False), (L8, True)):
+        rep = reps.UpperTriangularRep(g, 1, {1: [[0, 1], [0, 0]], 2: [[0, 2], [0, 0]]})
+        before = {i: [list(row) for row in mat] for i, mat in rep.images.items()}
+        ok, _, full = reps.check_homomorphism(g, rep, derive=derive)
+        assert ok and full.verified and full is not rep
+        assert sorted(full.images) == list(g.indices)
+        assert rep.images == before and not rep.verified
+
+
 def test_connection_of_rejects_an_image_outside_the_algebra(m0):
     # an image of e20 over m0/16 has no 1-form e^20 to carry it
     from gradedlie.errors import CutoffTooSmall
@@ -219,6 +233,13 @@ def test_parse_representation_rejects_bad_header(m0, header):
     ("rep n=1\nex = [[0,1],[0,0]]\nrep n=abc\n", "line 2: bad generator 'ex'"),
     ("rep n=abc\nex = [[0,1],[0,0]]\n",
      "line 1: expected 'rep n=<n>' with a nonnegative integer n, got 'rep n=abc'"),
+    # one header sets the size of the whole file
+    ("rep n=2\ne1 = [[0,1,0],[0,0,0],[0,0,0]]\nrep n=1\n",
+     "line 3: second 'rep n=<n>' header"),
+    # an image that does not fit the header names its own line
+    ("rep n=1\ne1 = [[0,1,0],[0,0,0],[0,0,0]]\n", "line 2: image of e1 must be 2x2"),
+    ("rep n=1\ne2 = [[0,1],[0,0]]\n# comment\ne1 = [[0,0],[1,0]]\n",
+     "line 4: image of e1 is not strictly upper triangular"),
 ])
 def test_parse_representation_errors(m0, text, message):
     from gradedlie.errors import AlgebraFormatError
