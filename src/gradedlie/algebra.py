@@ -201,18 +201,13 @@ class Filtration:
         return lev
 
     def check_bracket_compatibility(self, g):
-        """[C^k, C^l] subset of C^{k+l}, checked on basis elements."""
-        terms = list(self.terms) + [frozenset()]
-        depth = len(self.terms)
-        for k in range(1, depth + 1):
-            for l in range(1, depth + 1):
-                target = terms[min(k + l, depth + 1) - 1] if k + l <= depth else frozenset()
-                for i in terms[k - 1]:
-                    for j in terms[l - 1]:
-                        for _, t in g.bracket_terms(i, j):
-                            if k + l <= depth and t not in target:
-                                return False
-        return True
+        """[C^k, C^l] subset of C^{k+l}, checked on basis elements for
+        k + l <= depth (past the last term nothing is asserted)."""
+        terms, depth = self.terms, len(self.terms)
+        return all(t in terms[k + l - 1]
+                   for k in range(1, depth) for l in range(1, depth - k + 1)
+                   for i in terms[k - 1] for j in terms[l - 1]
+                   for _, t in g.bracket_terms(i, j))
 
 
 def central_series(g):
@@ -247,14 +242,9 @@ def associated_graded(g):
     original indices; only the weights change.
     """
     filt = central_series(g)
-    terms = list(filt.terms) + [frozenset()]
-    levels = {}
-    for k in range(len(terms) - 1):
-        layer = sorted(terms[k] - terms[k + 1])
-        for i in layer:
-            levels[i] = k + 1
+    levels = {i: filt.level(i) for i in g.indices}
     max_level = max(levels.values(), default=1)
-    gens = [GeneratorSpec(i, levels[i]) for i in sorted(levels)]
+    gens = [GeneratorSpec(i, levels[i]) for i in g.indices]
     brackets = {}
     for (i, j), old_terms in g.brackets.items():
         lvl = levels[i] + levels[j]

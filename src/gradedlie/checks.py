@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .algebra import load_preset
-from .forms import Form, bar, differential, wedge
+from .forms import Form, bar, differential, slice_all_degree, wedge
 from .massey import ConnectionMatrix, is_formal_connection, mbar, mc_residual, mdiff, mmul
 from .mzero import D1, Dm1
 
@@ -33,7 +33,6 @@ def random_tail_form(rng, alg, max_weight, max_terms=3):
 
 
 def random_homogeneous_form(rng, alg, degree, max_weight, max_terms=3):
-    from .forms import slice_all_degree
     candidates = [m for m in slice_all_degree(alg, degree)
                   if sum(alg.weight(i) for i in m) <= max_weight]
     if not candidates:

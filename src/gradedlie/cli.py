@@ -18,7 +18,8 @@ import sys
 
 from . import cohomology as coh
 from . import massey as ms
-from .algebra import load_preset, parse_algebra
+from .algebra import associated_graded, load_preset, m0_normal_form, parse_algebra
+from .checks import bianchi_suite, d_operator_suite
 from .errors import (AlgebraFormatError, CutoffTooSmall, GradedLieError,
                      InternalCheckFailed, MasseyNotDefined, UsageError)
 from .forms import render_form
@@ -115,8 +116,6 @@ def _print_report(report, fmt):
 
 def _identity_report(cutoff, seed):
     """D-operator and Maurer-Cartan identity suites as a pass/fail report."""
-    from .checks import bianchi_suite, d_operator_suite
-
     rows = []
     ok1, detail1 = d_operator_suite(samples=120, max_weight=14, seed=seed)
     rows.append(("d-operators", ok1, detail1))
@@ -149,7 +148,6 @@ def cmd_check(args):
                 print(f"{name}: {'pass' if o else 'FAIL'} ({detail})")
         return 0 if ok else 1
     if args.which == "gr":
-        from .algebra import associated_graded, m0_normal_form
         cutoff = _default_cutoff(args, 12)
         results = []
         for w in range(3, cutoff + 1):

@@ -21,6 +21,7 @@ from . import linalg
 from .errors import CutoffTooSmall, NotACocycle, internal_check
 from .forms import Form, slice_basis
 from .algebra import is_m0_like, load_preset
+from .mzero import omega, omega_index_lists
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +111,6 @@ def _choose_representatives(g, q, k, basis, dmat, cocycles, coboundaries, dim):
         return []
     # m0 preference: omega cocycles verbatim when they span the slice
     if is_m0_like(g) and all(g.weight(i) == i for i in g.indices) and q >= 2:
-        from .mzero import omega, omega_index_lists
         lists = omega_index_lists(q - 1, k)
         if len(lists) == dim:
             forms = [omega(g, idx) for idx in lists]
@@ -256,33 +256,29 @@ def pentagonal_weights(q):
     return ((3 * q * q - q) // 2, (3 * q * q + q) // 2)
 
 
+def _dimension_report(name, g, cutoff_q, cutoff_k, expected):
+    """betti(g, q, k) against expected(q, k), q outer and k from 1."""
+    return Report(name, tuple(ReportRow(q, k, betti(g, q, k), expected(q, k))
+                              for q in range(1, cutoff_q + 1)
+                              for k in range(1, cutoff_k + 1)))
+
+
 def check_goncharova(cutoff_q, cutoff_k):
     """dim H^q_k(L1) = 1 exactly at the pentagonal weights (3q^2 +- q)/2."""
     need = (3 * cutoff_q * cutoff_q + cutoff_q) // 2
     if cutoff_k < need:
         raise CutoffTooSmall(need, cutoff_k, "Goncharova check")
-    g = load_preset("L1", cutoff_k)
-    rows = []
-    for q in range(1, cutoff_q + 1):
-        lo, hi = pentagonal_weights(q)
-        for k in range(1, cutoff_k + 1):
-            expected = 1 if k in (lo, hi) else 0
-            rows.append(ReportRow(q, k, betti(g, q, k), expected))
-    return Report("goncharova", tuple(rows))
+    return _dimension_report("goncharova", load_preset("L1", cutoff_k), cutoff_q, cutoff_k,
+                             lambda q, k: 1 if k in pentagonal_weights(q) else 0)
 
 
 def check_m0_dimensions(cutoff_q, cutoff_k):
     """dim H^q_{k + q(q+1)/2}(m0) = P_q(k) - P_q(k-1) for positive k;
     the q = 1 sector is spanned by e^1, e^2 (weights 1 and 2)."""
-    g = load_preset("m0", cutoff_k)
-    rows = []
-    for q in range(1, cutoff_q + 1):
-        shift = q * (q + 1) // 2
-        for w in range(1, cutoff_k + 1):
-            if q == 1:
-                expected = 1 if w in (1, 2) else 0
-            else:
-                k = w - shift
-                expected = partition_count(q, k) - partition_count(q, k - 1) if k >= 1 else 0
-            rows.append(ReportRow(q, w, betti(g, q, w), expected))
-    return Report("m0dims", tuple(rows))
+    def expected(q, w):
+        if q == 1:
+            return 1 if w in (1, 2) else 0
+        k = w - q * (q + 1) // 2
+        return partition_count(q, k) - partition_count(q, k - 1) if k >= 1 else 0
+    return _dimension_report("m0dims", load_preset("m0", cutoff_k), cutoff_q, cutoff_k,
+                             expected)

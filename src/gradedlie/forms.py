@@ -13,9 +13,10 @@ under the opposite convention.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
-from .errors import AmbientMismatch, ArityMismatch, CutoffTooSmall
+from .algebra import bracket
+from .errors import AlgebraFormatError, AmbientMismatch, ArityMismatch, CutoffTooSmall
 
 
 def sort_with_sign(indices):
@@ -34,10 +35,6 @@ def sort_with_sign(indices):
     return sign, tuple(seq)
 
 
-def _iszero(c):
-    return not c
-
-
 class Form:
     """Sparse exterior form over an ambient algebra, with rational (Fraction)
     coefficients."""
@@ -46,12 +43,7 @@ class Form:
 
     def __init__(self, alg, terms=None):
         self.alg = alg
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                if not _iszero(c):
-                    clean[tuple(mono)] = c
-        self.terms = clean
+        self.terms = {mono: c for mono, c in terms.items() if c} if terms else {}
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -122,7 +114,7 @@ class Form:
         return Form(self.alg, {m: -c for m, c in self.terms.items()})
 
     def scaled(self, scalar):
-        if _iszero(scalar):
+        if not scalar:
             return Form.zero(self.alg)
         return Form(self.alg, {m: scalar * c for m, c in self.terms.items()})
 
@@ -244,10 +236,9 @@ def differential_direct(g, a, basis_tuple):
     total = Fraction(0)
     vecs = [{i: Fraction(1)} for i in basis_tuple]
     n = len(basis_tuple)
-    from .algebra import bracket as _bracket
     for i in range(n):
         for j in range(i + 1, n):
-            br = _bracket(g, vecs[i], vecs[j])
+            br = bracket(g, vecs[i], vecs[j])
             if not br:
                 continue
             rest = [vecs[r] for r in range(n) if r not in (i, j)]
@@ -286,21 +277,9 @@ def slice_basis(g, q, k):
 
 
 def slice_all_degree(g, q):
-    """All strictly increasing q-tuples within the cutoff (any weight)."""
-    idx = g.indices
-    out = []
-
-    def rec(start, remaining, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for pos in range(start, len(idx) - remaining + 1):
-            acc.append(idx[pos])
-            rec(pos + 1, remaining - 1, acc)
-            acc.pop()
-
-    rec(0, q, [])
-    return out
+    """All strictly increasing q-tuples within the cutoff (any weight), in
+    lexicographic order (the indices ascend)."""
+    return list(combinations(g.indices, q))
 
 
 # -- text rendering -----------------------------------------------------------
@@ -344,7 +323,6 @@ def _split_signed_terms(text):
 
 
 def parse_form(g, text):
-    from .errors import AlgebraFormatError
     text = text.strip()
     if text == "0" or not text:
         return Form.zero(g)

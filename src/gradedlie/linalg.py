@@ -19,6 +19,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import CutoffTooSmall, NotACocycle
+from .forms import Form, differential
 
 
 class SliceMatrix:
@@ -330,8 +331,7 @@ def d_matrix(g, q, k):
     Cached per (algebra, degree, weight); only the lazily built reduction is
     filled in.
     """
-    from .cohomology import weight_slice_basis
-    from .forms import Form, differential
+    from .cohomology import weight_slice_basis   # cohomology imports linalg
 
     src = weight_slice_basis(g, q, k)
     dst = weight_slice_basis(g, q + 1, k)
@@ -351,8 +351,6 @@ def coboundary_preimage(g, c_form):
     deg(c) - 1 (kernel = all closed forms of that degree in the relevant
     weights).  Mixed weights are handled weight-by-weight.
     """
-    from .forms import Form, differential
-
     if c_form.is_zero():
         return Solution(True, Form.zero(c_form.alg), [])
     g_ = c_form.alg

@@ -24,9 +24,10 @@ honest Undecided otherwise.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 
 from . import linalg
 from .algebra import is_m0_like
@@ -35,6 +36,7 @@ from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined,
                      NotACocycle, NotApplicable, UnverifiedInput, UsageError,
                      internal_check)
 from .forms import Form, bar, differential, parse_form, render_form, wedge
+from .mzero import Dm1, omega, omega_index_lists, omega_weight
 from .params import ParamPoly
 
 
@@ -244,17 +246,11 @@ class ScalarTriangular:
                      for c in range(n)] for r in range(n)])
 
     def inverse(self):
+        """M^-1, the transform E of the Reduction of M (M reduces to I)."""
         n = len(self.entries)
-        inv = [[Fraction(0)] * n for _ in range(n)]
-        for col in range(n):
-            x = [Fraction(0)] * n
-            x[col] = Fraction(1)
-            for r in reversed(range(col + 1)):
-                acc = x[r]
-                for c in range(r + 1, n):
-                    acc -= self.entries[r][c] * inv[c][col]
-                inv[r][col] = acc / self.entries[r][r]
-        return ScalarTriangular(inv)
+        red = linalg.Reduction(self.entries, n)
+        columns = [red.image([int(i == j) for i in range(n)]) for j in range(n)]
+        return ScalarTriangular(list(zip(*columns)))
 
 
 def conjugate(a, c):
@@ -264,24 +260,11 @@ def conjugate(a, c):
     size = a.size
     if len(ce) != size:
         raise NotApplicable(f"conjugator must be {size}x{size}")
-    tmp = _zero_rows(a.alg, size)
-    for r in range(size):
-        for k in range(size):
-            if inv[r][k] == 0:
-                continue
-            for col in range(size):
-                e = a.rows[k][col]
-                if not e.is_zero():
-                    tmp[r][col] = tmp[r][col] + e.scaled(inv[r][k])
     rows = _zero_rows(a.alg, size)
-    for r in range(size):
-        for k in range(size):
-            e = tmp[r][k]
-            if e.is_zero():
-                continue
-            for col in range(size):
-                if ce[k][col] != 0:
-                    rows[r][col] = rows[r][col] + e.scaled(ce[k][col])
+    for r, k, l, col in iter_product(range(size), repeat=4):   # (C^-1)_rk a_kl C_l,col
+        coeff = inv[r][k] * ce[l][col]
+        if coeff and not a.rows[k][l].is_zero():
+            rows[r][col] = rows[r][col] + a.rows[k][l].scaled(coeff)
     return ConnectionMatrix(a.alg, a.n, rows)
 
 
@@ -367,10 +350,12 @@ def _witness_result(witness, value, certificate, indeterminacy=()):
 
 
 def _require_cocycles(g, classes, message):
-    """Raise NotACocycle(message) unless every class is a nonzero cocycle."""
-    for a in classes:
-        if a.is_zero() or not differential(g, a).is_zero():
-            raise NotACocycle(message)
+    """Raise NotACocycle(message) unless every class is a nonzero cocycle, and
+    NotApplicable when a class has a degree-0 (scalar) part."""
+    if any(a.is_zero() or not differential(g, a).is_zero() for a in classes):
+        raise NotACocycle(message)
+    if any(() in a.terms for a in classes):
+        raise NotApplicable("Massey products need classes of positive degree")
 
 
 # ---------------------------------------------------------------------------
@@ -707,15 +692,12 @@ def thread_candidate(pairs):
     rho = {1: _superdiag_matrix([a for a, _ in pairs], size),
            2: _superdiag_matrix([b for _, b in pairs], size)}
     k = 2
-    while True:
+    while k <= size:
         nxt = _mat_bracket(rho[1], rho[k])
-        if any(any(row) for row in nxt):
-            rho[k + 1] = nxt
-            k += 1
-        else:
+        if not any(any(row) for row in nxt):
             break
-        if k > size:
-            break
+        rho[k + 1] = nxt
+        k += 1
     off_corner = []
     corner = []
     ks = sorted(rho)
@@ -865,7 +847,7 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
                                              "detail": "affine system has no zero"})
         notes.append("affine over an incomplete family: no witness found")
 
-    witness = _grid_search(g, fam, coords, budget)
+    witness = _grid_search(fam, coords, budget)
     if witness is not None:
         return _witness_result(witness, base_value, {"kind": "grid-witness"})
 
@@ -882,21 +864,16 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
     return MasseyResult(status, value=base_value, notes=tuple(notes))
 
 
-def _grid_search(g, fam, coords, budget):
+def _grid_search(fam, coords, budget):
+    """The first of `budget` grid systems whose value class is zero (so exact;
+    _witness_result re-checks that), or None."""
     pids = sorted({p for poly in coords.values() for p in poly.variables()})
     if not pids:
         return None
-    tried = 0
-    for combo in iter_product(GRID_VALUES, repeat=len(pids)):
-        if tried >= budget:
-            return None
-        tried += 1
+    for combo in islice(iter_product(GRID_VALUES, repeat=len(pids)), budget):
         assignment = dict(zip(pids, combo))
         if all(poly.evaluate(assignment) == 0 for poly in coords.values()):
-            witness = fam.substitute(assignment)
-            cw = related_cocycle(witness)
-            if linalg.coboundary_preimage(g, cw):
-                return witness
+            return fam.substitute(assignment)
     return None
 
 
@@ -942,7 +919,6 @@ def paper_connection_main(g, i1, tail):
     superdiagonal, D_{-1} iterates of omega(tail) down the last column.
 
     Its related cocycle is (-1)^{i1} omega([i1] + tail)."""
-    from .mzero import Dm1, omega
     tail = list(tail)
     if i1 < 2 or not tail or i1 >= tail[0]:
         raise NotApplicable("need 2 <= i1 < first tail index")
@@ -958,7 +934,6 @@ def paper_connection_main(g, i1, tail):
 
 def _main_shape(g, classes):
     """Detect <e^2, e^1, ..., e^1, omega(tail)>; returns (i1, tail) or None."""
-    from .mzero import omega, omega_index_lists
     if not is_m0_like(g) or len(classes) < 2:
         return None
     e2 = Form.generator(g, 2)
@@ -995,10 +970,6 @@ def leading_coefficient_certificate(g, classes, samples=100, seed=0):
     not proved away; the certificate records this caveat.  Raises UsageError
     for samples < 1: a certificate needs at least one sample.
     """
-    import random
-
-    from .mzero import omega, omega_weight
-
     if samples < 1:
         raise UsageError(f"a sampling certificate needs samples >= 1, got {samples}")
     shape = _main_shape(g, classes)
@@ -1008,14 +979,10 @@ def leading_coefficient_certificate(g, classes, samples=100, seed=0):
     target = omega(g, [i1] + list(tail))
     target_weight = omega_weight([i1] + list(tail))
     target_degree = target.degree()
-    slc = cohomology_slice(g, target_degree, target_weight)
-    rep_index = None
-    for i, rep in enumerate(slc.representatives):
-        if rep == target:
-            rep_index = i
-            break
-    if rep_index is None:
+    reps = cohomology_slice(g, target_degree, target_weight).representatives
+    if target not in reps:
         return None
+    rep_index = reps.index(target)
     expected = Fraction((-1) ** i1)
 
     fam = solve_defining_system(g, classes, graded=True)
@@ -1199,6 +1166,8 @@ def parse_connection(g, text):
             raise AlgebraFormatError(line_no, f"bad entry key {head!r}") from None
         if not (1 <= i < j <= n + 1):
             raise AlgebraFormatError(line_no, f"entry ({i},{j}) outside the matrix")
+        if (i, j) in entries:
+            raise AlgebraFormatError(line_no, f"second entry ({i},{j})")
         try:
             entries[(i, j)] = parse_form(g, rhs)
         except AlgebraFormatError as exc:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import is_m0_like
 from .errors import AmbientMismatch, CutoffTooSmall, NotApplicable
-from .forms import Form, sort_with_sign
+from .forms import Form, sort_with_sign, wedge
 
 
 def _require_m0(alg):
@@ -125,8 +125,6 @@ def omega_index_lists(q_indices, weight):
 def sum_identity_check(alg, i1, tail_indices):
     """Return sum_k (-1)^k D1^k e^{i1} ^ D_{-1}^k omega(tail) and assert it
     equals omega([i1] + tail)."""
-    from .forms import wedge
-
     tail = list(tail_indices)
     if not tail or i1 >= tail[0]:
         raise NotApplicable("need i1 < first tail index")

@@ -224,5 +224,7 @@ def parse_representation(g, text):
             idx = int(head[1:])
         except ValueError:
             raise AlgebraFormatError(line_no, f"bad generator {head!r}") from None
+        if idx in images:
+            raise AlgebraFormatError(line_no, f"second image of e{idx}")
         images[idx] = _checked_image(idx, _parse_matrix(rhs, line_no), n + 1, line_no)
     return UpperTriangularRep(g, n, images)

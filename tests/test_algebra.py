@@ -74,6 +74,17 @@ def test_central_series_bracket_compatibility(m0, L1):
         assert central_series(g).check_bracket_compatibility(g)
 
 
+def test_bracket_compatibility_rejects_bad_filtration():
+    g = load_preset("m0", 5)
+    everything = frozenset(range(1, 6))
+    # [e1, e2] = e3 is not in C^2, and [e1, e3] = e4 (levels 1 + 2) is not in C^3
+    assert not Filtration((everything, frozenset({4, 5}))).check_bracket_compatibility(g)
+    assert not Filtration((everything, frozenset({3, 4, 5}),
+                           frozenset({5}))).check_bracket_compatibility(g)
+    assert Filtration((everything, frozenset({3, 4, 5}),
+                       frozenset({4, 5}))).check_bracket_compatibility(g)
+
+
 def test_associated_graded_m0_weights():
     gr = associated_graded(load_preset("m0", 8))
     weights = {s.index: s.weight for s in gr.generators}

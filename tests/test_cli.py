@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -149,6 +150,25 @@ def test_massey_verify_second_header_exit2(tmp_path, capsys):
                          "--cutoff", "8")
     assert code == 2 and out == ""
     assert err == "error: line 3: second 'connection n=<n>' header\n"
+
+
+def test_massey_verify_repeated_entry_exit2(tmp_path, capsys):
+    # the second entry used to replace the first silently
+    path = tmp_path / "conn.txt"
+    path.write_text("connection n=2\n(1,2) = e1\n(1,2) = e2\n")
+    code, out, err = run(capsys, "massey", "verify", str(path), "--algebra", "m0",
+                         "--cutoff", "8")
+    assert code == 2 and out == ""
+    assert err == "error: line 3: second entry (1,2)\n"
+
+
+@pytest.mark.parametrize("payload", ["1; 1", "e1; 1", "1; 1; 1", "1; 1; 1; 1"])
+def test_massey_eval_scalar_class_exit2(capsys, payload):
+    # used to certify a degree-0 value, or to fail on a preimage of a scalar
+    code, out, err = run(capsys, "massey", "eval", payload, "--algebra", "m0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Massey products need classes of positive degree" in err
 
 
 def test_algebra_file_loading(tmp_path, capsys):
@@ -303,3 +323,79 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "q,k,computed,expected,match"
+
+
+# Commands whose stdout, stderr and exit code are pinned by the golden CLI
+# digest: reports, file inputs, one product per rung of `massey eval` and the
+# bad-bound exits.  File names are relative to the working directory.
+GOLDEN_CLI_COMMANDS = [
+    ["betti", "--algebra", "L1", "--cutoff", "26", "--q", "1..4", "--k", "1..26",
+     "--format", "json"],
+    ["betti", "--algebra", "m0", "--cutoff", "18", "--q", "1..5", "--k", "1..18",
+     "--format", "csv"],
+    ["betti", "--algebra", "alg.txt", "--cutoff", "7", "--q", "2", "--k", "5..7"],
+    ["check", "goncharova", "--qmax", "3", "--kmax", "16"],
+    ["check", "m0dims", "--qmax", "4", "--kmax", "20", "--format", "json"],
+    ["check", "gr", "--cutoff", "8"],
+    ["check", "gr", "--cutoff", "10", "--format", "json"],
+    ["check", "identities"],
+    ["massey", "classify", "e1; e2+1*e1; e1; e1"],
+    ["massey", "verify", "conn.txt", "--algebra", "m0", "--cutoff", "8"],
+    ["massey", "verify", "missing.txt", "--algebra", "m0"],
+    # direct, triple and thread products
+    ["massey", "eval", "e1; e2", "--algebra", "m0"],
+    ["massey", "eval", "e2; e1^e4", "--algebra", "L1"],
+    ["massey", "eval", "e2; e1; e2", "--algebra", "m0"],
+    ["massey", "eval", "e2; e2; e1", "--algebra", "L1"],
+    ["massey", "eval", "e1+e2; e2; e1-e2", "--algebra", "m0"],
+    ["massey", "eval", "e1; e1; e2", "--algebra", "L1", "--cutoff", "10"],
+    ["massey", "eval", "e1^e4; e1; e2", "--algebra", "L1", "--cutoff", "12"],
+    ["massey", "eval", "e2; e1; e2^e7-e3^e6+e4^e5", "--algebra", "m0", "--cutoff", "16"],
+    ["massey", "eval", "e2; e1; e1; e1; e2", "--algebra", "m0", "--cutoff", "14"],
+    ["massey", "eval", "e2; e1; e1; e2", "--algebra", "m0", "--seed", "3"],
+    ["massey", "eval", "e2; e1; e2; e1", "--algebra", "m0"],
+    ["massey", "eval", "e2; e1; e1; e1", "--algebra", "L1"],
+    ["massey", "eval", "e1; e2; e1; e2", "--algebra", "L1", "--cutoff", "12"],
+    ["massey", "eval", "e1; e1; e1; e2", "--cutoff", "4"],
+    ["massey", "eval", "e2; ; e1", "--algebra", "m0"],
+] + [
+    # the family path, one product per rung (see test_massey.GOLDEN_FAMILY_PRODUCTS)
+    ["massey", "eval", text, "--algebra", name, "--cutoff", "12"] for name, text in [
+        ("m0", "e1; e2; e1; e2^e3"), ("m0", "e1; e2^e3; e2; e1"),
+        ("m0", "e2^e3; e2; e2; e2"), ("L1", "e2; e2; e2; e2"),
+        ("m0", "e2; e1; e1; e2^e3"), ("m0", "e1; e1; e2; e2^e3"),
+        ("m0", "e2; e2^e3; e1; e1"), ("L1", "e1; e1^e4; e1; e1"),
+        ("m0", "e1; e1; e1; e2^e3"), ("L1", "e2; e2; e1; e1^e4"),
+        ("m0", "e1; e2; e1+e2; e2^e3"), ("L1", "e1+e2; e1; e1; e1; e1"),
+        ("L1", "e1; e1; e1; e1; e1+e2"), ("L1", "e2; e1; e2; e1"),
+        ("m0", "e1; e2; e2; e2^e3")]
+] + [
+    ["check", "goncharova", "--qmax", "0"],
+    ["check", "goncharova", "--kmax", "0"],
+    ["check", "m0dims", "--qmax", "-1"],
+    ["check", "m0dims", "--kmax", "0"],
+    ["massey", "eval", "e2; e1; e1; e2", "--samples", "0"],
+    ["massey", "eval", "e2; e1; e1; e2", "--budget", "-1"],
+    ["betti", "--algebra", "L1", "--q", "-1", "--k", "3"],
+    ["betti", "--algebra", "L1", "--q", "1", "--k", "0..-2"],
+    ["betti", "--algebra", "L1", "--q", "5..3", "--k", "3"],
+    ["betti", "--algebra", "L1", "--q", "1", "--k", "4..2"],
+]
+
+# sha256 over [argv, exit code, stdout, stderr] of every command above
+GOLDEN_CLI_DIGEST = "930793010959ef9477b1a79029f263f21534ea907851aed3129c05b04a9a0647"
+
+
+def test_golden_cli_digest(tmp_path, capsys, monkeypatch):
+    from gradedlie.algebra import load_preset, write_algebra
+    monkeypatch.delenv("GRADEDLIE_CUTOFF", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "alg.txt").write_text(write_algebra(load_preset("L1", 8)))
+    (tmp_path / "conn.txt").write_text("connection n=3\n(1,2) = 1*e2\n(1,3) = -1*e3\n"
+                                       "(2,3) = 1*e1\n(2,4) = 1*e3\n(3,4) = 1*e2\n")
+    assert len(GOLDEN_CLI_COMMANDS) >= 30
+    digest = hashlib.sha256()
+    for argv in GOLDEN_CLI_COMMANDS:
+        code, out, err = run(capsys, *argv)
+        digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_CLI_DIGEST

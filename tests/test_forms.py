@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from gradedlie.algebra import load_preset
 from gradedlie.errors import AmbientMismatch, ArityMismatch, CutoffTooSmall
 from gradedlie.forms import (Form, bar, differential, differential_direct,
-                             evaluate, parse_form, render_form, slice_basis,
-                             wedge)
+                             evaluate, parse_form, render_form, slice_all_degree,
+                             slice_basis, wedge)
 
 
 def mono(g, *idx):
@@ -130,6 +131,15 @@ def test_differential_matches_direct_expansion(m0, L1):
                         continue
                     direct = differential_direct(g, f, tup)
                     assert evaluate(df, [vec((i, 1)) for i in tup]) == direct
+
+
+def test_slice_all_degree_order():
+    # checks.random_homogeneous_form draws from this list, so its order is pinned
+    g = load_preset("m0", 8)
+    for q in range(5):
+        tuples = [t for t in product(range(1, 9), repeat=q)
+                  if all(a < b for a, b in zip(t, t[1:]))]
+        assert slice_all_degree(g, q) == sorted(tuples)
 
 
 def test_slice_basis_examples(L1):

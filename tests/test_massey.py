@@ -5,11 +5,13 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedlie import linalg
 from gradedlie import massey as ms
 from gradedlie.algebra import load_preset
-from gradedlie.checks import bianchi_suite
+from gradedlie.checks import bianchi_suite, random_connection
 from gradedlie.cohomology import betti, class_coordinates_form, representatives
 from gradedlie.errors import (GradedLieError, InternalCheckFailed, MasseyNotDefined,
                               NotACocycle, NotApplicable, UsageError)
@@ -111,6 +113,45 @@ def test_conjugate_preserves_formal_connection(m0):
 def test_conjugate_singular_rejected(m0):
     with pytest.raises(NotApplicable):
         ms.ScalarTriangular.diagonal([1, 0, 1, 1])
+
+
+def _mat_mul(x, y):
+    return [[sum((x[r][k] * y[k][c] for k in range(len(y))), Fraction(0))
+             for c in range(len(y[0]))] for r in range(len(x))]
+
+
+@st.composite
+def upper_triangular(draw, size):
+    """Invertible upper triangular rational size x size matrix entries."""
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    unit = entry.filter(bool)
+    return [[draw(unit) if c == r else draw(entry) if c > r else Fraction(0)
+             for c in range(size)] for r in range(size)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(upper_triangular))
+def test_scalar_triangular_inverse(entries):
+    size = len(entries)
+    inv = ms.ScalarTriangular(entries).inverse().entries
+    identity = [[Fraction(int(r == c)) for c in range(size)] for r in range(size)]
+    assert _mat_mul(entries, inv) == identity
+    assert _mat_mul(inv, entries) == identity
+
+
+CONJ_ALGEBRA = load_preset("m0", 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 2 ** 32), upper_triangular(n + 1), upper_triangular(n + 1))))
+def test_conjugate_is_right_action(args):
+    n, seed, c1, c2 = args
+    a = random_connection(random.Random(seed), CONJ_ALGEBRA, n, 6)
+    g1, g2 = ms.ScalarTriangular(c1), ms.ScalarTriangular(c2)
+    assert ms.conjugate(ms.conjugate(a, g1), g2) == \
+        ms.conjugate(a, ms.ScalarTriangular(_mat_mul(c1, c2)))
+    assert ms.conjugate(ms.conjugate(a, g1), g1.inverse()) == a
 
 
 # -- solver -------------------------------------------------------------------
@@ -584,12 +625,30 @@ def test_parse_connection_roundtrip(m0):
     # errors inside an entry's form name the entry's line
     ("connection n=2\n(1,2) = 1/0*e1\n", "line 2: bad coefficient '1/0'"),
     ("connection n=2\n\n(1,2) = 1*e99\n", "line 3: unknown generator index 99"),
+    # a repeated entry used to replace the earlier one silently
+    ("connection n=2\n(1,2) = e1\n(1,2) = e2\n", "line 3: second entry (1,2)"),
 ])
 def test_parse_connection_errors(m0, text, message):
     from gradedlie.errors import AlgebraFormatError
     with pytest.raises(AlgebraFormatError) as info:
         ms.parse_connection(m0, text)
     assert str(info.value) == message
+
+
+SCALAR_PRODUCTS = ["1; 1", "e1; 1", "1; 1; 1", "1; 1; 1; 1", "e1; 1+e2; e1"]
+
+
+@pytest.mark.parametrize("entry, text", [
+    (entry, text) for entry in ("evaluate_product", "solve_defining_system")
+    for text in SCALAR_PRODUCTS] + [
+    ("triple_product", text) for text in SCALAR_PRODUCTS if text.count(";") == 2])
+def test_scalar_classes_rejected(m0, entry, text):
+    # a degree-0 class used to give a NonTrivialCertified degree-0 value or a
+    # preimage error that named no input
+    classes = ms.parse_product(m0, text)
+    args = classes if entry == "triple_product" else [classes]
+    with pytest.raises(NotApplicable, match="Massey products need classes of positive degree"):
+        getattr(ms, entry)(m0, *args)
 
 
 def test_one_form_representatives_are_rigid(m0):

@@ -240,6 +240,9 @@ def test_parse_representation_rejects_bad_header(m0, header):
     ("rep n=1\ne1 = [[0,1,0],[0,0,0],[0,0,0]]\n", "line 2: image of e1 must be 2x2"),
     ("rep n=1\ne2 = [[0,1],[0,0]]\n# comment\ne1 = [[0,0],[1,0]]\n",
      "line 4: image of e1 is not strictly upper triangular"),
+    # a repeated image used to replace the earlier one silently
+    ("rep n=1\ne1 = [[0,1],[0,0]]\ne2 = [[0,0],[0,0]]\ne1 = [[0,2],[0,0]]\n",
+     "line 4: second image of e1"),
 ])
 def test_parse_representation_errors(m0, text, message):
     from gradedlie.errors import AlgebraFormatError
