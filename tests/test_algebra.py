@@ -205,3 +205,14 @@ def test_associated_graded_abelian():
     gr = associated_graded(g)
     assert gr.brackets == {}
     assert [s.index for s in gr.generators] == [1, 2]
+
+
+def test_constructor_rejects_what_the_parser_cannot_reach():
+    # parse_algebra rejects i >= j and names no preset, so these two checks
+    # are reached only through the constructor and load_preset
+    gens = [GeneratorSpec(1, 1), GeneratorSpec(2, 2), GeneratorSpec(3, 3)]
+    with pytest.raises(AlgebraFormatError, match=r"^line 0: bracket key \(2,1\) must have i < j$"):
+        GradedLieAlgebra(gens, {(2, 1): ((Fraction(1), 3),)}, 3)
+    with pytest.raises(AlgebraFormatError,
+                       match=r"^line 0: unknown preset 'm1' \(expected 'm0' or 'L1'\)$"):
+        load_preset("m1", 5)

@@ -181,6 +181,46 @@ def test_algebra_file_loading(tmp_path, capsys):
     assert out.splitlines()[1:] == ["2,5,1", "2,6,0", "2,7,1"]
 
 
+# algebra files that fail parse_algebra or the GradedLieAlgebra checks, with
+# the exact line `betti --algebra FILE` prints.  Without a cutoff line the
+# cutoff is the largest generator weight.
+BAD_ALGEBRA_FILES = [
+    ("generators: (1:1), 2:2\n", "line 1: bad generator spec '2:2'"),
+    ("generators: (1:x)\n", "line 1: bad generator spec '(1:x)'"),
+    ("generators: (0:1), (2:2)\n", "line 0: generator index must be positive, got 0"),
+    ("generators: (1:0), (2:2)\n", "generator weight must be >= 1, got 0"),
+    ("generators: (1:1), (2:2), (1:1)\n", "line 0: duplicate generator indices"),
+    ("generators: (1:1), (2:3)\ncutoff: 2\n", "generator e2 has weight 3 > cutoff 2"),
+    ("generators: (1:1)\ncutoff: x\n", "line 2: bad cutoff"),
+    ("generators: (1:1)\ncutoff: 1\n", "cutoff must be >= 2, got 1"),
+    ("generators: (1:1), (2:2), (3:3)\n[1,2]\n", "line 2: expected '[i,j] = ...'"),
+    ("generators: (1:1), (2:2), (3:3)\n[1,2 = 3\n", "line 2: bad bracket key '[1,2'"),
+    ("generators: (1:1), (2:2), (3:3)\n[1;2] = 3\n", "line 2: bad bracket key '[1;2]'"),
+    ("generators: (1:1), (2:2), (3:3)\n[2,1] = 3\n",
+     "line 2: bracket key must have i < j, got [2,1]"),
+    ("generators: (1:1), (2:2), (3:3)\n[1,2] = 3 +\n", "line 2: empty term"),
+    ("generators: (1:1), (2:2), (3:3)\n[1,2] = 1*x\n", "line 2: bad target index 'x'"),
+    ("generators: (1:1), (2:2), (3:3)\n[1,2] = a*3\n", "line 2: bad rational 'a'"),
+    ("generators: (1:1), (2:2), (3:3)\nfoo\n", "line 2: unrecognized line 'foo'"),
+    ("# no header\ncutoff: 3\n", "line 0: missing 'generators:' header"),
+    ("generators: (1:1), (2:2)\ncutoff: 3\n[1,2] = 1*3\n",
+     "line 0: bracket [1,2] targets unknown generator 3"),
+    ("generators: (1:1), (2:2), (3:2)\ncutoff: 3\n[1,2] = 1*3\n",
+     "bracket [1,2] -> 3 violates weight additivity"),
+    ("generators: (1:1), (2:2), (3:3)\n[1,2] = 1*3\n[1,3] = 1*4\n",
+     "bracket [1,3] exceeds cutoff and must be dropped"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_ALGEBRA_FILES)
+def test_bad_algebra_file_exit2(tmp_path, capsys, text, message):
+    path = tmp_path / "alg.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "betti", "--algebra", str(path), "--q", "1", "--k", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_determinism(capsys):
     args = ("massey", "eval", "e2; e1; e1; e2", "--algebra", "m0",
             "--seed", "3")

@@ -14,7 +14,7 @@ from gradedlie.algebra import load_preset
 from gradedlie.checks import bianchi_suite, random_connection
 from gradedlie.cohomology import betti, class_coordinates_form, representatives
 from gradedlie.errors import (GradedLieError, InternalCheckFailed, MasseyNotDefined,
-                              NotACocycle, NotApplicable, UsageError)
+                              NotACocycle, NotApplicable, UnverifiedInput, UsageError)
 from gradedlie.forms import Form, differential, parse_form, render_form, slice_basis, wedge
 from gradedlie.mzero import Dm1, omega
 
@@ -77,6 +77,45 @@ def test_corner_convention(m0):
     system = ms.paper_connection_two_e2(m0, 3)
     _, tau = ms.is_formal_connection(system.matrix)
     assert tau == -ms.related_cocycle(system)
+
+
+def test_connection_matrix_rejects_entries_on_or_below_diagonal(m0):
+    for r, c in ((1, 1), (2, 1), (3, 0)):
+        rows = [[Form.zero(m0) for _ in range(4)] for _ in range(4)]
+        rows[r][c] = mono(m0, 1)
+        with pytest.raises(NotApplicable, match="^matrix must be strictly upper triangular$"):
+            ms.ConnectionMatrix(m0, 3, rows)
+
+
+def test_defining_system_rejects_non_closed_class(m0):
+    # e3 is not closed over m0; the residual at a(1, 1) is d e3, so the
+    # Maurer-Cartan check names the failure before any closedness check
+    rows = [[Form.zero(m0) for _ in range(3)] for _ in range(3)]
+    rows[0][1], rows[1][2] = mono(m0, 3), mono(m0, 1)
+    with pytest.raises(UnverifiedInput, match="^defining-system equations fail$"):
+        ms.DefiningSystem(ms.ConnectionMatrix(m0, 2, rows))
+
+
+def _systems_for_corner_check(m0):
+    yield from (ms.paper_connection_two_e2(m0, k) for k in range(2, 8))
+    for i1, tail in ((2, [3]), (2, [4]), (3, [4]), (3, [5]), (4, [5]), (2, [3, 4])):
+        yield ms.paper_connection_main(m0, i1, tail)
+    algebras = {name: load_preset(name, 12) for name in ("m0", "L1")}
+    for name, text in GOLDEN_FAMILY_PRODUCTS:
+        g = algebras[name]
+        fam = ms.solve_defining_system(g, ms.parse_product(g, text))
+        if fam.ok:
+            yield fam.substitute({})
+
+
+def test_related_cocycle_is_minus_residual_corner(m0):
+    # related_cocycle sums the corner window; mc_residual multiplies whole
+    # matrices.  With a zero corner the two must agree up to sign.
+    count = 0
+    for system in _systems_for_corner_check(m0):
+        assert ms.related_cocycle(system) == -ms.mc_residual(system.matrix).corner()
+        count += 1
+    assert count >= 20
 
 
 # -- conjugation --------------------------------------------------------------
