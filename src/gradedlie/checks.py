@@ -45,11 +45,9 @@ def random_homogeneous_form(rng, alg, degree, max_weight, max_terms=3):
 
 
 def random_connection(rng, alg, n, max_weight):
-    rows = [[Form.zero(alg) for _ in range(n + 1)] for _ in range(n + 1)]
-    for r in range(n + 1):
-        for c in range(r + 1, n + 1):
-            rows[r][c] = random_homogeneous_form(rng, alg, rng.randint(1, 3), max_weight)
-    return ConnectionMatrix(alg, n, rows)
+    return ConnectionMatrix.from_entries(alg, n, {
+        (i, j): random_homogeneous_form(rng, alg, rng.randint(1, 3), max_weight)
+        for i in range(1, n + 1) for j in range(i, n + 1)})
 
 
 def d_operator_suite(samples=500, max_weight=20, seed=0):

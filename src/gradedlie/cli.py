@@ -21,7 +21,7 @@ from . import massey as ms
 from .algebra import associated_graded, load_preset, m0_normal_form, parse_algebra
 from .checks import bianchi_suite, d_operator_suite
 from .errors import (AlgebraFormatError, CutoffTooSmall, GradedLieError,
-                     InternalCheckFailed, MasseyNotDefined, UsageError)
+                     InternalCheckFailed, InvalidCutoff, MasseyNotDefined, UsageError)
 from .forms import render_form
 
 
@@ -70,6 +70,8 @@ def _read_text(path):
 def _load_algebra(source, cutoff):
     if source in ("m0", "L1"):
         return load_preset(source, cutoff)
+    if cutoff < 2:
+        raise InvalidCutoff(f"cutoff must be >= 2, got {cutoff}")
     g = parse_algebra(_read_text(source))
     if g.cutoff < cutoff:
         raise CutoffTooSmall(cutoff, g.cutoff, "algebra file")
@@ -86,8 +88,7 @@ def _default_cutoff(args, needed):
 def cmd_betti(args):
     ks = _parse_range(args.k, "--k")
     qs = _parse_range(args.q, "--q")
-    cutoff = _default_cutoff(args, max(ks, default=2))
-    g = _load_algebra(args.algebra, max(cutoff, 2))
+    g = _load_algebra(args.algebra, _default_cutoff(args, max([*ks, 2])))
     rows = [(q, k, coh.betti(g, q, k)) for q in qs for k in ks]
     if args.format == "json":
         print(json.dumps({"algebra": args.algebra, "cutoff": g.cutoff,
@@ -148,7 +149,7 @@ def cmd_check(args):
                 print(f"{name}: {'pass' if o else 'FAIL'} ({detail})")
         return 0 if ok else 1
     if args.which == "gr":
-        cutoff = _default_cutoff(args, 12)
+        cutoff = _at_least(_default_cutoff(args, 12), 3, "--cutoff")
         results = []
         for w in range(3, cutoff + 1):
             L1 = load_preset("L1", w)

@@ -331,6 +331,8 @@ def parse_form(g, text):
         neg = term_sign < 0
         if "*" in term:
             c_s, mono_s = term.split("*", 1)
+            if not mono_s.strip():
+                raise AlgebraFormatError(0, f"bad term {term!r}")
             try:
                 coeff = Fraction(c_s.strip())
             except (ValueError, ZeroDivisionError):

@@ -61,6 +61,14 @@ class ConnectionMatrix:
                 if not rows[r][c].is_zero():
                     raise NotApplicable("matrix must be strictly upper triangular")
 
+    @classmethod
+    def from_entries(cls, alg, n, entries):
+        """The matrix with a(i, j) = entries[(i, j)] and zeros elsewhere."""
+        rows = _zero_rows(alg, n + 1)
+        for (i, j), form in entries.items():
+            rows[i - 1][j] = form
+        return cls(alg, n, rows)
+
     @property
     def size(self):
         return self.n + 1
@@ -98,19 +106,10 @@ def msub(a, b):
 
 
 def mmul(a, b):
-    size = a.size
-    rows = _zero_rows(a.alg, size)
-    for r in range(size):
-        for k in range(r + 1, size):
-            left = a.rows[r][k]
-            if left.is_zero():
-                continue
-            for c in range(k + 1, size):
-                right = b.rows[k][c]
-                if right.is_zero():
-                    continue
-                rows[r][c] = rows[r][c] + wedge(left, right)
-    return ConnectionMatrix(a.alg, a.n, rows)
+    left, right, zero = _pieces(a), _pieces(b), Form.zero(a.alg)
+    return ConnectionMatrix.from_entries(a.alg, a.n, {
+        (i, j): _window_product(left, right, i, j).get((), zero)
+        for i in range(1, a.n + 1) for j in range(i + 1, a.n + 1)})
 
 
 def mbar(a):
@@ -171,37 +170,43 @@ class DefiningSystem:
         ok, _tau = is_formal_connection(self.matrix)
         if not ok:
             raise UnverifiedInput("defining-system equations fail")
-        for a in self.classes():
-            if not differential(self.alg, a).is_zero():
-                raise UnverifiedInput("second-diagonal entry is not closed")
         self.verified = True
         return self
 
     def window(self, l, q):
         """Sub defining system for classes l..q together with its corner
         entry a(l, q) from the ambient matrix (a trivialization witness)."""
-        m = q - l + 1
-        rows = _zero_rows(self.alg, m + 1)
-        for i in range(l, q + 1):
-            for j in range(i, q + 1):
-                if (i, j) != (l, q):
-                    rows[i - l][j - l + 1] = self.matrix.entry(i, j)
-        sub = DefiningSystem(ConnectionMatrix(self.alg, m, rows))
+        entries = {(i - l + 1, j - l + 1): self.matrix.entry(i, j)
+                   for i in range(l, q + 1) for j in range(i, q + 1) if (i, j) != (l, q)}
+        sub = DefiningSystem(ConnectionMatrix.from_entries(self.alg, q - l + 1, entries))
         return sub, self.matrix.entry(l, q)
 
 
-def _window_sum(pieces, i, j):
-    """sum_{r=i}^{j-1} bar(a(i,r)) a(r+1,j) over entries given as pieces:
-    pieces(i, j) is {parameter monomial: nonzero Form}.  Returns the pieces
-    of the sum in the same form."""
+def _window_product(left, right, i, j):
+    """sum_{r=i}^{j-1} left(i,r) right(r+1,j) over entries given as pieces:
+    left(k, l) and right(k, l) are {parameter monomial: nonzero Form}.
+    Returns the pieces of the sum in the same form."""
     total = {}
     for r in range(i, j):
-        right_pieces = pieces(r + 1, j)
-        for pl, left in pieces(i, r).items():
-            left = bar(left)
-            for pr, right in right_pieces.items():
-                _add_piece(total, tuple(sorted(pl + pr)), wedge(left, right))
+        right_pieces = right(r + 1, j)
+        for pl, lf in left(i, r).items():
+            for pr, rf in right_pieces.items():
+                _add_piece(total, tuple(sorted(pl + pr)), wedge(lf, rf))
     return {pm: form for pm, form in total.items() if not form.is_zero()}
+
+
+def _window_sum(pieces, i, j):
+    """The window product of bar(A) and A: sum_{r=i}^{j-1} bar(a(i,r)) a(r+1,j)."""
+    return _window_product(lambda k, l: {pm: bar(f) for pm, f in pieces(k, l).items()},
+                           pieces, i, j)
+
+
+def _pieces(matrix):
+    """The entries of a matrix as pieces: a(i, j) -> {(): a(i, j)}, {} if zero."""
+    def pieces(i, j):
+        entry = matrix.entry(i, j)
+        return {(): entry} if not entry.is_zero() else {}
+    return pieces
 
 
 def _add_piece(pieces, pm, form):
@@ -213,11 +218,7 @@ def related_cocycle(system):
     if not getattr(system, "verified", False):
         raise UnverifiedInput("defining system must be verified first")
     m = system.matrix
-
-    def pieces(i, j):
-        entry = m.entry(i, j)
-        return {(): entry} if not entry.is_zero() else {}
-    return _window_sum(pieces, 1, m.n).get((), Form.zero(m.alg))
+    return _window_sum(_pieces(m), 1, m.n).get((), Form.zero(m.alg))
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +397,10 @@ class FamilyResult:
     def substitute(self, assignment):
         """Numeric substitution -> a concrete, verified DefiningSystem."""
         assign = {pid: Fraction(assignment.get(pid, 0)) for pid, _ in self.params}
-        rows = _zero_rows(self.alg, self.n + 1)
-        for (i, j), pieces in self.entries.items():
-            for pm, form in pieces.items():
-                rows[i - 1][j] = rows[i - 1][j] + ParamPoly({pm: 1}).evaluate(assign) * form
-        return DefiningSystem(ConnectionMatrix(self.alg, self.n, rows))
+        return DefiningSystem(ConnectionMatrix.from_entries(self.alg, self.n, {
+            key: sum((ParamPoly({pm: 1}).evaluate(assign) * form for pm, form in pieces.items()),
+                     Form.zero(self.alg))
+            for key, pieces in self.entries.items()}))
 
     def value_polynomial(self):
         """Class coordinates of the related cocycle as ParamPolys:
@@ -600,7 +600,9 @@ def triple_product(g, a, b, c):
                 g_w = g_w + coeff * h
             else:
                 f_w = f_w + coeff * h
-        return _witness_result(_triple_system(g, a, b, c, f_w, g_w), value_cls,
+        system = ConnectionMatrix.from_entries(
+            g, 3, {(1, 1): a, (2, 2): b, (3, 3): c, (1, 2): f_w, (2, 3): g_w})
+        return _witness_result(DefiningSystem(system), value_cls,
                                {"kind": "exact-affine-triple"}, indet_classes)
     return MasseyResult(NONTRIVIAL_CERTIFIED, value=value_cls,
                         indeterminacy=indet_classes,
@@ -626,16 +628,6 @@ def _reps_up_to(g, degree, weight_bound):
     for k in range(1, max(weight_bound, 0) + 1):
         out.extend(representatives(g, degree, k))
     return out
-
-
-def _triple_system(g, a, b, c, f, gg):
-    rows = _zero_rows(g, 4)
-    rows[0][1] = a
-    rows[1][2] = b
-    rows[2][3] = c
-    rows[0][2] = f
-    rows[1][3] = gg
-    return DefiningSystem(ConnectionMatrix(g, 3, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +713,7 @@ def one_form_connection(g, images, size, what):
     """Connection matrix of 1-forms a_rc = sum_k images[k][r][c] e^k.
     Raises CutoffTooSmall (for `what`) at the first index k, entry by entry,
     that has a nonzero image but no generator in g."""
-    rows = _zero_rows(g, size)
+    entries = {}
     for r in range(size):
         for c in range(r + 1, size):
             terms = {}
@@ -730,8 +722,8 @@ def one_form_connection(g, images, size, what):
                     if not g.has_index(k):
                         raise CutoffTooSmall(k, g.cutoff, what)
                     terms[(k,)] = mat[r][c]
-            rows[r][c] = Form(g, terms)
-    return ConnectionMatrix(g, size - 1, rows)
+            entries[(r + 1, c)] = Form(g, terms)
+    return ConnectionMatrix.from_entries(g, size - 1, entries)
 
 
 def thread_defining_system(g, pairs, rho):
@@ -788,10 +780,8 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
         c2 = wedge(bar(classes[0]), classes[1])
         value = value_class_of(g, c2)
         if value.is_zero():
-            rows = _zero_rows(g, 3)
-            rows[0][1], rows[1][2] = classes
-            return _witness_result(DefiningSystem(ConnectionMatrix(g, 2, rows)), value,
-                                   {"kind": "direct-product"})
+            system = ConnectionMatrix.from_entries(g, 2, {(1, 1): classes[0], (2, 2): classes[1]})
+            return _witness_result(DefiningSystem(system), value, {"kind": "direct-product"})
         return MasseyResult(NONTRIVIAL_CERTIFIED, value=value,
                             certificate={"kind": "direct-product"})
     if n == 3:
@@ -881,16 +871,12 @@ def _grid_search(fam, coords, budget):
 # explicit paper systems and the sampling certificate
 # ---------------------------------------------------------------------------
 
-def _paper_rows(g, n):
-    """Rows of an n-fold paper system before its last column: e^{s+1} with
+def _paper_entries(g, n):
+    """Entries of an n-fold paper system before its last column: e^{s+1} with
     sign (-1)^{s+1} at a(1, s) and e^1 at a(i, i) for 1 < i < n."""
-    rows = _zero_rows(g, n + 1)
-    for s in range(1, n):
-        rows[0][s] = Form.generator(g, s + 1,
-                                    Fraction(1) if (s + 1) % 2 == 0 else Fraction(-1))
-    for i in range(2, n):
-        rows[i - 1][i] = Form.generator(g, 1)
-    return rows
+    entries = {(1, s): Form.generator(g, s + 1, Fraction(1) if s % 2 else Fraction(-1))
+               for s in range(1, n)}
+    return entries | {(i, i): Form.generator(g, 1) for i in range(2, n)}
 
 
 def paper_connection_two_e2(g, k):
@@ -907,10 +893,10 @@ def paper_connection_two_e2(g, k):
     n = 2 * k - 1
     if g.cutoff < 2 * k + 1:
         raise CutoffTooSmall(2 * k + 1, g.cutoff, "two-e2 connection")
-    rows = _paper_rows(g, n)
+    entries = _paper_entries(g, n)
     for s in range(2, n + 1):              # s = n puts e^2 at a(n, n)
-        rows[s - 1][n] = Form.generator(g, 2 * k + 1 - s)
-    return DefiningSystem(ConnectionMatrix(g, n, rows))
+        entries[(s, n)] = Form.generator(g, 2 * k + 1 - s)
+    return DefiningSystem(ConnectionMatrix.from_entries(g, n, entries))
 
 
 def paper_connection_main(g, i1, tail):
@@ -924,12 +910,12 @@ def paper_connection_main(g, i1, tail):
         raise NotApplicable("need 2 <= i1 < first tail index")
     power = omega(g, tail)
     n = i1
-    rows = _paper_rows(g, n)
+    entries = _paper_entries(g, n)
     for s in range(n, 1, -1):
-        rows[s - 1][n] = power
+        entries[(s, n)] = power
         if s > 2:
             power = Dm1(power)
-    return DefiningSystem(ConnectionMatrix(g, n, rows))
+    return DefiningSystem(ConnectionMatrix.from_entries(g, n, entries))
 
 
 def _main_shape(g, classes):
@@ -1166,13 +1152,10 @@ def parse_connection(g, text):
             raise AlgebraFormatError(line_no, f"bad entry key {head!r}") from None
         if not (1 <= i < j <= n + 1):
             raise AlgebraFormatError(line_no, f"entry ({i},{j}) outside the matrix")
-        if (i, j) in entries:
+        if (i, j - 1) in entries:
             raise AlgebraFormatError(line_no, f"second entry ({i},{j})")
         try:
-            entries[(i, j)] = parse_form(g, rhs)
+            entries[(i, j - 1)] = parse_form(g, rhs)
         except AlgebraFormatError as exc:
             raise AlgebraFormatError(line_no, exc.message) from None
-    rows = _zero_rows(g, n + 1)
-    for (i, j), form in entries.items():
-        rows[i - 1][j - 1] = form
-    return ConnectionMatrix(g, n, rows)
+    return ConnectionMatrix.from_entries(g, n, entries)

@@ -20,7 +20,7 @@ from .errors import (AlgebraFormatError, NotApplicable, UnverifiedInput,
 from .forms import Form
 from .massey import (ClassificationTag, ConnectionMatrix, classify_trivial_ones,
                      one_form_connection, related_cocycle, sized_file_lines,
-                     _mat_bracket, _zero_rows)
+                     _mat_bracket)
 
 
 def _checked_image(idx, mat, size, line_no=0):
@@ -134,14 +134,10 @@ def associated_graded_rep(rep):
     filt = central_series(g)      # filtration level of each generator
     levels = {i: filt.level(i) for i in g.indices}
     conn = connection_of(rep)
-    size = rep.size
-    rows = _zero_rows(g, size)
-    for r in range(size):
-        for c in range(r + 1, size):
-            entry = conn.rows[r][c]
-            keep = {m: v for m, v in entry.terms.items() if levels[m[0]] == c - r}
-            rows[r][c] = Form(g, keep)
-    return representation_from_connection(ConnectionMatrix(g, size - 1, rows))
+    entries = {(i, j): Form(g, {m: v for m, v in conn.entry(i, j).terms.items()
+                                if levels[m[0]] == j - i + 1})
+               for i in range(1, rep.size) for j in range(i, rep.size)}
+    return representation_from_connection(ConnectionMatrix.from_entries(g, rep.n, entries))
 
 
 # -- thread modules -----------------------------------------------------------

@@ -221,6 +221,31 @@ def test_bad_algebra_file_exit2(tmp_path, capsys, text, message):
     assert err == f"error: {message}\n"
 
 
+def test_betti_file_cutoff_below_two_exit2(tmp_path, capsys):
+    # a file algebra used to run at cutoff 2 whatever cutoff was asked for
+    path = tmp_path / "alg.txt"
+    path.write_text("generators: (1:1), (2:2)\n")
+    code, out, err = run(capsys, "betti", "--algebra", str(path), "--cutoff", "1",
+                         "--q", "1", "--k", "1")
+    assert code == 2 and out == ""
+    assert err == "error: cutoff must be >= 2, got 1\n"
+
+
+def test_check_gr_env_cutoff_below_three_exit2(capsys, monkeypatch):
+    monkeypatch.setenv("GRADEDLIE_CUTOFF", "1")
+    code, out, err = run(capsys, "check", "gr")
+    assert code == 2 and out == ""
+    assert err == "error: --cutoff must be at least 3, got 1\n"
+
+
+@pytest.mark.parametrize("payload, term", [("e1; 2*", "2*"), ("e1; 1/2*; e2", "1/2*")])
+def test_massey_eval_dangling_star_exit2(capsys, payload, term):
+    # "2*" used to parse as the scalar 2, reported as a degree-0 class
+    code, out, err = run(capsys, "massey", "eval", payload)
+    assert code == 2 and out == ""
+    assert err == f"error: line 0: bad term {term!r}\n"
+
+
 def test_determinism(capsys):
     args = ("massey", "eval", "e2; e1; e1; e2", "--algebra", "m0",
             "--seed", "3")
@@ -273,6 +298,16 @@ def test_bad_integer_exit2(capsys, monkeypatch, env, argv):
     (["betti", "--algebra", "L1", "--q", "1", "--k", "0..-2"], "--k must be at least 0, got -2"),
     (["betti", "--algebra", "L1", "--q", "5..3", "--k", "3"], "--q range 5..3 is empty"),
     (["betti", "--algebra", "L1", "--q", "1", "--k", "4..2"], "--k range 4..2 is empty"),
+    # a betti cutoff below 2 used to run at cutoff 2, and a check gr cutoff
+    # below 3 to print an empty report reading "ok": true
+    (["betti", "--algebra", "L1", "--cutoff", "-4", "--q", "1", "--k", "1"],
+     "cutoff must be >= 2, got -4"),
+    (["betti", "--algebra", "m0", "--cutoff", "0", "--q", "1", "--k", "1"],
+     "cutoff must be >= 2, got 0"),
+    (["betti", "--algebra", "L1", "--cutoff", "1", "--q", "1", "--k", "1"],
+     "cutoff must be >= 2, got 1"),
+    (["check", "gr", "--cutoff", "2"], "--cutoff must be at least 3, got 2"),
+    (["check", "gr", "--cutoff", "-1", "--format", "json"], "--cutoff must be at least 3, got -1"),
 ])
 def test_bad_bound_exit2(capsys, argv, message):
     # a zero or negative bound used to fall back to the default or to print
@@ -287,6 +322,8 @@ def test_bad_bound_exit2(capsys, argv, message):
     ["massey", "eval", "e2; e1; e1; e2", "--samples", "1", "--budget", "0"],
     ["betti", "--algebra", "L1", "--q", "0", "--k", "0"],
     ["betti", "--algebra", "L1", "--q", "0..0", "--k", "3..3"],
+    ["betti", "--algebra", "L1", "--cutoff", "2", "--q", "1", "--k", "1"],
+    ["check", "gr", "--cutoff", "3"],
 ])
 def test_smallest_bounds_accepted(capsys, argv):
     code, out, err = run(capsys, *argv)

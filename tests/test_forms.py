@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedlie.algebra import load_preset
-from gradedlie.errors import AmbientMismatch, ArityMismatch, CutoffTooSmall
+from gradedlie.errors import AlgebraFormatError, AmbientMismatch, ArityMismatch, CutoffTooSmall
 from gradedlie.forms import (Form, bar, differential, differential_direct,
                              evaluate, parse_form, render_form, slice_all_degree,
                              slice_basis, wedge)
@@ -179,6 +179,16 @@ def test_parse_form_signs_without_spaces(m0):
     assert parse_form(m0, "-e1 - -2*e3") == -mono(m0, 1) + 2 * mono(m0, 3)
     assert parse_form(m0, "3*e2^e3-1/2*e2^e5") == \
         3 * mono(m0, 2, 3) - Fraction(1, 2) * mono(m0, 2, 5)
+
+
+@pytest.mark.parametrize("text, term", [
+    ("2*", "2*"), ("1/2*", "1/2*"), ("e1 + 3 * ", "3 *"), ("-2*^", None)])
+def test_parse_form_dangling_star(m0, text, term):
+    # "2*" used to parse as the scalar 2
+    message = f"line 0: bad term {term!r}" if term else "line 0: bad monomial factor ''"
+    with pytest.raises(AlgebraFormatError) as info:
+        parse_form(m0, text)
+    assert str(info.value) == message
 
 
 # -- property tests -------------------------------------------------------------

@@ -666,6 +666,8 @@ def test_parse_connection_roundtrip(m0):
     ("connection n=2\n\n(1,2) = 1*e99\n", "line 3: unknown generator index 99"),
     # a repeated entry used to replace the earlier one silently
     ("connection n=2\n(1,2) = e1\n(1,2) = e2\n", "line 3: second entry (1,2)"),
+    # a dangling '*' used to leave the scalar coefficient as the entry
+    ("connection n=2\n(1,2) = e1\n(2,3) = 3*\n", "line 3: bad term '3*'"),
 ])
 def test_parse_connection_errors(m0, text, message):
     from gradedlie.errors import AlgebraFormatError
