@@ -96,10 +96,28 @@ def test_defining_system_rejects_non_closed_class(m0):
         ms.DefiningSystem(ms.ConnectionMatrix(m0, 2, rows))
 
 
-def _systems_for_corner_check(m0):
+def _paper_systems(m0):
     yield from (ms.paper_connection_two_e2(m0, k) for k in range(2, 8))
     for i1, tail in ((2, [3]), (2, [4]), (3, [4]), (3, [5]), (4, [5]), (2, [3, 4])):
         yield ms.paper_connection_main(m0, i1, tail)
+
+
+def test_connection_matrix_round_trips_through_its_grid(m0):
+    rng = random.Random(11)
+    matrices = [system.matrix for system in _paper_systems(m0)]
+    matrices += [random_connection(rng, m0, rng.randint(1, 4), 6) for _ in range(20)]
+    for matrix in matrices:
+        assert ms.ConnectionMatrix(matrix.alg, matrix.n, matrix.rows) == matrix
+
+
+@pytest.mark.parametrize("key", [(2, 1)])
+def test_from_entries_rejects_entries_off_the_triangle(m0, key):
+    with pytest.raises(NotApplicable, match="^matrix must be strictly upper triangular$"):
+        ms.ConnectionMatrix.from_entries(m0, 3, {key: mono(m0, 1)})
+
+
+def _systems_for_corner_check(m0):
+    yield from _paper_systems(m0)
     algebras = {name: load_preset(name, 12) for name in ("m0", "L1")}
     for name, text in GOLDEN_FAMILY_PRODUCTS:
         g = algebras[name]
@@ -191,6 +209,21 @@ def test_conjugate_is_right_action(args):
     assert ms.conjugate(ms.conjugate(a, g1), g2) == \
         ms.conjugate(a, ms.ScalarTriangular(_mat_mul(c1, c2)))
     assert ms.conjugate(ms.conjugate(a, g1), g1.inverse()) == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 2 ** 32), upper_triangular(n + 1))))
+def test_conjugate_is_plain_matrix_product(args):
+    # X = C^-1 A C exactly when C X = A C, summed here cell by cell over the grids
+    n, seed, c = args
+    a = random_connection(random.Random(seed), CONJ_ALGEBRA, n, 6).rows
+    x = ms.conjugate(ms.ConnectionMatrix(CONJ_ALGEBRA, n, a), ms.ScalarTriangular(c)).rows
+    cells = range(n + 1)
+    zero = Form.zero(CONJ_ALGEBRA)
+    cx = [[sum((x[k][col].scaled(c[r][k]) for k in cells), zero) for col in cells] for r in cells]
+    ac = [[sum((a[r][k].scaled(c[k][col]) for k in cells), zero) for col in cells] for r in cells]
+    assert cx == ac
 
 
 # -- solver -------------------------------------------------------------------
