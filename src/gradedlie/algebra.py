@@ -370,6 +370,10 @@ def parse_algebra(text):
                         generators.append(GeneratorSpec(int(idx_s), int(w_s)))
                     except ValueError:
                         raise AlgebraFormatError(line_no, f"bad generator spec {part!r}") from None
+                    except (AlgebraFormatError, WeightViolation) as err:
+                        raise AlgebraFormatError(line_no, getattr(err, "message", str(err))) from None
+            if len({spec.index for spec in generators}) < len(generators):
+                raise AlgebraFormatError(line_no, "duplicate generator indices")
         elif line.startswith("cutoff:"):
             try:
                 cutoff = int(line[len("cutoff:"):].strip())

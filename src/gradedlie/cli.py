@@ -115,7 +115,7 @@ def _print_report(report, fmt):
     return 0 if report.ok else 1
 
 
-def _identity_report(cutoff, seed):
+def _identity_report(seed):
     """D-operator and Maurer-Cartan identity suites as a pass/fail report."""
     rows = []
     ok1, detail1 = d_operator_suite(samples=120, max_weight=14, seed=seed)
@@ -138,7 +138,9 @@ def cmd_check(args):
         kmax = _default_cutoff(args, 20) if kmax is None else kmax
         return _print_report(coh.check_m0_dimensions(qmax, kmax), fmt)
     if args.which == "identities":
-        rows = _identity_report(_default_cutoff(args, 14), args.seed)
+        if args.cutoff is not None:
+            raise UsageError("check identities takes no --cutoff: its suites fix their algebras")
+        rows = _identity_report(args.seed)
         ok = all(r[1] for r in rows)
         if fmt == "json":
             print(json.dumps({"report": "identities", "ok": ok,
@@ -208,7 +210,7 @@ def cmd_massey(args):
             cutoff = max(total, len(classes) + 2)
         g = load_preset(args.algebra, cutoff)
     else:
-        g = _load_algebra(args.algebra, cutoff or 2)
+        g = _load_algebra(args.algebra, 2 if cutoff is None else cutoff)
     classes = ms.parse_product(g, args.payload)
     try:
         result = ms.evaluate_product(g, classes, budget=args.budget,

@@ -45,64 +45,66 @@ from .params import ParamPoly
 # ---------------------------------------------------------------------------
 
 class ConnectionMatrix:
-    """Strictly upper triangular matrix of forms over one algebra."""
+    """Strictly upper triangular matrix of forms over one algebra, stored as
+    its nonzero entries {(i, j): a(i, j)}."""
 
-    __slots__ = ("alg", "n", "rows")
+    __slots__ = ("alg", "n", "entries")
 
     def __init__(self, alg, n, rows=None):
+        """From an (n+1) x (n+1) grid of forms, a(i, j) at rows[i-1][j]."""
         self.alg = alg
         self.n = n
-        size = n + 1
-        if rows is None:
-            rows = _zero_rows(alg, size)
-        self.rows = rows
-        for r in range(size):
-            for c in range(r + 1):
-                if not rows[r][c].is_zero():
-                    raise NotApplicable("matrix must be strictly upper triangular")
+        self.entries = {}
+        self._store({(r + 1, c): form for r, row in enumerate(rows or ())
+                     for c, form in enumerate(row)})
 
     @classmethod
     def from_entries(cls, alg, n, entries):
         """The matrix with a(i, j) = entries[(i, j)] and zeros elsewhere."""
-        rows = _zero_rows(alg, n + 1)
+        matrix = cls(alg, n)
+        matrix._store(entries)
+        return matrix
+
+    def _store(self, entries):
         for (i, j), form in entries.items():
-            rows[i - 1][j] = form
-        return cls(alg, n, rows)
+            if not form.is_zero():
+                if not 1 <= i <= j <= self.n:
+                    raise NotApplicable("matrix must be strictly upper triangular")
+                self.entries[(i, j)] = form
 
     @property
     def size(self):
         return self.n + 1
 
+    @property
+    def rows(self):
+        """The (n+1) x (n+1) grid, built on each access."""
+        return [[self.entry(r + 1, c) for c in range(self.size)] for r in range(self.size)]
+
     def entry(self, i, j):
         """a(i, j): window classes i..j, 1-based."""
-        return self.rows[i - 1][j]
+        return self.entries.get((i, j)) or Form.zero(self.alg)
 
     def with_entry(self, i, j, form):
-        rows = [list(r) for r in self.rows]
-        rows[i - 1][j] = form
-        return ConnectionMatrix(self.alg, self.n, rows)
+        return ConnectionMatrix.from_entries(self.alg, self.n, {**self.entries, (i, j): form})
 
     def second_diagonal(self):
         return [self.entry(i, i) for i in range(1, self.n + 1)]
 
     def corner(self):
-        return self.rows[0][self.n]
+        return self.entry(1, self.n)
 
     def render(self):
         return [[render_form(e) for e in row] for row in self.rows]
 
     def __eq__(self, other):
         return (isinstance(other, ConnectionMatrix) and self.alg == other.alg
-                and self.n == other.n and self.rows == other.rows)
-
-
-def _zero_rows(alg, size):
-    return [[Form.zero(alg) for _ in range(size)] for _ in range(size)]
+                and self.n == other.n and self.entries == other.entries)
 
 
 def msub(a, b):
-    rows = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
-    return ConnectionMatrix(a.alg, a.n, rows)
+    return ConnectionMatrix.from_entries(a.alg, a.n, {
+        key: a.entry(*key) - b.entry(*key) for key in a.entries.keys() | b.entries.keys()})
 
 
 def mmul(a, b):
@@ -113,12 +115,12 @@ def mmul(a, b):
 
 
 def mbar(a):
-    return ConnectionMatrix(a.alg, a.n, [[bar(e) for e in row] for row in a.rows])
+    return ConnectionMatrix.from_entries(a.alg, a.n, {key: bar(e) for key, e in a.entries.items()})
 
 
 def mdiff(a):
-    g = a.alg
-    return ConnectionMatrix(g, a.n, [[differential(g, e) for e in row] for row in a.rows])
+    return ConnectionMatrix.from_entries(a.alg, a.n, {
+        key: differential(a.alg, e) for key, e in a.entries.items()})
 
 
 def mc_residual(a):
@@ -130,14 +132,7 @@ def is_formal_connection(a):
     """(yes/no, corner residual tau).  Yes iff the residual vanishes outside
     the corner; tau is then closed."""
     res = mc_residual(a)
-    size = a.size
-    for r in range(size):
-        for c in range(size):
-            if (r, c) == (0, size - 1):
-                continue
-            if not res.rows[r][c].is_zero():
-                return False, res.rows[0][size - 1]
-    return True, res.rows[0][size - 1]
+    return res.entries.keys() <= {(1, a.n)}, res.corner()
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +171,8 @@ class DefiningSystem:
     def window(self, l, q):
         """Sub defining system for classes l..q together with its corner
         entry a(l, q) from the ambient matrix (a trivialization witness)."""
-        entries = {(i - l + 1, j - l + 1): self.matrix.entry(i, j)
-                   for i in range(l, q + 1) for j in range(i, q + 1) if (i, j) != (l, q)}
+        entries = {(i - l + 1, j - l + 1): form for (i, j), form in self.matrix.entries.items()
+                   if l <= i and j <= q and (i, j) != (l, q)}
         sub = DefiningSystem(ConnectionMatrix.from_entries(self.alg, q - l + 1, entries))
         return sub, self.matrix.entry(l, q)
 
@@ -203,10 +198,8 @@ def _window_sum(pieces, i, j):
 
 def _pieces(matrix):
     """The entries of a matrix as pieces: a(i, j) -> {(): a(i, j)}, {} if zero."""
-    def pieces(i, j):
-        entry = matrix.entry(i, j)
-        return {(): entry} if not entry.is_zero() else {}
-    return pieces
+    entries = matrix.entries
+    return lambda i, j: {(): entries[(i, j)]} if (i, j) in entries else {}
 
 
 def _add_piece(pieces, pm, form):
@@ -261,12 +254,13 @@ def conjugate(a, c):
     size = a.size
     if len(ce) != size:
         raise NotApplicable(f"conjugator must be {size}x{size}")
-    rows = _zero_rows(a.alg, size)
-    for r, k, l, col in iter_product(range(size), repeat=4):   # (C^-1)_rk a_kl C_l,col
-        coeff = inv[r][k] * ce[l][col]
-        if coeff and not a.rows[k][l].is_zero():
-            rows[r][col] = rows[r][col] + a.rows[k][l].scaled(coeff)
-    return ConnectionMatrix(a.alg, a.n, rows)
+    entries = {}
+    for (i, j), form in a.entries.items():     # (C^-1)_{r,i-1} a(i,j) C_{j,col}
+        for r, col in iter_product(range(i), range(j, size)):
+            coeff = inv[r][i - 1] * ce[j][col]
+            if coeff:
+                _add_piece(entries, (r + 1, col), form.scaled(coeff))
+    return ConnectionMatrix.from_entries(a.alg, a.n, entries)
 
 
 # ---------------------------------------------------------------------------

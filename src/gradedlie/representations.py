@@ -106,18 +106,14 @@ def connection_of(rep):
 
 def representation_from_connection(matrix):
     """Inverse of connection_of on strong Maurer-Cartan matrices of 1-forms."""
-    g = matrix.alg
-    size = matrix.size
+    g, size = matrix.alg, matrix.size
     images = {}
-    for r in range(size):
-        for c in range(size):
-            entry = matrix.rows[r][c]
-            for mono, coeff in entry.terms.items():
-                if len(mono) != 1:
-                    raise NotApplicable("matrix entries must be 1-forms")
-                idx = mono[0]
-                images.setdefault(idx, [[Fraction(0)] * size for _ in range(size)])
-                images[idx][r][c] = coeff
+    for (i, j), entry in matrix.entries.items():
+        for mono, coeff in entry.terms.items():
+            if len(mono) != 1:
+                raise NotApplicable("matrix entries must be 1-forms")
+            images.setdefault(mono[0], [[Fraction(0)] * size for _ in range(size)])
+            images[mono[0]][i - 1][j] = coeff
     rep = UpperTriangularRep(g, size - 1, images)
     ok, pair, rep = check_homomorphism(g, rep, derive=False)
     if not ok:
@@ -134,9 +130,8 @@ def associated_graded_rep(rep):
     filt = central_series(g)      # filtration level of each generator
     levels = {i: filt.level(i) for i in g.indices}
     conn = connection_of(rep)
-    entries = {(i, j): Form(g, {m: v for m, v in conn.entry(i, j).terms.items()
-                                if levels[m[0]] == j - i + 1})
-               for i in range(1, rep.size) for j in range(i, rep.size)}
+    entries = {(i, j): Form(g, {m: v for m, v in form.terms.items() if levels[m[0]] == j - i + 1})
+               for (i, j), form in conn.entries.items()}
     return representation_from_connection(ConnectionMatrix.from_entries(g, rep.n, entries))
 
 
@@ -170,13 +165,8 @@ def lift_obstruction(g, system):
     """Class coordinates of the related cocycle of a defining system of
     1-forms; zero exactly when a corner entry completing the system to a
     strong Maurer-Cartan connection exists (cross-validated by solving)."""
-    for i in range(1, system.n + 1):
-        for j in range(i, system.n + 1):
-            if (i, j) == (1, system.n):
-                continue
-            e = system.matrix.entry(i, j)
-            if not e.is_zero() and e.degrees() != [1]:
-                raise NotApplicable("lifting needs a system of 1-forms")
+    if any(e.degrees() != [1] for e in system.matrix.entries.values()):   # the corner is zero
+        raise NotApplicable("lifting needs a system of 1-forms")
     cocycle = related_cocycle(system)
     if cocycle.is_zero():
         return {}, True

@@ -187,9 +187,9 @@ def test_algebra_file_loading(tmp_path, capsys):
 BAD_ALGEBRA_FILES = [
     ("generators: (1:1), 2:2\n", "line 1: bad generator spec '2:2'"),
     ("generators: (1:x)\n", "line 1: bad generator spec '(1:x)'"),
-    ("generators: (0:1), (2:2)\n", "line 0: generator index must be positive, got 0"),
-    ("generators: (1:0), (2:2)\n", "generator weight must be >= 1, got 0"),
-    ("generators: (1:1), (2:2), (1:1)\n", "line 0: duplicate generator indices"),
+    ("generators: (0:1), (2:2)\n", "line 1: generator index must be positive, got 0"),
+    ("generators: (1:0), (2:2)\n", "line 1: generator weight must be >= 1, got 0"),
+    ("generators: (1:1), (2:2), (1:1)\n", "line 1: duplicate generator indices"),
     ("generators: (1:1), (2:3)\ncutoff: 2\n", "generator e2 has weight 3 > cutoff 2"),
     ("generators: (1:1)\ncutoff: x\n", "line 2: bad cutoff"),
     ("generators: (1:1)\ncutoff: 1\n", "cutoff must be >= 2, got 1"),
@@ -229,6 +229,17 @@ def test_betti_file_cutoff_below_two_exit2(tmp_path, capsys):
                          "--q", "1", "--k", "1")
     assert code == 2 and out == ""
     assert err == "error: cutoff must be >= 2, got 1\n"
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-4"])
+def test_massey_eval_file_cutoff_below_two_exit2(tmp_path, capsys, cutoff):
+    # --cutoff 0 used to run a file algebra at cutoff 2
+    path = tmp_path / "alg.txt"
+    path.write_text("generators: (1:1), (2:2)\n")
+    code, out, err = run(capsys, "massey", "eval", "e1; e2", "--algebra", str(path),
+                         "--cutoff", cutoff)
+    assert code == 2 and out == ""
+    assert err == f"error: cutoff must be >= 2, got {cutoff}\n"
 
 
 def test_check_gr_env_cutoff_below_three_exit2(capsys, monkeypatch):
@@ -308,6 +319,11 @@ def test_bad_integer_exit2(capsys, monkeypatch, env, argv):
      "cutoff must be >= 2, got 1"),
     (["check", "gr", "--cutoff", "2"], "--cutoff must be at least 3, got 2"),
     (["check", "gr", "--cutoff", "-1", "--format", "json"], "--cutoff must be at least 3, got -1"),
+    # check identities used to accept any --cutoff and ignore it
+    (["check", "identities", "--cutoff", "-5"],
+     "check identities takes no --cutoff: its suites fix their algebras"),
+    (["check", "identities", "--cutoff", "14", "--format", "json"],
+     "check identities takes no --cutoff: its suites fix their algebras"),
 ])
 def test_bad_bound_exit2(capsys, argv, message):
     # a zero or negative bound used to fall back to the default or to print

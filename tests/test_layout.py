@@ -35,3 +35,28 @@ def test_imports_at_module_top():
              for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
     assert {name: imports for name, imports in found.items() if imports} == {
         "linalg.py": [("d_matrix", ".cohomology")]}
+
+
+def _grid_reads(path):
+    """Line numbers of every `.rows` attribute outside class ConnectionMatrix."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == "ConnectionMatrix":
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "rows":
+                found.append(child.lineno)
+            visit(child)
+
+    with open(path, encoding="utf-8") as fh:
+        visit(ast.parse(fh.read()))
+    return found
+
+
+def test_connection_grid_read_only_by_its_class():
+    # connection matrices store their a(i, j) entries; the (n+1)^2 grid is
+    # for rendering, so the modules that compute with them never walk it
+    found = {name: _grid_reads(os.path.join(SRC, name))
+             for name in ("massey.py", "representations.py", "checks.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -110,7 +110,7 @@ def test_connection_matrix_round_trips_through_its_grid(m0):
         assert ms.ConnectionMatrix(matrix.alg, matrix.n, matrix.rows) == matrix
 
 
-@pytest.mark.parametrize("key", [(2, 1)])
+@pytest.mark.parametrize("key", [(2, 1), (1, 4)])   # (1, 4) is past n = 3
 def test_from_entries_rejects_entries_off_the_triangle(m0, key):
     with pytest.raises(NotApplicable, match="^matrix must be strictly upper triangular$"):
         ms.ConnectionMatrix.from_entries(m0, 3, {key: mono(m0, 1)})
@@ -217,8 +217,8 @@ def test_conjugate_is_right_action(args):
 def test_conjugate_is_plain_matrix_product(args):
     # X = C^-1 A C exactly when C X = A C, summed here cell by cell over the grids
     n, seed, c = args
-    a = random_connection(random.Random(seed), CONJ_ALGEBRA, n, 6).rows
-    x = ms.conjugate(ms.ConnectionMatrix(CONJ_ALGEBRA, n, a), ms.ScalarTriangular(c)).rows
+    matrix = random_connection(random.Random(seed), CONJ_ALGEBRA, n, 6)
+    a, x = matrix.rows, ms.conjugate(matrix, ms.ScalarTriangular(c)).rows
     cells = range(n + 1)
     zero = Form.zero(CONJ_ALGEBRA)
     cx = [[sum((x[k][col].scaled(c[r][k]) for k in cells), zero) for col in cells] for r in cells]
