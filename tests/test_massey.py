@@ -636,6 +636,54 @@ def test_leading_certificate_inapplicable(m0):
     assert cert is None
 
 
+# (i1, tail) of <e2, e1, ..., e1, omega(tail)>: the four main-theorem shapes of
+# criterion 11, each certified over m0/18 with the seeds below
+CERTIFICATE_SHAPES = ((2, (3,)), (3, (4,)), (3, (4, 5)), (4, (5,)))
+CERTIFICATE_SEEDS = (0, 1, 7)
+
+# sha256 over the JSON certificate of every (shape, seed) above, in that order.
+# Computed while each sample still substituted, verified and classified a whole
+# defining system, so it pins the certificates across reading samples off the
+# value polynomial.
+GOLDEN_CERTIFICATE_DIGEST = "4f0e9f56a7f89e032afd54e48c886b6eff1e8af1e39f85a0e6b036bb297bb31d"
+
+
+@pytest.fixture(scope="module")
+def m18_certificates():
+    g = load_preset("m0", 18)
+    out = []
+    for i1, tail in CERTIFICATE_SHAPES:
+        classes = [F(g, "e2")] + [F(g, "e1")] * (i1 - 2) + [omega(g, list(tail))]
+        for seed in CERTIFICATE_SEEDS:
+            out.append((classes, ms.leading_coefficient_certificate(g, classes, seed=seed)))
+    return g, out
+
+
+def test_golden_certificate_digest(m18_certificates):
+    _, certs = m18_certificates
+    digest = hashlib.sha256()
+    for _, cert in certs:
+        assert cert["kind"] == "leading-coefficient"
+        digest.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_CERTIFICATE_DIGEST
+
+
+def test_certificate_samples_match_substituted_systems(m18_certificates):
+    # reference oracle: a recorded sample's class, computed from the whole
+    # substituted system, is its value polynomial evaluated at the sample
+    g, certs = m18_certificates
+    for classes, cert in certs:
+        fam = ms.solve_defining_system(g, classes, graded=True)
+        coords = fam.value_polynomial()
+        assert cert["assignments"]
+        for recorded in cert["assignments"]:
+            assignment = {pid: Fraction(v) for pid, v in recorded.items()}
+            value = ms.value_class_of(g, ms.related_cocycle(fam.substitute(assignment)))
+            evaluated = {key: poly.evaluate(assignment) for key, poly in coords.items()}
+            assert {(w, i): c for w, i, c, _ in value.entries if c} == \
+                {key: c for key, c in evaluated.items() if c}
+
+
 # -- classification ----------------------------------------------------------------
 
 def test_classify_table_rows():
