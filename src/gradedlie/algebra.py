@@ -45,7 +45,8 @@ class GradedLieAlgebra:
     pairs.  Zero brackets are never stored; absence means zero.
     """
 
-    def __init__(self, generators, brackets, cutoff):
+    def __init__(self, generators, brackets, cutoff, lines=None):
+        """lines: {(i, j): file line of that bracket}, named in bracket errors."""
         if cutoff < 2:
             raise InvalidCutoff(f"cutoff must be >= 2, got {cutoff}")
         gens = tuple(sorted(generators, key=lambda s: s.index))
@@ -69,7 +70,7 @@ class GradedLieAlgebra:
         self.brackets = norm
         self._key = (gens, tuple(sorted(norm.items())), cutoff)
         self._hash = hash(self._key)    # every cache lookup hashes the algebra
-        self._check_weights()
+        self._check_weights(lines or {})
         self._check_jacobi()
 
     # -- identity ---------------------------------------------------------
@@ -105,17 +106,20 @@ class GradedLieAlgebra:
         return tuple((-c, k) for c, k in self.brackets.get((j, i), ()))
 
     # -- validation -------------------------------------------------------
-    def _check_weights(self):
+    def _check_weights(self, lines):
         for (i, j), terms in self.brackets.items():
             wij = self.weight(i) + self.weight(j)
+            at = f"line {lines[(i, j)]}: " if (i, j) in lines else ""
             if wij > self.cutoff:
                 raise WeightViolation(i, j, terms[0][1],
-                                      f"bracket [{i},{j}] exceeds cutoff and must be dropped")
+                                      f"{at}bracket [{i},{j}] exceeds cutoff and must be dropped")
             for _, k in terms:
                 if not self.has_index(k):
-                    raise AlgebraFormatError(0, f"bracket [{i},{j}] targets unknown generator {k}")
+                    raise AlgebraFormatError(lines.get((i, j), 0),
+                                             f"bracket [{i},{j}] targets unknown generator {k}")
                 if self.weight(k) != wij:
-                    raise WeightViolation(i, j, k)
+                    raise WeightViolation(
+                        i, j, k, f"{at}bracket [{i},{j}] -> {k} violates weight additivity")
 
     def _check_jacobi(self):
         idx = self.indices
@@ -353,11 +357,14 @@ def parse_algebra(text):
     generators = None
     cutoff = None
     brackets = {}
+    lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("generators:"):
+            if generators is not None:
+                raise AlgebraFormatError(line_no, "second 'generators:' line")
             generators = []
             body = line[len("generators:"):].strip()
             if body:
@@ -375,6 +382,8 @@ def parse_algebra(text):
             if len({spec.index for spec in generators}) < len(generators):
                 raise AlgebraFormatError(line_no, "duplicate generator indices")
         elif line.startswith("cutoff:"):
+            if cutoff is not None:
+                raise AlgebraFormatError(line_no, "second 'cutoff:' line")
             try:
                 cutoff = int(line[len("cutoff:"):].strip())
             except ValueError:
@@ -393,6 +402,8 @@ def parse_algebra(text):
                 raise AlgebraFormatError(line_no, f"bad bracket key {head!r}") from None
             if i >= j:
                 raise AlgebraFormatError(line_no, f"bracket key must have i < j, got [{i},{j}]")
+            if lines.setdefault((i, j), line_no) != line_no:
+                raise AlgebraFormatError(line_no, f"second bracket [{i},{j}]")
             terms = []
             for term in rhs.split("+"):
                 term = term.strip()
@@ -415,7 +426,7 @@ def parse_algebra(text):
         raise AlgebraFormatError(0, "missing 'generators:' header")
     if cutoff is None:
         cutoff = max((g.weight for g in generators), default=2)
-    return GradedLieAlgebra(generators, brackets, cutoff)
+    return GradedLieAlgebra(generators, brackets, cutoff, lines)
 
 
 def write_algebra(g):

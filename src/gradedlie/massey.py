@@ -396,6 +396,17 @@ class FamilyResult:
                      Form.zero(self.alg))
             for key, pieces in self.entries.items()}))
 
+    def verify(self):
+        """Check d a(i,j) = sum_r bar(a(i,r)) a(r+1,j) at every entry piece by
+        piece over the parameter monomials, so the equations hold identically
+        in the parameters and every substitution is a defining system."""
+        for (i, j), pieces in self.entries.items():
+            d_pieces = {pm: d for pm, form in pieces.items()
+                        if not (d := differential(self.alg, form)).is_zero()}
+            if d_pieces != _window_sum(self.entry, i, j):
+                raise UnverifiedInput(f"defining-system equation fails at ({i},{j})")
+        return self
+
     def value_polynomial(self):
         """Class coordinates of the related cocycle as ParamPolys:
         {(weight, rep_index): ParamPoly}; every component verified closed."""
@@ -940,11 +951,11 @@ def _main_shape(g, classes):
 def leading_coefficient_certificate(g, classes, samples=100, seed=0):
     """Sampling certificate for <e^2, e^1, ..., e^1, omega(tail)> shapes.
 
-    Samples random rational parameter assignments of the defining-system
-    family and asserts that the coordinate of the related-cocycle class on
-    the representative omega([i1] + tail) equals (-1)^i1 in every sample and
-    that no sampled class is zero.  Returns the certificate record, or None
-    when the shape does not apply.
+    Verifies the graded defining-system family once, identically in its
+    parameters, and reads each random rational sample off the value
+    polynomial: no sampled class may be zero, and its coordinate on the
+    representative omega([i1] + tail) must equal (-1)^i1.  Returns the
+    certificate record, or None when the shape does not apply or a sample fails.
 
     The residual freedom e^1 ^ Omega of an arbitrary system is only sampled,
     not proved away; the certificate records this caveat.  Raises UsageError
@@ -968,19 +979,17 @@ def leading_coefficient_certificate(g, classes, samples=100, seed=0):
     fam = solve_defining_system(g, classes, graded=True)
     if not fam.ok:
         return None
+    coords = fam.verify().value_polynomial()
+    target_poly = coords.get((target_weight, rep_index), ParamPoly())
     rng = random.Random(seed)
     pids = fam.param_ids()
     sampled = []
     for _ in range(samples):
         assignment = {pid: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                       for pid in pids}
-        system = fam.substitute(assignment)
-        cocycle = related_cocycle(system)
-        value = value_class_of(g, cocycle)
-        if value.is_zero():
+        if not any(poly.evaluate(assignment) for poly in coords.values()):
             return None
-        coeff = value.coefficient_on(target_weight, rep_index)
-        if coeff != expected:
+        if target_poly.evaluate(assignment) != expected:
             return None
         sampled.append({pid: str(v) for pid, v in assignment.items()})
     return {"kind": "leading-coefficient",

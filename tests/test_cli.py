@@ -204,11 +204,19 @@ BAD_ALGEBRA_FILES = [
     ("generators: (1:1), (2:2), (3:3)\nfoo\n", "line 2: unrecognized line 'foo'"),
     ("# no header\ncutoff: 3\n", "line 0: missing 'generators:' header"),
     ("generators: (1:1), (2:2)\ncutoff: 3\n[1,2] = 1*3\n",
-     "line 0: bracket [1,2] targets unknown generator 3"),
+     "line 3: bracket [1,2] targets unknown generator 3"),
     ("generators: (1:1), (2:2), (3:2)\ncutoff: 3\n[1,2] = 1*3\n",
-     "bracket [1,2] -> 3 violates weight additivity"),
+     "line 3: bracket [1,2] -> 3 violates weight additivity"),
     ("generators: (1:1), (2:2), (3:3)\n[1,2] = 1*3\n[1,3] = 1*4\n",
-     "bracket [1,3] exceeds cutoff and must be dropped"),
+     "line 3: bracket [1,3] exceeds cutoff and must be dropped"),
+    ("[1,3] = 1*4\ngenerators: (1:1), (2:2), (3:3)\n[1,2] = 1*3\n",
+     "line 1: bracket [1,3] exceeds cutoff and must be dropped"),
+    ("generators: (1:1), (2:2), (3:3)\ngenerators: (1:1)\n[1,2] = 1*3\n",
+     "line 2: second 'generators:' line"),
+    ("generators: (1:1), (2:2), (3:3)\ncutoff: 3\ncutoff: 2\n[1,2] = 1*3\n",
+     "line 3: second 'cutoff:' line"),
+    ("generators: (1:1), (2:2), (3:3)\n[1,2] = 1*3\n# again\n[1,2] = 2*3\n",
+     "line 4: second bracket [1,2]"),
 ]
 
 

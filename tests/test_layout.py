@@ -60,3 +60,17 @@ def test_connection_grid_read_only_by_its_class():
     found = {name: _grid_reads(os.path.join(SRC, name))
              for name in ("massey.py", "representations.py", "checks.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so the checks behind a certificate are
+    # internal_check calls or raised errors instead
+    found = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                lines = [node.lineno for node in ast.walk(ast.parse(fh.read()))
+                         if isinstance(node, ast.Assert)]
+            if lines:
+                found[name] = lines
+    assert found == {}

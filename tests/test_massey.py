@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradedlie
 from gradedlie import linalg
 from gradedlie import massey as ms
 from gradedlie.algebra import load_preset
@@ -682,6 +686,42 @@ def test_certificate_samples_match_substituted_systems(m18_certificates):
             evaluated = {key: poly.evaluate(assignment) for key, poly in coords.items()}
             assert {(w, i): c for w, i, c, _ in value.entries if c} == \
                 {key: c for key, c in evaluated.items() if c}
+
+
+ALTERED_FAMILY = """
+from gradedlie import massey as ms
+from gradedlie.algebra import load_preset
+from gradedlie.forms import Form, parse_form
+from gradedlie.mzero import omega
+g = load_preset("m0", 12)
+fam = ms.solve_defining_system(g, [parse_form(g, "e2"), parse_form(g, "e1"), omega(g, [4])],
+                               graded=True)
+fam.verify()
+(pid, key), = fam.params
+# d e3 = e1^e2: the equation still holds where the parameter is 0, not identically
+fam.entries[key][(pid,)] += Form.monomial(g, (3,))
+"""
+
+
+def test_family_verify_rejects_an_altered_piece():
+    scope = {}
+    exec(ALTERED_FAMILY, scope)
+    with pytest.raises(UnverifiedInput, match=r"^defining-system equation fails at \(2,3\)$"):
+        scope["fam"].verify()
+    scope["fam"].substitute({scope["pid"]: 0})    # one substitution still verifies
+
+
+def test_family_verify_survives_python_O():
+    script = ("assert False, 'python -O strips this assert'\n" + ALTERED_FAMILY
+              + "fam.verify()\n")
+    src = os.path.dirname(os.path.dirname(gradedlie.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.rstrip().endswith(
+        "UnverifiedInput: defining-system equation fails at (2,3)")
 
 
 # -- classification ----------------------------------------------------------------
