@@ -46,9 +46,11 @@ class GradedLieAlgebra:
     """
 
     def __init__(self, generators, brackets, cutoff, lines=None):
-        """lines: {(i, j): file line of that bracket}, named in bracket errors."""
+        """lines: {(i, j), "generators" or "cutoff": file line of that
+        bracket or header}, named in the errors about it."""
+        lines = lines or {}
         if cutoff < 2:
-            raise InvalidCutoff(f"cutoff must be >= 2, got {cutoff}")
+            raise InvalidCutoff(f"{_at(lines, 'cutoff')}cutoff must be >= 2, got {cutoff}")
         gens = tuple(sorted(generators, key=lambda s: s.index))
         indices = [g.index for g in gens]
         if len(set(indices)) != len(indices):
@@ -58,8 +60,8 @@ class GradedLieAlgebra:
         self._weights = {g.index: g.weight for g in gens}
         for g in gens:
             if g.weight > cutoff:
-                raise WeightViolation(g.index, 0, 0,
-                                      f"generator e{g.index} has weight {g.weight} > cutoff {cutoff}")
+                raise WeightViolation(g.index, 0, 0, f"{_at(lines, 'generators')}generator "
+                                      f"e{g.index} has weight {g.weight} > cutoff {cutoff}")
         norm = {}
         for (i, j), terms in brackets.items():
             if i >= j:
@@ -70,7 +72,7 @@ class GradedLieAlgebra:
         self.brackets = norm
         self._key = (gens, tuple(sorted(norm.items())), cutoff)
         self._hash = hash(self._key)    # every cache lookup hashes the algebra
-        self._check_weights(lines or {})
+        self._check_weights(lines)
         self._check_jacobi()
 
     # -- identity ---------------------------------------------------------
@@ -109,7 +111,7 @@ class GradedLieAlgebra:
     def _check_weights(self, lines):
         for (i, j), terms in self.brackets.items():
             wij = self.weight(i) + self.weight(j)
-            at = f"line {lines[(i, j)]}: " if (i, j) in lines else ""
+            at = _at(lines, (i, j))
             if wij > self.cutoff:
                 raise WeightViolation(i, j, terms[0][1],
                                       f"{at}bracket [{i},{j}] exceeds cutoff and must be dropped")
@@ -136,6 +138,11 @@ class GradedLieAlgebra:
                                 acc[u] = acc.get(u, Fraction(0)) + c1 * c2
                     if any(v != 0 for v in acc.values()):
                         raise JacobiViolation((i, j, k))
+
+
+def _at(lines, key):
+    """The "line N: " prefix of errors about a file item, "" without a line."""
+    return f"line {lines[key]}: " if key in lines else ""
 
 
 # -- presets ---------------------------------------------------------------
@@ -366,6 +373,7 @@ def parse_algebra(text):
             if generators is not None:
                 raise AlgebraFormatError(line_no, "second 'generators:' line")
             generators = []
+            lines["generators"] = line_no
             body = line[len("generators:"):].strip()
             if body:
                 for part in body.split(","):
@@ -388,6 +396,7 @@ def parse_algebra(text):
                 cutoff = int(line[len("cutoff:"):].strip())
             except ValueError:
                 raise AlgebraFormatError(line_no, "bad cutoff") from None
+            lines["cutoff"] = line_no
         elif line.startswith("["):
             head, _, rhs = line.partition("=")
             if not rhs:

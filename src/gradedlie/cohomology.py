@@ -154,30 +154,19 @@ def representatives(g, q, k):
     return list(cohomology_slice(g, q, k).representatives)
 
 
-@dataclass(frozen=True)
-class ClassCoordinates:
-    """Coordinates of a cohomology class over a slice's representative basis."""
-
-    q: int
-    k: int
-    coords: tuple
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-
 def class_coordinates(slc, c_form):
-    """Unique coordinates of [c] in the representative basis of the slice."""
+    """Unique coordinates of [c] in the representative basis of the slice,
+    as a tuple."""
     red = slc.coordinate_map
     image = red.image(slc.vector_of(c_form))
     if any(image[red.rank:]):
         raise NotACocycle("form is not closed")
-    return ClassCoordinates(slc.q, slc.k, tuple(image[len(slc.coboundaries):red.rank]))
+    return tuple(image[len(slc.coboundaries):red.rank])
 
 
 def class_coordinates_form(g, c_form):
     """Weight-by-weight class coordinates of a closed, degree-homogeneous form;
-    returns {weight: ClassCoordinates} for the weights it occupies."""
+    returns {weight: coordinate tuple} for the weights it occupies."""
     if c_form.is_zero():
         return {}
     q = c_form.degree()
@@ -188,8 +177,8 @@ def class_coordinates_form(g, c_form):
 def class_terms(g, c_form):
     """The nonzero class coordinates of a closed, degree-homogeneous form:
     {(weight, representative index): coefficient}, weights ascending."""
-    return {(k, i): c for k, cc in class_coordinates_form(g, c_form).items()
-            for i, c in enumerate(cc.coords) if c}
+    return {(k, i): c for k, coords in class_coordinates_form(g, c_form).items()
+            for i, c in enumerate(coords) if c}
 
 
 # -- partition counting -------------------------------------------------------

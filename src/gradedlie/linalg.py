@@ -7,8 +7,10 @@ grown integer echelon (``Echelon``).  A matrix that is queried many times is
 reduced once (``Reduction``) and keeps its transform as integer columns with
 one denominator per row: every later solve or coordinate query is one
 integer matrix-vector product and one Fraction per nonzero entry of the
-result.  No floating point anywhere: triviality decisions downstream are
-exact yes/no questions.
+result.  ``solve`` is one such reduction.  Solves and coboundary preimages
+return the echelon particular solution (free variables zero) or None when
+there is none; a null space comes only from ``kernel_basis``.  No floating
+point anywhere: triviality decisions downstream are exact yes/no questions.
 """
 
 from __future__ import annotations
@@ -42,17 +44,6 @@ class SliceMatrix:
     def reduction(self):
         """The Reduction of this matrix, built on first use and kept."""
         return Reduction(self.dense_rows(), self.ncols)
-
-    @classmethod
-    def from_rows(cls, rows, **kw):
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if v != 0:
-                    entries[(r, c)] = Fraction(v)
-        return cls(nrows, ncols, entries, **kw)
 
 
 def _integerize(row):
@@ -160,9 +151,11 @@ def rank(m):
     return len(_forward_eliminate(_dense(m)[0])[1])
 
 
-def _kernel_from_rref(red, pivots, ncols):
-    """Null-space basis read off a reduced echelon form of ncols columns
-    (extra columns to the right are ignored), one vector per free column."""
+def kernel_basis(m):
+    """Basis of the null space, one vector per free column, in reduced
+    echelon form (vector j has 1 at its free column, 0 at other free columns)."""
+    rows, ncols = _dense(m)
+    red, pivots = rref(rows)
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -174,14 +167,6 @@ def _kernel_from_rref(red, pivots, ncols):
             vec[pc] = -red[i][fc]
         basis.append(vec)
     return basis
-
-
-def kernel_basis(m):
-    """Basis of the null space, one vector per free column, in reduced
-    echelon form (vector j has 1 at its free column, 0 at other free columns)."""
-    rows, ncols = _dense(m)
-    red, pivots = rref(rows)
-    return _kernel_from_rref(red, pivots, ncols)
 
 
 class Echelon:
@@ -224,45 +209,6 @@ class Echelon:
         return True
 
 
-class Solution:
-    """Particular solution plus kernel basis; falsy when no solution exists."""
-
-    __slots__ = ("ok", "particular", "kernel")
-
-    def __init__(self, ok, particular=None, kernel=None):
-        self.ok = ok
-        self.particular = particular
-        self.kernel = kernel or []
-
-    def __bool__(self):
-        return self.ok
-
-
-NO_SOLUTION = Solution(False)
-
-
-def solve(m, target):
-    """Exact solution set of m x = target.
-
-    Returns a Solution with the lexicographically-first echelon particular
-    solution (free variables set to zero) and the kernel basis, or a falsy
-    Solution when the system is inconsistent.  One elimination of [m | target]
-    gives both: when the system is consistent, the first ncols columns of its
-    reduced form are the reduced form of m.
-    """
-    rows, ncols = _dense(m)
-    target = [Fraction(t) for t in target]
-    if len(target) != len(rows):
-        raise ValueError(f"target length {len(target)} != {len(rows)} rows")
-    red, pivots = rref([list(row) + [t] for row, t in zip(rows, target)])
-    if ncols in pivots:
-        return NO_SOLUTION
-    particular = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        particular[pc] = red[i][ncols]
-    return Solution(True, particular, _kernel_from_rref(red, pivots, ncols))
-
-
 _ZERO = Fraction(0)
 
 
@@ -280,7 +226,7 @@ class Reduction:
     an integer product followed by one Fraction per nonzero row.
     """
 
-    __slots__ = ("ncols", "rank", "pivots", "kernel", "columns", "denominators")
+    __slots__ = ("ncols", "rank", "pivots", "columns", "denominators")
 
     def __init__(self, rows, ncols):
         n = len(rows)
@@ -289,9 +235,6 @@ class Reduction:
         self.ncols = ncols
         self.rank = bisect_left(pivots, ncols)
         self.pivots = pivots[:self.rank]
-        red = [[Fraction(v, row[pc]) for v in row[:ncols]]
-               for row, pc in zip(work, self.pivots)]
-        self.kernel = _kernel_from_rref(red, self.pivots, ncols)
         self.denominators = [row[pc] for row, pc in zip(work, pivots)]
         # E by sparse columns: E v touches only the columns where v is nonzero
         self.columns = [[(i, row[ncols + j]) for i, row in enumerate(work) if row[ncols + j]]
@@ -309,15 +252,25 @@ class Reduction:
                 for a, d in zip(acc, self.denominators)]
 
     def solve(self, target):
-        """Same Solution as ``solve(M, target)``: when [M | target] is
-        consistent its reduced form is [R | E target]."""
+        """The echelon particular solution of M x = target, or None: when
+        [M | target] is consistent its reduced form is [R | E target]."""
         image = self.image(target)
         if any(image[self.rank:]):
-            return NO_SOLUTION
-        particular = [Fraction(0)] * self.ncols
+            return None
+        particular = [_ZERO] * self.ncols
         for pc, v in zip(self.pivots, image):
             particular[pc] = v
-        return Solution(True, particular, self.kernel)
+        return particular
+
+
+def solve(m, target):
+    """The echelon particular solution of m x = target (free variables set
+    to zero, pivot variables read off the reduced form of [m | target]), or
+    None when the system is inconsistent."""
+    rows, ncols = _dense(m)
+    if len(target) != len(rows):
+        raise ValueError(f"target length {len(target)} != {len(rows)} rows")
+    return Reduction(rows, ncols).solve(target)
 
 
 # -- slice-level operations ---------------------------------------------------
@@ -345,14 +298,12 @@ def d_matrix(g, q, k):
 
 
 def coboundary_preimage(g, c_form):
-    """Solve d x = c for a closed degree-homogeneous form c.
-
-    Returns a Solution whose particular/kernel entries are Forms of degree
-    deg(c) - 1 (kernel = all closed forms of that degree in the relevant
-    weights).  Mixed weights are handled weight-by-weight.
+    """The particular solution x of d x = c for a closed degree-homogeneous
+    form c, a Form of degree deg(c) - 1, or None when c is not exact.  Mixed
+    weights are handled weight-by-weight.
     """
     if c_form.is_zero():
-        return Solution(True, Form.zero(c_form.alg), [])
+        return Form.zero(c_form.alg)
     g_ = c_form.alg
     if g_ != g:
         raise NotACocycle("ambient mismatch")
@@ -366,16 +317,10 @@ def coboundary_preimage(g, c_form):
     if top > g.cutoff:
         raise CutoffTooSmall(top, g.cutoff, "coboundary preimage")
     particular = Form.zero(g)
-    kernel_forms = []
     for k, comp in components.items():
         mat = d_matrix(g, q - 1, k)
-        target = [comp.terms.get(m, Fraction(0)) for m in mat.row_labels]
-        sol = mat.reduction.solve(target)
-        if not sol:
-            return NO_SOLUTION
-        terms = {mat.col_labels[i]: v for i, v in enumerate(sol.particular) if v}
-        particular = particular + Form(g, terms)
-        for vec in sol.kernel:
-            kf = Form(g, {mat.col_labels[i]: v for i, v in enumerate(vec) if v})
-            kernel_forms.append(kf)
-    return Solution(True, particular, kernel_forms)
+        sol = mat.reduction.solve([comp.terms.get(m, _ZERO) for m in mat.row_labels])
+        if sol is None:
+            return None
+        particular = particular + Form(g, {mat.col_labels[i]: v for i, v in enumerate(sol) if v})
+    return particular

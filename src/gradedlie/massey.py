@@ -338,7 +338,7 @@ class MasseyResult:
 def _witness_result(witness, value, certificate, indeterminacy=()):
     """TrivialWitness result, built only after re-checking that the witness's
     related cocycle has a coboundary preimage."""
-    internal_check(linalg.coboundary_preimage(witness.alg, related_cocycle(witness)),
+    internal_check(linalg.coboundary_preimage(witness.alg, related_cocycle(witness)) is not None,
                    f"{certificate['kind']} witness must have an exact related cocycle")
     return MasseyResult(TRIVIAL_WITNESS, witness=witness, value=value,
                         indeterminacy=indeterminacy, certificate=certificate)
@@ -410,11 +410,17 @@ class FamilyResult:
     def value_polynomial(self):
         """Class coordinates of the related cocycle as ParamPolys:
         {(weight, rep_index): ParamPoly}; every component verified closed."""
-        coords = {}
-        for pm, comp in _window_sum(self.entry, 1, self.n).items():
-            for key, coeff in class_terms(self.alg, comp).items():
-                coords[key] = coords.get(key, ParamPoly()) + ParamPoly({pm: coeff})
-        return coords
+        return _class_polynomials(self.alg, _window_sum(self.entry, 1, self.n))
+
+
+def _class_polynomials(g, pieces):
+    """The class coordinates of the closed pieces {parameter monomial: Form}
+    as {(weight, rep_index): ParamPoly}."""
+    coords = {}
+    for pm, comp in pieces.items():
+        for key, coeff in class_terms(g, comp).items():
+            coords[key] = coords.get(key, ParamPoly()) + ParamPoly({pm: coeff})
+    return coords
 
 
 def _kernel_forms(g, degree, weights):
@@ -472,11 +478,11 @@ def solve_defining_system(g, classes, graded=None):
                 pieces = {}
                 bad = {}
                 for pm, comp in sorted(_window_sum(fam.entry, i, j).items()):
-                    sol = linalg.coboundary_preimage(g, comp)
-                    if sol:
-                        pieces[pm] = sol.particular
-                    else:
+                    preimage = linalg.coboundary_preimage(g, comp)
+                    if preimage is None:
                         bad[pm] = class_terms(g, comp)
+                    else:
+                        pieces[pm] = preimage
                 if not bad:
                     break
                 resolved = _resolve_linear_obstruction(fam, bad)
@@ -587,7 +593,7 @@ def triple_product(g, a, b, c):
     if solvable and any(value_vec):
         # the echelon particular solution; a zero value takes all-zero coefficients
         matrix = [[col[r_] for col in gens] for r_ in range(len(keys))]
-        coeffs = linalg.solve(matrix, [-v for v in value_vec]).particular
+        coeffs = linalg.solve(matrix, [-v for v in value_vec])
     else:
         coeffs = [Fraction(0)] * len(gens)
 
@@ -620,10 +626,10 @@ def _signed_primitive(g, form, degree, window, message):
     zero form); raises MasseyNotDefined(window) when form is not exact."""
     if form.is_zero():
         return Form.zero(g)
-    sol = linalg.coboundary_preimage(g, form)
-    if not sol:
+    preimage = linalg.coboundary_preimage(g, form)
+    if preimage is None:
         raise MasseyNotDefined(window, message)
-    return sol.particular if degree % 2 else -sol.particular
+    return preimage if degree % 2 else -preimage
 
 
 def _reps_up_to(g, degree, weight_bound):
@@ -809,12 +815,13 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
             "family obstructed at " + str(fam.obstruction.position),
             "family not known complete; product may still be defined"))
 
-    coords = fam.value_polynomial()
-    base = fam.substitute({})
-    base_value = value_class_of(g, related_cocycle(base))
+    corner = _window_sum(fam.entry, 1, n)
+    coords = _class_polynomials(g, corner)
+    base_value = value_class_of(g, corner.get((), Form.zero(g)))
 
     if not coords:
-        return _witness_result(base, base_value, {"kind": "identically-zero-class"})
+        return _witness_result(fam.substitute({}), base_value,
+                               {"kind": "identically-zero-class"})
 
     if fam.complete:
         for key, poly in sorted(coords.items()):
@@ -832,8 +839,8 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
         rows = [[poly.linear_coeff(p) for p in pids] for poly in coords.values()]
         rhs = [-poly.constant_term() for poly in coords.values()]
         sol = linalg.solve(rows, rhs)
-        if sol:
-            assignment = {pid: sol.particular[i] for i, pid in enumerate(pids)}
+        if sol is not None:
+            assignment = dict(zip(pids, sol))
             return _witness_result(fam.substitute(assignment), base_value,
                                    {"kind": "exact-affine-family"})
         if fam.complete:

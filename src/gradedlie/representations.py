@@ -171,7 +171,7 @@ def lift_obstruction(g, system):
     if cocycle.is_zero():
         return {}, True
     coords = class_terms(g, cocycle)
-    solvable = bool(linalg.coboundary_preimage(g, cocycle))
+    solvable = linalg.coboundary_preimage(g, cocycle) is not None
     obstruction_zero = not coords
     internal_check(obstruction_zero == solvable, "obstruction/coboundary cross-check failed")
     return coords, solvable

@@ -190,9 +190,9 @@ BAD_ALGEBRA_FILES = [
     ("generators: (0:1), (2:2)\n", "line 1: generator index must be positive, got 0"),
     ("generators: (1:0), (2:2)\n", "line 1: generator weight must be >= 1, got 0"),
     ("generators: (1:1), (2:2), (1:1)\n", "line 1: duplicate generator indices"),
-    ("generators: (1:1), (2:3)\ncutoff: 2\n", "generator e2 has weight 3 > cutoff 2"),
+    ("generators: (1:1), (2:3)\ncutoff: 2\n", "line 1: generator e2 has weight 3 > cutoff 2"),
     ("generators: (1:1)\ncutoff: x\n", "line 2: bad cutoff"),
-    ("generators: (1:1)\ncutoff: 1\n", "cutoff must be >= 2, got 1"),
+    ("generators: (1:1)\ncutoff: 1\n", "line 2: cutoff must be >= 2, got 1"),
     ("generators: (1:1), (2:2), (3:3)\n[1,2]\n", "line 2: expected '[i,j] = ...'"),
     ("generators: (1:1), (2:2), (3:3)\n[1,2 = 3\n", "line 2: bad bracket key '[1,2'"),
     ("generators: (1:1), (2:2), (3:3)\n[1;2] = 3\n", "line 2: bad bracket key '[1;2]'"),
@@ -384,7 +384,7 @@ def test_thread_witness_cutoff_exit2(capsys):
 
 
 def test_internal_check_failure_exit1(capsys, monkeypatch):
-    monkeypatch.setattr(linalg, "coboundary_preimage", lambda g, c: linalg.NO_SOLUTION)
+    monkeypatch.setattr(linalg, "coboundary_preimage", lambda g, c: None)
     code, out, err = run(capsys, "massey", "eval", "e1; e1; e1", "--algebra", "m0")
     assert code == 1 and out == ""
     assert err.startswith("error: internal check failed")
@@ -396,7 +396,7 @@ def test_internal_check_survives_python_O():
     script = ("import sys\n"
               "from gradedlie import cli, linalg\n"
               "assert False, 'python -O strips this assert'\n"
-              "linalg.coboundary_preimage = lambda g, c: linalg.NO_SOLUTION\n"
+              "linalg.coboundary_preimage = lambda g, c: None\n"
               "sys.exit(cli.main(['massey', 'eval', 'e1; e1; e1', '--algebra', 'm0']))\n")
     src = os.path.dirname(os.path.dirname(gradedlie.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

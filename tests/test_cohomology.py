@@ -52,13 +52,13 @@ def test_representatives_are_omegas_on_m0(m0):
 def test_class_coordinates_examples(L1):
     slc = coh.cohomology_slice(L1, 2, 5)
     cc = coh.class_coordinates(slc, mono(L1, 2, 3))
-    assert cc.coords == (Fraction(-3),)
+    assert cc == (Fraction(-3),)
     # coboundaries reduce to zero
     d5 = differential(L1, mono(L1, 5))
-    assert coh.class_coordinates(slc, d5).coords == (Fraction(0),)
+    assert coh.class_coordinates(slc, d5) == (Fraction(0),)
     slc7 = coh.cohomology_slice(L1, 2, 7)
     g2p = mono(L1, 2, 5) - 3 * mono(L1, 3, 4)
-    assert coh.class_coordinates(slc7, g2p).coords == (Fraction(1),)
+    assert coh.class_coordinates(slc7, g2p) == (Fraction(1),)
 
 
 def test_class_coordinates_rejects_noncocycle(L1):
@@ -91,7 +91,7 @@ def test_class_coordinates_recover_random_combinations(name):
             v = Form.zero(g)
             for coeff, vec in zip(c + b, slc.rep_vectors + slc.coboundaries):
                 v = v + Form(g, {m: coeff * x for m, x in zip(slc.basis, vec)})
-            assert coh.class_coordinates(slc, v).coords == tuple(c), (q, k)
+            assert coh.class_coordinates(slc, v) == tuple(c), (q, k)
             nonclosed = [m for m in slc.basis
                          if not differential(g, Form.monomial(g, m)).is_zero()]
             if nonclosed:
@@ -176,7 +176,7 @@ def test_representatives_closed_and_reduce_to_unit(m0, L1):
                     cc = coh.class_coordinates(slc, rep)
                     expected = tuple(Fraction(1 if j == i else 0)
                                      for j in range(slc.dimension))
-                    assert cc.coords == expected
+                    assert cc == expected
 
 
 def test_omega_cocycles_independent_mod_coboundaries(m0):
@@ -186,7 +186,7 @@ def test_omega_cocycles_independent_mod_coboundaries(m0):
             if not lists:
                 continue
             slc = coh.cohomology_slice(m0, q, k)
-            coords = [coh.class_coordinates(slc, omega(m0, idx)).coords
+            coords = [coh.class_coordinates(slc, omega(m0, idx))
                       for idx in lists]
             assert all(any(c != 0 for c in row) for row in coords)
             # linear independence of the coordinate rows
@@ -205,7 +205,7 @@ def test_multiplication_rules(m0_big):
                 prod1 = wedge(e1, om)
                 if not prod1.is_zero():
                     coords = coh.class_coordinates_form(m0_big, prod1)
-                    assert all(c.is_zero() for c in coords.values())
+                    assert not any(any(c) for c in coords.values())
                 if idx[0] > 2 and omega_weight([2] + idx) <= m0_big.cutoff:
                     assert wedge(e2, om) == omega(m0_big, [2] + idx)
 

@@ -74,3 +74,60 @@ def test_no_assert_statements():
             if lines:
                 found[name] = lines
     assert found == {}
+
+
+SOLVERS = ("solve", "coboundary_preimage")
+
+
+def _is_solver_call(node):
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id in SOLVERS
+            or isinstance(func, ast.Attribute) and func.attr in SOLVERS)
+
+
+def _truthy_solver_tests(path):
+    """Line numbers where a solver result, the call itself or a name bound
+    from it in the same function, is tested for truthiness: as an if, while
+    or conditional-expression test (also inside and/or), under not, in
+    bool(), or as internal_check's first argument."""
+    found = []
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(function))
+        bound = set()
+        for node in nodes:
+            if isinstance(node, ast.Assign) and _is_solver_call(node.value):
+                bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.NamedExpr) and _is_solver_call(node.value):
+                bound.add(node.target.id)
+
+        def check(expr):
+            if isinstance(expr, ast.BoolOp):
+                for value in expr.values:
+                    check(value)
+            elif _is_solver_call(expr) or isinstance(expr, ast.Name) and expr.id in bound:
+                found.append(expr.lineno)
+
+        for node in nodes:
+            if isinstance(node, (ast.If, ast.While, ast.IfExp)):
+                check(node.test)
+            elif isinstance(node, ast.comprehension):
+                for cond in node.ifs:
+                    check(cond)
+            elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+                check(node.operand)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("bool", "internal_check") and node.args):
+                check(node.args[0])
+    return sorted(set(found))
+
+
+def test_solver_results_compared_with_none():
+    # solve and coboundary_preimage return a particular solution or None, and
+    # [] (no unknowns) is a falsy solution, so callers write `is None`
+    found = {name: _truthy_solver_tests(os.path.join(SRC, name))
+             for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from gradedlie import linalg
 from gradedlie.errors import NotACocycle
 from gradedlie.forms import Form, differential
-from gradedlie.linalg import (Echelon, SliceMatrix, coboundary_preimage, d_matrix,
-                              kernel_basis, rank, rref, solve)
+from gradedlie.linalg import (Echelon, coboundary_preimage, d_matrix, kernel_basis, rank,
+                              rref, solve)
 
 
 def F(x):
@@ -41,13 +41,19 @@ def test_kernel_d_L1_weight5_two_forms(L1):
 
 
 def test_solve_identity():
-    sol = solve([[F(1), F(0)], [F(0), F(1)]], [F(3), F(-2)])
-    assert sol and sol.particular == [F(3), F(-2)] and sol.kernel == []
+    assert solve([[F(1), F(0)], [F(0), F(1)]], [F(3), F(-2)]) == [F(3), F(-2)]
 
 
 def test_solve_no_solution():
-    sol = solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
-    assert not sol
+    assert solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
+
+
+def test_solve_without_unknowns():
+    # a consistent system in no unknowns has the empty solution, which is
+    # falsy but not None
+    assert solve([[], []], [F(0), F(0)]) == []
+    assert solve([], []) == []
+    assert solve([[]], [F(1)]) is None
 
 
 def test_rank_nullity_random():
@@ -67,35 +73,26 @@ def test_solve_reproduces_target_random():
         x = [F(rng.randint(-3, 3)) for _ in range(ncols)]
         target = [sum(rows[r][c] * x[c] for c in range(ncols)) for r in range(nrows)]
         sol = solve(rows, target)
-        assert sol
-        reproduced = [sum(rows[r][c] * sol.particular[c] for c in range(ncols))
-                      for r in range(nrows)]
+        assert sol is not None
+        reproduced = [sum(rows[r][c] * sol[c] for c in range(ncols)) for r in range(nrows)]
         assert reproduced == target
-        # kernel vectors map to zero
-        for vec in sol.kernel:
-            assert all(sum(rows[r][c] * vec[c] for c in range(ncols)) == 0
-                       for r in range(nrows))
 
 
 def test_coboundary_preimage_m0(m0):
-    sol = coboundary_preimage(m0, Form.monomial(m0, (1, 2)))
-    assert sol and sol.particular == Form.monomial(m0, (3,))
-    assert sol.kernel == []  # no closed weight-3 1-forms
+    assert coboundary_preimage(m0, Form.monomial(m0, (1, 2))) == Form.monomial(m0, (3,))
 
 
 def test_coboundary_preimage_zero(m0):
-    sol = coboundary_preimage(m0, Form.zero(m0))
-    assert sol and sol.particular.is_zero()
+    assert coboundary_preimage(m0, Form.zero(m0)).is_zero()
 
 
 def test_coboundary_preimage_L1(L1):
     c = 3 * Form.monomial(L1, (1, 4)) + Form.monomial(L1, (2, 3))
-    sol = coboundary_preimage(L1, c)
-    assert sol and sol.particular == Form.monomial(L1, (5,))
+    assert coboundary_preimage(L1, c) == Form.monomial(L1, (5,))
 
 
 def test_coboundary_preimage_no_solution(L1):
-    assert not coboundary_preimage(L1, Form.monomial(L1, (1, 4)))
+    assert coboundary_preimage(L1, Form.monomial(L1, (1, 4))) is None
 
 
 def test_coboundary_preimage_not_cocycle(L1):
@@ -113,14 +110,14 @@ def test_coboundary_preimage_roundtrip_random(m0, L1):
             if dx.is_zero():
                 continue
             sol = coboundary_preimage(g, dx)
-            assert sol
-            assert differential(g, sol.particular) == dx
+            assert sol is not None
+            assert differential(g, sol) == dx
 
 
 @pytest.mark.parametrize("name", ["m0", "L1"])
 def test_coboundary_preimage_matches_solve(name):
-    """The cached reduction of d gives exactly what a fresh solve of
-    [d | target] gives: particular solution, kernel and inconsistency."""
+    """The cached reduction of d gives exactly the particular solution, or the
+    inconsistency, that textbook elimination of [d | target] gives."""
     from gradedlie.algebra import load_preset
     from gradedlie.cohomology import representatives
 
@@ -137,21 +134,15 @@ def test_coboundary_preimage_matches_solve(name):
                 if target.is_zero():
                     continue
                 sol = coboundary_preimage(g, target)
-                ref = solve(mat, [target.terms.get(m, F(0)) for m in mat.row_labels])
-                assert bool(sol) == bool(ref), (q, k)
-                if not ref:
+                ref = _oracle_solution(mat.dense_rows(),
+                                       [target.terms.get(m, F(0)) for m in mat.row_labels])
+                assert (sol is None) == (ref is None), (q, k)
+                if ref is None:
                     inconsistent += 1
                     continue
                 consistent += 1
-                as_form = lambda vec: Form(g, dict(zip(mat.col_labels, vec)))
-                assert sol.particular == as_form(ref.particular)
-                assert sol.kernel == [as_form(vec) for vec in ref.kernel]
+                assert sol == Form(g, dict(zip(mat.col_labels, ref)))
     assert consistent >= 10 and inconsistent >= 3
-
-
-def test_slice_matrix_from_rows():
-    m = SliceMatrix.from_rows([[F(1), F(2)], [F(0), F(1)]])
-    assert m.nrows == 2 and m.ncols == 2 and rank(m) == 2
 
 
 # -- property tests against a textbook oracle ---------------------------------
@@ -181,6 +172,21 @@ def _gauss_jordan(rows):
 
 def _oracle_rank(rows):
     return len(_gauss_jordan(rows)[1])
+
+
+def _oracle_solution(rows, target):
+    """None when [rows | target] has a larger oracle rank than rows, else the
+    particular solution read off the textbook reduced form of [rows | target]:
+    pivot entries from the last column, free variables 0."""
+    augmented = [list(row) + [t] for row, t in zip(rows, target)]
+    if _oracle_rank(augmented) != _oracle_rank(rows):
+        return None
+    ncols = len(rows[0])
+    red, pivots = _gauss_jordan(augmented)
+    particular = [Fraction(0)] * ncols
+    for row, pc in zip(red, pivots):
+        particular[pc] = row[ncols]
+    return particular
 
 
 def _times(rows, vec):
@@ -217,12 +223,12 @@ def test_solve_particular_and_kernel(rows, data):
         target = data.draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
     sol = solve(rows, target)
     augmented = [row + [t] for row, t in zip(rows, target)]
-    assert bool(sol) == (_oracle_rank(augmented) == _oracle_rank(rows))
-    if sol:
-        assert _times(rows, sol.particular) == target
-        assert all(not any(_times(rows, v)) for v in sol.kernel)
-        assert sol.kernel == kernel_basis(rows)
-        assert len(sol.kernel) == ncols - _oracle_rank(rows)
+    assert (sol is not None) == (_oracle_rank(augmented) == _oracle_rank(rows))
+    if sol is not None:
+        assert _times(rows, sol) == target
+    kernel = kernel_basis(rows)
+    assert all(not any(_times(rows, v)) for v in kernel)
+    assert len(kernel) == ncols - _oracle_rank(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -239,7 +245,8 @@ def test_echelon_membership_matches_rank(vectors):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices(), st.data())
-def test_reduction_matches_solve(rows, data):
+def test_solve_matches_textbook_particular_solution(rows, data):
+    # one Reduction answers several targets, each as a fresh solve would
     ncols = len(rows[0])
     red = linalg.Reduction(rows, ncols)
     assert red.rank == _oracle_rank(rows)
@@ -248,10 +255,9 @@ def test_reduction_matches_solve(rows, data):
         if data.draw(st.booleans()):
             x = data.draw(st.lists(ENTRY, min_size=ncols, max_size=ncols))
             target = _times(rows, x)
-        sol, ref = red.solve(target), solve(rows, target)
-        assert bool(sol) == bool(ref)
-        if ref:
-            assert sol.particular == ref.particular and sol.kernel == ref.kernel
+        ref = _oracle_solution(rows, target)
+        assert red.solve(target) == ref
+        assert solve(rows, target) == ref
 
 
 @st.composite

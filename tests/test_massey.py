@@ -246,11 +246,11 @@ def test_solver_L1_feigin_fuchs_family(L1):
     assert p.linear_coeff(s_id) == 3 and p.linear_coeff(t_id) == -6
     # both 0 and g2- lie in the value set
     w0 = fam.substitute({s_id: Fraction(1, 6)})
-    assert linalg.coboundary_preimage(L1, ms.related_cocycle(w0))
+    assert linalg.coboundary_preimage(L1, ms.related_cocycle(w0)) is not None
     w1 = fam.substitute({s_id: Fraction(1, 2)})
     c1 = ms.related_cocycle(w1)
     coords = class_coordinates_form(L1, c1)
-    assert coords[5].coords == (Fraction(1),)
+    assert coords[5] == (Fraction(1),)
 
 
 def test_solver_m0_two_e2_window(m0):
@@ -324,8 +324,8 @@ def test_well_definedness_repair(m0):
             repaired = prime.with_entry(1, n, Form.zero(m0))
             system = ms.DefiningSystem(repaired)
             value1 = class_coordinates_form(m0, ms.related_cocycle(system))
-            assert {k: v.coords for k, v in value0.items() if not v.is_zero()} == \
-                   {k: v.coords for k, v in value1.items() if not v.is_zero()}
+            assert {k: v for k, v in value0.items() if any(v)} == \
+                   {k: v for k, v in value1.items() if any(v)}
 
 
 def madd3(a, db, pos, m1, m2):
@@ -354,12 +354,12 @@ def test_triple_ones_trivial(m0):
     assert r.status == ms.TRIVIAL_WITNESS
     assert r.value.is_zero()
     assert ms.related_cocycle(r.witness).is_zero() or \
-        linalg.coboundary_preimage(m0, ms.related_cocycle(r.witness))
+        linalg.coboundary_preimage(m0, ms.related_cocycle(r.witness)) is not None
 
 
 def test_witness_recheck_failure_raises(m0, monkeypatch):
     # the re-check of a witness is an explicit check that python -O keeps
-    monkeypatch.setattr(linalg, "coboundary_preimage", lambda g, c: linalg.NO_SOLUTION)
+    monkeypatch.setattr(linalg, "coboundary_preimage", lambda g, c: None)
     with pytest.raises(InternalCheckFailed):
         ms.triple_product(m0, F(m0, "e1"), F(m0, "e1"), F(m0, "e1"))
 
@@ -556,7 +556,7 @@ def test_evaluate_L1_trivial_with_g2minus_in_set(L1):
     classes = [F(L1, "e2"), F(L1, "e1"), F(L1, "e1"), F(L1, "e1")]
     r = ms.evaluate_product(L1, classes)
     assert r.status == ms.TRIVIAL_WITNESS
-    assert linalg.coboundary_preimage(L1, ms.related_cocycle(r.witness))
+    assert linalg.coboundary_preimage(L1, ms.related_cocycle(r.witness)) is not None
 
 
 def test_evaluate_main_shape(m0_big):
