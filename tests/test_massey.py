@@ -495,6 +495,38 @@ def test_golden_triple_digest():
     assert digest.hexdigest() == GOLDEN_TRIPLE_DIGEST
 
 
+EDGE_ONE_CLASSES = ["e1", "e2", "e1+e2", "e1-2*e2"]
+EDGE_TWO_CLASSES = {"L1": ["e1^e4", "e2^e5-3*e3^e4", "e1^e4+e2^e5-3*e3^e4"],
+                    "m0": ["e2^e3", "e2^e4", "e2^e3+e2^e4"]}
+
+# sha256 over the JSON result, or the exception, of every ordered triple of
+# the classes above over L1/8, L1/10, m0/8 and m0/10.  Computed before the
+# indeterminacy generators were read off per-slice product tables.
+GOLDEN_EDGE_TRIPLE_DIGEST = "8461846557afa4ff17c12aa2162131a15c7fb7b0da939b717f937b3495b12adc"
+
+
+def test_golden_edge_triple_digest():
+    # small cutoffs put the high-weight part of a mixed-weight outer class
+    # past the cutoff, so indeterminacy generators reach slices that do not
+    # exist; e2^e4 is not closed over m0, so its triples pin that refusal too
+    digest = hashlib.sha256()
+    slice_refusals = set()
+    for name, cutoff in (("L1", 8), ("L1", 10), ("m0", 8), ("m0", 10)):
+        g = load_preset(name, cutoff)
+        classes = [F(g, t) for t in EDGE_ONE_CLASSES + EDGE_TWO_CLASSES[name]]
+        for triple in iter_product(classes, repeat=3):
+            try:
+                out = ms.triple_product(g, *triple).to_json()
+            except GradedLieError as exc:
+                out = f"{type(exc).__name__}: {exc}"
+                if "cohomology slice" in out:
+                    slice_refusals.add((name, cutoff, tuple(map(render_form, triple))))
+            line = json.dumps([name, cutoff, [render_form(c) for c in triple], out])
+            digest.update(line.encode() + b"\n")
+    assert len(slice_refusals) == 16
+    assert digest.hexdigest() == GOLDEN_EDGE_TRIPLE_DIGEST
+
+
 # -- one-class products over m0 ------------------------------------------------
 
 def test_one_class_D_type(m0):
