@@ -434,7 +434,7 @@ def parse_algebra(text):
     if generators is None:
         raise AlgebraFormatError(0, "missing 'generators:' header")
     if cutoff is None:
-        cutoff = max((g.weight for g in generators), default=2)
+        cutoff = max([2] + [spec.weight for spec in generators])
     return GradedLieAlgebra(generators, brackets, cutoff, lines)
 
 

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .errors import CutoffTooSmall, NotACocycle, internal_check
-from .forms import Form, slice_basis
+from .forms import Form, slice_basis, wedge
 from .algebra import is_m0_like, load_preset
 from .mzero import omega, omega_index_lists
 
@@ -44,21 +44,31 @@ class CohomologySlice:
     representatives: tuple       # Forms, one per cohomology class
     rep_vectors: tuple
     dimension: int = field(default=0)
+    # {(q, k) of a right slice: product table}, see product_terms
+    products: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def index(self):
         """{monomial: position in basis}."""
         return {m: i for i, m in enumerate(self.basis)}
 
-    def vector_of(self, form):
-        index = self.index
-        vec = [Fraction(0)] * len(self.basis)
-        for m, c in form.terms.items():
-            i = index.get(m)
-            if i is None:
-                raise NotACocycle(f"form is not homogeneous of (q={self.q}, k={self.k})")
-            vec[i] = c
-        return vec
+    def product_terms(self, right):
+        """The cup-product table with a right slice of the same algebra:
+        {(i, j): class_terms(wedge(r_i, s_j))} over the representatives r_i
+        of this slice and s_j of right, nonzero entries only.  Filled on the
+        first query of the pair and kept; a table whose computation raises
+        is not stored."""
+        key = (right.q, right.k)
+        table = self.products.get(key)
+        if table is None:
+            table = {}
+            for i, r in enumerate(self.representatives):
+                for j, s in enumerate(right.representatives):
+                    terms = class_terms(self.algebra, wedge(r, s))
+                    if terms:
+                        table[i, j] = terms
+            self.products[key] = table
+        return table
 
     @cached_property
     def coordinate_map(self):
@@ -69,7 +79,8 @@ class CohomologySlice:
         red = linalg.Reduction([[col[r] for col in cols] for r in range(len(self.basis))],
                                len(cols))
         internal_check(red.rank == len(cols) == len(self.cocycles)
-                       and not any(any(red.image(c)[red.rank:]) for c in self.cocycles),
+                       and not any(any(red.image({i: v for i, v in enumerate(c) if v})[red.rank:])
+                                   for c in self.cocycles),
                        "coboundaries and representatives must be a basis of the cocycles")
         return red
 
@@ -157,8 +168,12 @@ def representatives(g, q, k):
 def class_coordinates(slc, c_form):
     """Unique coordinates of [c] in the representative basis of the slice,
     as a tuple."""
-    red = slc.coordinate_map
-    image = red.image(slc.vector_of(c_form))
+    red, index = slc.coordinate_map, slc.index
+    try:
+        vec = {index[m]: c for m, c in c_form.terms.items()}
+    except KeyError:
+        raise NotACocycle(f"form is not homogeneous of (q={slc.q}, k={slc.k})") from None
+    image = red.image(vec)
     if any(image[red.rank:]):
         raise NotACocycle("form is not closed")
     return tuple(image[len(slc.coboundaries):red.rank])

@@ -15,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .algebra import bracket
 from .errors import AlgebraFormatError, AmbientMismatch, ArityMismatch, CutoffTooSmall
 
 
@@ -224,26 +223,6 @@ def evaluate(a, vectors):
             if prod:
                 det += sign * prod
         total += coeff * det
-    return total
-
-
-def differential_direct(g, a, basis_tuple):
-    """Direct Eq-style expansion of (d a)(X_1, ..., X_{q+1}) on basis vectors.
-
-    Independent cross-check oracle for `differential`: the bracket-insertion
-    sum with sign (-1)^(i+j-1) evaluated on basis tuples.
-    """
-    total = Fraction(0)
-    vecs = [{i: Fraction(1)} for i in basis_tuple]
-    n = len(basis_tuple)
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = bracket(g, vecs[i], vecs[j])
-            if not br:
-                continue
-            rest = [vecs[r] for r in range(n) if r not in (i, j)]
-            sign = 1 if (i + j) % 2 == 1 else -1  # (-1)^{(i+1)+(j+1)-1} for 0-based i, j
-            total += sign * evaluate(a, [br] + rest)
     return total
 
 

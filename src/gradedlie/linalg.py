@@ -5,12 +5,13 @@ back-substitution on primitive rows, and Fractions only in the final
 normalisation by the pivots.  Span tests reduce against an incrementally
 grown integer echelon (``Echelon``).  A matrix that is queried many times is
 reduced once (``Reduction``) and keeps its transform as integer columns with
-one denominator per row: every later solve or coordinate query is one
-integer matrix-vector product and one Fraction per nonzero entry of the
-result.  ``solve`` is one such reduction.  Solves and coboundary preimages
-return the echelon particular solution (free variables zero) or None when
-there is none; a null space comes only from ``kernel_basis``.  No floating
-point anywhere: triviality decisions downstream are exact yes/no questions.
+one denominator per row: every later solve or coordinate query takes its
+vector as {index: nonzero value} and is one integer product over those
+columns and one Fraction per nonzero entry of the result.  ``solve`` is one
+such reduction.  Solves and coboundary preimages return the echelon
+particular solution (free variables zero) or None when there is none; a
+null space comes only from ``kernel_basis``.  No floating point anywhere:
+triviality decisions downstream are exact yes/no questions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import CutoffTooSmall, NotACocycle
 from .forms import Form, differential
@@ -44,6 +45,11 @@ class SliceMatrix:
     def reduction(self):
         """The Reduction of this matrix, built on first use and kept."""
         return Reduction(self.dense_rows(), self.ncols)
+
+    @cached_property
+    def row_index(self):
+        """{row label: row}, built on first use and kept."""
+        return {m: r for r, m in enumerate(self.row_labels)}
 
 
 def _integerize(row):
@@ -241,19 +247,20 @@ class Reduction:
                         for j in range(n)]
 
     def image(self, vec):
-        """E vec."""
-        nums, denom = _scaled_to_integers(vec)
+        """E v, for v given as {column: nonzero value}."""
+        denom = lcm(*(v.denominator for v in vec.values()))
         acc = [0] * len(self.columns)
-        for j, v in enumerate(nums):
-            if v:
-                for i, e in self.columns[j]:
-                    acc[i] += e * v
+        for j, v in vec.items():
+            v = v.numerator * (denom // v.denominator)
+            for i, e in self.columns[j]:
+                acc[i] += e * v
         return [Fraction(a, d * denom) if a else _ZERO
                 for a, d in zip(acc, self.denominators)]
 
     def solve(self, target):
-        """The echelon particular solution of M x = target, or None: when
-        [M | target] is consistent its reduced form is [R | E target]."""
+        """The echelon particular solution of M x = target, for target given
+        as {row: nonzero value}, or None: when [M | target] is consistent its
+        reduced form is [R | E target]."""
         image = self.image(target)
         if any(image[self.rank:]):
             return None
@@ -270,7 +277,7 @@ def solve(m, target):
     rows, ncols = _dense(m)
     if len(target) != len(rows):
         raise ValueError(f"target length {len(target)} != {len(rows)} rows")
-    return Reduction(rows, ncols).solve(target)
+    return Reduction(rows, ncols).solve({r: v for r, v in enumerate(target) if v})
 
 
 # -- slice-level operations ---------------------------------------------------
@@ -312,15 +319,18 @@ def coboundary_preimage(g, c_form):
         raise NotACocycle("cannot take a preimage of a scalar")
     if not differential(g, c_form).is_zero():
         raise NotACocycle("form is not closed")
-    components = c_form.weight_components()
-    top = max(components)
+    weight, parts = g.weight, {}
+    for m, c in c_form.terms.items():
+        parts.setdefault(sum(map(weight, m)), []).append((m, c))
+    top = max(parts)
     if top > g.cutoff:
         raise CutoffTooSmall(top, g.cutoff, "coboundary preimage")
-    particular = Form.zero(g)
-    for k, comp in components.items():
+    particular = {}
+    for k in sorted(parts):
         mat = d_matrix(g, q - 1, k)
-        sol = mat.reduction.solve([comp.terms.get(m, _ZERO) for m in mat.row_labels])
+        rows = mat.row_index
+        sol = mat.reduction.solve({rows[m]: c for m, c in parts[k]})
         if sol is None:
             return None
-        particular = particular + Form(g, {mat.col_labels[i]: v for i, v in enumerate(sol) if v})
-    return particular
+        particular.update((mat.col_labels[i], v) for i, v in enumerate(sol) if v)
+    return Form(g, particular)

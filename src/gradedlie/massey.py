@@ -31,7 +31,7 @@ from itertools import islice, product as iter_product
 
 from . import linalg
 from .algebra import is_m0_like
-from .cohomology import class_terms, cohomology_slice, representatives
+from .cohomology import class_coordinates_form, class_terms, cohomology_slice, representatives
 from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined,
                      NotACocycle, NotApplicable, UnverifiedInput, UsageError,
                      internal_check)
@@ -243,7 +243,7 @@ class ScalarTriangular:
         """M^-1, the transform E of the Reduction of M (M reduces to I)."""
         n = len(self.entries)
         red = linalg.Reduction(self.entries, n)
-        columns = [red.image([int(i == j) for i in range(n)]) for j in range(n)]
+        columns = [red.image({j: 1}) for j in range(n)]
         return ScalarTriangular(list(zip(*columns)))
 
 
@@ -282,12 +282,6 @@ class ValueClass:
 
     def is_zero(self):
         return all(e[2] == 0 for e in self.entries)
-
-    def coefficient_on(self, weight, rep_index):
-        for w, i, c, _ in self.entries:
-            if (w, i) == (weight, rep_index):
-                return c
-        return Fraction(0)
 
     def to_json_dict(self):
         return {"degree": self.degree,
@@ -570,32 +564,49 @@ def triple_product(g, a, b, c):
     # [h ^ c] for closed h (deg p+q-1); classes depend only on [h], [h'].
     # Mixed-weight outer classes widen the search: a generator of weight up
     # to wb + wc + (wa - min_wt(a)) can still land inside the value weights
-    # through the low-weight part of a (and symmetrically for c)
+    # through the low-weight part of a (and symmetrically for c).  Each
+    # generator's class is read off the cup-product tables of the slices of
+    # [a] or [c], since the class of a ^ h' is bilinear in [a] and [h'].
     spread_a = wa - a_weights[0]
     spread_c = wc - c_weights[0]
-    gen_forms = [("g", h) for h in _reps_up_to(
-        g, q + r - 1, min(g.cutoff - a_weights[0], wb + wc + spread_a))]
-    gen_forms += [("f", h) for h in _reps_up_to(
-        g, p + q - 1, min(g.cutoff - c_weights[0], wa + wb + spread_c))]
-    gen_terms = [class_terms(g, wedge(a, h) if kind == "g" else wedge(h, c))
-                 for kind, h in gen_forms]
+    gen_forms, gen_terms = [], []
+    for kind, degree, bound, outer, outer_degree in (
+            ("g", q + r - 1, min(g.cutoff - a_weights[0], wb + wc + spread_a), a, p),
+            ("f", p + q - 1, min(g.cutoff - c_weights[0], wa + wb + spread_c), c, r)):
+        outer_coords = class_coordinates_form(g, outer)
+        outer_slices = [(cohomology_slice(g, outer_degree, k), coords)
+                        for k, coords in outer_coords.items()]
+        for weight in range(1, bound + 1):
+            reps = representatives(g, degree, weight)
+            if not reps:
+                continue
+            gen_forms += [(kind, h) for h in reps]
+            if max(outer_coords) + weight > g.cutoff:
+                # past the cutoff: classify directly, raising where that raises
+                gen_terms += [class_terms(g, wedge(a, h) if kind == "g" else wedge(h, c))
+                              for h in reps]
+            else:
+                gen_terms += _generator_terms(outer_slices, cohomology_slice(g, degree, weight),
+                                              kind == "g")
     value_terms = class_terms(g, value_form)
 
     # coordinates on the classes that occur, (weight, index) ascending; a
     # class that no vector touches would be a zero column
     keys = sorted({key for terms in gen_terms + [value_terms] for key in terms})
-    gens = [[terms.get(key, Fraction(0)) for key in keys] for terms in gen_terms]
-    value_vec = [value_terms.get(key, Fraction(0)) for key in keys]
+    zero = Fraction(0)
+    gens = [[terms.get(key, zero) for key in keys] for terms in gen_terms]
+    value_vec = [value_terms.get(key, zero) for key in keys]
 
     span = linalg.Echelon()
-    indet = [vec for vec in gens if span.add(vec)]
+    # a generator without class terms is zero and never extends the span
+    indet = [vec for vec, terms in zip(gens, gen_terms) if terms and span.add(vec)]
     solvable = span.contains(value_vec)
     if solvable and any(value_vec):
         # the echelon particular solution; a zero value takes all-zero coefficients
         matrix = [[col[r_] for col in gens] for r_ in range(len(keys))]
         coeffs = linalg.solve(matrix, [-v for v in value_vec])
     else:
-        coeffs = [Fraction(0)] * len(gens)
+        coeffs = [zero] * len(gens)
 
     indet_classes = tuple(
         _value_class(g, target_degree, {key: x for key, x in zip(keys, vec) if x})
@@ -632,13 +643,21 @@ def _signed_primitive(g, form, degree, window, message):
     return preimage if degree % 2 else -preimage
 
 
-def _reps_up_to(g, degree, weight_bound):
-    out = []
-    if degree < 1:
-        return out
-    for k in range(1, max(weight_bound, 0) + 1):
-        out.extend(representatives(g, degree, k))
-    return out
+def _generator_terms(outer_slices, h_slice, outer_left):
+    """class_terms of outer ^ h (outer_left) or h ^ outer for each
+    representative h of h_slice.  outer_slices pairs each weight slice of a
+    cocycle outer with its class coordinates there, and each result sums the
+    cup-product table entries weighted by those coordinates."""
+    sums = [{} for _ in h_slice.representatives]
+    for slc, coords in outer_slices:
+        table = slc.product_terms(h_slice) if outer_left else h_slice.product_terms(slc)
+        for (i, j), entry in table.items():
+            x = coords[i] if outer_left else coords[j]
+            if x:
+                acc = sums[j if outer_left else i]
+                for key, v in entry.items():
+                    acc[key] = acc.get(key, 0) + x * v
+    return [{key: v for key, v in acc.items() if v} for acc in sums]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Upper-triangular representations, thread modules and lifting obstructions.
+"""Upper-triangular representations and lifting obstructions.
 
 A representation rho: g -> T_n(K) by strictly upper triangular matrices is
 the same data as a connection matrix of 1-forms satisfying the strong
@@ -9,7 +9,6 @@ related cocycle class is the obstruction to lifting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -18,9 +17,8 @@ from .cohomology import class_terms
 from .errors import (AlgebraFormatError, NotApplicable, UnverifiedInput,
                      internal_check)
 from .forms import Form
-from .massey import (ClassificationTag, ConnectionMatrix, classify_trivial_ones,
-                     one_form_connection, related_cocycle, sized_file_lines,
-                     _mat_bracket)
+from .massey import (ConnectionMatrix, one_form_connection, related_cocycle,
+                     sized_file_lines, _mat_bracket)
 
 
 def _checked_image(idx, mat, size, line_no=0):
@@ -133,30 +131,6 @@ def associated_graded_rep(rep):
     entries = {(i, j): Form(g, {m: v for m, v in form.terms.items() if levels[m[0]] == j - i + 1})
                for (i, j), form in conn.entries.items()}
     return representation_from_connection(ConnectionMatrix.from_entries(g, rep.n, entries))
-
-
-# -- thread modules -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class ThreadModuleView:
-    rep: UpperTriangularRep
-
-    def second_diagonal_pairs(self):
-        a1 = self.rep.image(1)
-        a2 = self.rep.image(2)
-        return [(a1[i][i + 1], a2[i][i + 1]) for i in range(self.rep.size - 1)]
-
-
-def thread_tag(view):
-    """Classification tag of a thread module over m0 (delegates to the table);
-    Decomposable when some second-diagonal class vanishes."""
-    g = view.rep.algebra
-    if not is_m0_like(g):
-        raise NotApplicable("thread modules are classified over m0")
-    pairs = view.second_diagonal_pairs()
-    if any(a == 0 and b == 0 for a, b in pairs):
-        return ClassificationTag("Decomposable")
-    return classify_trivial_ones(pairs)
 
 
 # -- lifting obstruction --------------------------------------------------------

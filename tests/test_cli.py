@@ -181,9 +181,28 @@ def test_algebra_file_loading(tmp_path, capsys):
     assert out.splitlines()[1:] == ["2,5,1", "2,6,0", "2,7,1"]
 
 
+# algebra files without a cutoff line, with the k range asked of
+# `betti --algebra FILE --q 1` and the csv rows it prints.  The cutoff is then
+# the largest generator weight, and at least 2.
+LOADED_ALGEBRA_FILES = [
+    ("generators: (1:1)\n", "1", ["1,1,1"]),
+    ("generators: (1:1), (2:1)\n", "1..2", ["1,1,2", "1,2,0"]),
+    ("generators: (1:1), (2:2), (3:3)\n[1,2] = 1*3\n", "1..3", ["1,1,1", "1,2,1", "1,3,0"]),
+]
+
+
+@pytest.mark.parametrize("text, k, rows", LOADED_ALGEBRA_FILES)
+def test_algebra_file_without_cutoff_line_loads(tmp_path, capsys, text, k, rows):
+    path = tmp_path / "alg.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "betti", "--algebra", str(path), "--q", "1", "--k", k,
+                         "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == rows
+
+
 # algebra files that fail parse_algebra or the GradedLieAlgebra checks, with
-# the exact line `betti --algebra FILE` prints.  Without a cutoff line the
-# cutoff is the largest generator weight.
+# the exact line `betti --algebra FILE` prints.
 BAD_ALGEBRA_FILES = [
     ("generators: (1:1), 2:2\n", "line 1: bad generator spec '2:2'"),
     ("generators: (1:x)\n", "line 1: bad generator spec '(1:x)'"),

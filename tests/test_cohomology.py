@@ -108,6 +108,31 @@ def test_class_coordinates_rejects_dependent_representatives(L1):
         coh.class_coordinates(broken, mono(L1, 2, 5) - 3 * mono(L1, 3, 4))
 
 
+def test_product_table_entries_and_refusal():
+    # entries are the class terms of wedges of representatives, zero ones
+    # left out; a table past the cutoff raises where class_terms raises and
+    # is not stored, and a stored table is reused
+    g = load_preset("m0", 8)
+    e2 = coh.cohomology_slice(g, 1, 2)
+    past = coh.cohomology_slice(g, 2, 7)
+    for _ in range(2):
+        with pytest.raises(CutoffTooSmall,
+                           match=r"^cutoff 8 too small, need at least 9 for cohomology "
+                                 r"slice \(q=3, k=9\)$"):
+            e2.product_terms(past)
+        assert (2, 7) not in e2.products
+    g = load_preset("m0", 10)
+    e2, omega_7 = coh.cohomology_slice(g, 1, 2), coh.cohomology_slice(g, 2, 7)
+    for left, right, entries in ((e2, omega_7, 1), (omega_7, e2, 1),
+                                 (e2, coh.cohomology_slice(g, 2, 5), 0)):
+        table = left.product_terms(right)
+        assert left.product_terms(right) is table and len(table) == entries
+        assert table == {(i, j): terms
+                         for i, r in enumerate(left.representatives)
+                         for j, h in enumerate(right.representatives)
+                         if (terms := coh.class_terms(g, wedge(r, h)))}
+
+
 def test_partition_count():
     assert all(coh.partition_count(1, k) == 1 for k in range(1, 30))
     assert coh.partition_count(2, 4) == 2

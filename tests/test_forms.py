@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie.algebra import load_preset
+from gradedlie.algebra import bracket, load_preset
 from gradedlie.errors import AlgebraFormatError, AmbientMismatch, ArityMismatch, CutoffTooSmall
-from gradedlie.forms import (Form, bar, differential, differential_direct,
-                             evaluate, parse_form, render_form, slice_all_degree,
-                             slice_basis, wedge)
+from gradedlie.forms import (Form, bar, differential, evaluate, parse_form, render_form,
+                             slice_all_degree, slice_basis, wedge)
 
 
 def mono(g, *idx):
@@ -115,6 +114,27 @@ def test_evaluate_arity(m0):
         evaluate(mono(m0, 1, 2), [vec((1, 1))])
 
 
+def _differential_direct(g, a, basis_tuple):
+    """Direct Eq-style expansion of (d a)(X_1, ..., X_{q+1}) on basis vectors.
+
+    Independent cross-check oracle for `differential`: the bracket-insertion
+    sum with sign (-1)^(i+j-1) evaluated on basis tuples, sharing only
+    `bracket` and `evaluate` with the library.
+    """
+    total = Fraction(0)
+    vecs = [{i: Fraction(1)} for i in basis_tuple]
+    n = len(basis_tuple)
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = bracket(g, vecs[i], vecs[j])
+            if not br:
+                continue
+            rest = [vecs[r] for r in range(n) if r not in (i, j)]
+            sign = 1 if (i + j) % 2 == 1 else -1  # (-1)^{(i+1)+(j+1)-1} for 0-based i, j
+            total += sign * evaluate(a, [br] + rest)
+    return total
+
+
 def test_differential_matches_direct_expansion(m0, L1):
     # evaluate(differential(g, f), basis tuples) equals the direct
     # bracket-insertion expansion, for random 1- and 2-forms
@@ -129,7 +149,7 @@ def test_differential_matches_direct_expansion(m0, L1):
                 for tup in slice_all_degree(g, deg + 1):
                     if sum(g.weight(i) for i in tup) > 10:
                         continue
-                    direct = differential_direct(g, f, tup)
+                    direct = _differential_direct(g, f, tup)
                     assert evaluate(df, [vec((i, 1)) for i in tup]) == direct
 
 

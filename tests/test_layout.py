@@ -131,3 +131,45 @@ def test_solver_results_compared_with_none():
     found = {name: _truthy_solver_tests(os.path.join(SRC, name))
              for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+CACHE_DECORATORS = ("lru_cache", "cache")
+MUTABLE_CALLS = ("dict", "list", "set", "defaultdict", "OrderedDict", "Counter",
+                 "WeakKeyDictionary", "WeakValueDictionary")
+
+
+def _name_of(node):
+    """The called or referenced name of a decorator or call target."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _module_caches(path):
+    """Names that hold state shared by every caller: functions (methods
+    included) under an lru_cache or cache decorator, and module-level names
+    bound to a mutable container."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = [node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(_name_of(d) in CACHE_DECORATORS for d in node.decorator_list)]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            if (isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                                   ast.SetComp))
+                    or isinstance(value, ast.Call) and _name_of(value) in MUTABLE_CALLS):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return sorted(found)
+
+
+def test_module_level_caches_are_the_known_ones():
+    # each algebra's caches have these owners; per-slice data such as the
+    # cup-product tables lives on the cached CohomologySlice instead
+    found = {name: _module_caches(os.path.join(SRC, name))
+             for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
+    assert {name: caches for name, caches in found.items() if caches} == {
+        "cohomology.py": ["_slice_basis_cached", "cohomology_slice", "partition_count"],
+        "forms.py": ["_DGEN_CACHE"],
+        "linalg.py": ["d_matrix"]}

@@ -256,8 +256,12 @@ def test_solve_matches_textbook_particular_solution(rows, data):
             x = data.draw(st.lists(ENTRY, min_size=ncols, max_size=ncols))
             target = _times(rows, x)
         ref = _oracle_solution(rows, target)
-        assert red.solve(target) == ref
+        assert red.solve(_sparse(target)) == ref
         assert solve(rows, target) == ref
+
+
+def _sparse(vec):
+    return {i: v for i, v in enumerate(vec) if v}
 
 
 @st.composite
@@ -279,7 +283,11 @@ def test_reduction_image_matches_transform(rows, data):
     transform = [row[ncols:] for row in red]
     reduction = linalg.Reduction(rows, ncols)
     for _ in range(3):
-        vec = data.draw(st.lists(ENTRY, min_size=n, max_size=n))
-        image = reduction.image(vec)
-        assert image == _times(transform, vec)
+        # image() reads {column: nonzero value}; the drawn support may be
+        # empty, a few columns or all of them, and the values are any rationals
+        support = data.draw(st.sets(st.integers(0, n - 1)))
+        sparse = {j: data.draw(ENTRY.filter(bool)) for j in sorted(support)}
+        dense = [sparse.get(j, Fraction(0)) for j in range(n)]
+        image = reduction.image(sparse)
+        assert image == _times(transform, dense)
         assert all(type(x) is Fraction for x in image)
