@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 import gradedlie
 from gradedlie import linalg
 from gradedlie import massey as ms
-from gradedlie.algebra import load_preset
+from gradedlie.algebra import load_preset, parse_algebra
 from gradedlie.checks import bianchi_suite, random_connection
 from gradedlie.cohomology import (betti, class_coordinates, class_coordinates_form, class_terms,
                                   cohomology_slice, representatives)
-from gradedlie.errors import (GradedLieError, InternalCheckFailed, MasseyNotDefined,
-                              NotACocycle, NotApplicable, UnverifiedInput, UsageError)
+from gradedlie.errors import (CutoffTooSmall, GradedLieError, InternalCheckFailed,
+                              MasseyNotDefined, NotACocycle, NotApplicable, UnverifiedInput,
+                              UsageError)
 from gradedlie.forms import Form, differential, parse_form, render_form, slice_basis, wedge
 from gradedlie.mzero import Dm1, omega
 
@@ -541,17 +542,23 @@ def _table_slice_pairs(g):
             if s[1] + t[1] <= g.cutoff and s[0] + t[0] <= 4]
 
 
+# the free 2-step nilpotent algebra on three generators of weight 1: its
+# H^1_1, H^2_3, H^3_4 and H^3_5 have dimensions 3, 8, 6 and 6, so its product
+# tables have several rows and columns, where those of m0 and L1 have one
+NILPOTENT = parse_algebra("generators: (1:1), (2:1), (3:1), (4:2), (5:2), (6:2)\n"
+                          "cutoff: 5\n[1,2] = 1*4\n[1,3] = 1*5\n[2,3] = 1*6\n")
+TABLE_ALGEBRAS = {"m0": load_preset("m0", 12), "L1": load_preset("L1", 12), "n": NILPOTENT}
 TABLE_PAIRS = {}
 COEFF = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["m0", "L1"]), st.data())
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(TABLE_ALGEBRAS)), st.data())
 def test_product_table_matches_direct_classes(name, data):
     # for a cocycle a = sum c_i r_i + d(x) and a representative h, the class
     # terms of a ^ h and h ^ a, wedged and classified directly, equal the
     # product-table entries combined with the coordinates of [a]
-    g = load_preset(name, 12)
+    g = TABLE_ALGEBRAS[name]
     pairs = TABLE_PAIRS.setdefault(name, _table_slice_pairs(g))
     (p, k), (q, l) = data.draw(st.sampled_from(pairs))
     left, right = cohomology_slice(g, p, k), cohomology_slice(g, q, l)
@@ -569,6 +576,46 @@ def test_product_table_matches_direct_classes(name, data):
     for j, h in enumerate(right.representatives):
         assert as_left[j] == class_terms(g, wedge(a, h))
         assert as_right[j] == class_terms(g, wedge(h, a))
+
+
+@pytest.mark.parametrize("texts", [("e1", "e2^e3", "e2^e3+e1^e5"),
+                                   ("e2^e3", "e1", "e2^e3+e1^e5"),
+                                   ("e2^e3+e1^e5", "e1", "e2^e3"),
+                                   ("e2^e3+e1^e5", "e2^e3", "e1")])
+def test_triple_generator_past_cutoff_on_exact_part_refuses(texts):
+    # e1^e5 = d(e6) over m0, so [e2^e3 + e1^e5] has no weight-6 coordinate and
+    # its product table with the weight-7 generators is empty; the generator
+    # of weight 13 is still classified, and refused, from the wedge itself
+    g = load_preset("m0", 12)
+    with pytest.raises(CutoffTooSmall, match=r"^cutoff 12 too small, need at least 13 for "
+                                             r"cohomology slice \(q=4, k=13\)$"):
+        ms.triple_product(g, *[F(g, t) for t in texts])
+
+
+NILPOTENT_CLASSES = ["e1", "e2", "e3", "e1+2*e2-e3", "e1^e4", "e1^e5", "e2^e4", "e2^e6"]
+
+# sha256 over the JSON result, or the exception, of every ordered triple of
+# the classes above over NILPOTENT.  Computed before the indeterminacy
+# generators were read off per-slice product tables.
+GOLDEN_NILPOTENT_TRIPLE_DIGEST = "63189b4f56e37daf2bb4849fe359d1cb9bb8913486165c1a4ad6b13abfa9ef1d"
+
+
+def test_golden_nilpotent_triple_digest():
+    # <1-class, 1-class, 2-class> products there have indeterminacy spanned
+    # by generators from slices of dimension 3 and 8
+    digest = hashlib.sha256()
+    classes = [F(NILPOTENT, t) for t in NILPOTENT_CLASSES]
+    with_indeterminacy = 0
+    for triple in iter_product(classes, repeat=3):
+        try:
+            res = ms.triple_product(NILPOTENT, *triple)
+            out = res.to_json()
+            with_indeterminacy += bool(res.indeterminacy)
+        except GradedLieError as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        digest.update(json.dumps([[render_form(c) for c in triple], out]).encode() + b"\n")
+    assert with_indeterminacy == 36
+    assert digest.hexdigest() == GOLDEN_NILPOTENT_TRIPLE_DIGEST
 
 
 # -- one-class products over m0 ------------------------------------------------
