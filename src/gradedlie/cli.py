@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import cohomology as coh
@@ -202,15 +203,13 @@ def cmd_massey(args):
     _at_least(args.samples, 1, "--samples")
     _at_least(args.budget, 0, "--budget")
     cutoff = args.cutoff if args.cutoff is not None else _env_cutoff()
-    if args.algebra in ("m0", "L1"):
-        probe = load_preset(args.algebra, cutoff or 48)
-        classes = ms.parse_product(probe, args.payload)
-        if cutoff is None:
-            total = sum(max(c.weights()) for c in classes)
-            cutoff = max(total, len(classes) + 2)
-        g = load_preset(args.algebra, cutoff)
-    else:
-        g = _load_algebra(args.algebra, 2 if cutoff is None else cutoff)
+    if cutoff is None and args.algebra in ("m0", "L1"):
+        # a preset's generator e<i> has weight i; a probe that holds every
+        # generator of the payload gives the product's total weight
+        indices = [int(i) for i in re.findall(r"e\s*(\d+)", args.payload)]
+        classes = ms.parse_product(load_preset(args.algebra, max([2, *indices])), args.payload)
+        cutoff = max(sum(max(c.weights(), default=0) for c in classes), len(classes) + 2)
+    g = _load_algebra(args.algebra, 2 if cutoff is None else cutoff)
     classes = ms.parse_product(g, args.payload)
     try:
         result = ms.evaluate_product(g, classes, budget=args.budget,

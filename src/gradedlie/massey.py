@@ -162,8 +162,7 @@ class DefiningSystem:
         return self.matrix.second_diagonal()
 
     def verify(self):
-        ok, _tau = is_formal_connection(self.matrix)
-        if not ok:
+        if _failing_equation(self.alg, self.n, _pieces(self.matrix)) is not None:
             raise UnverifiedInput("defining-system equations fail")
         self.verified = True
         return self
@@ -200,6 +199,20 @@ def _pieces(matrix):
     """The entries of a matrix as pieces: a(i, j) -> {(): a(i, j)}, {} if zero."""
     entries = matrix.entries
     return lambda i, j: {(): entries[(i, j)]} if (i, j) in entries else {}
+
+
+def _failing_equation(alg, n, pieces):
+    """The first (i, j), diagonal by diagonal and skipping the corner, where
+    d a(i,j) = sum_r bar(a(i,r)) a(r+1,j) fails piece by piece over the
+    parameter monomials, or None.  pieces(i, j) is the entry as
+    {parameter monomial: nonzero Form}, {} where it is absent."""
+    for s in range(n - 1):           # the last diagonal is the corner alone
+        for i in range(1, n - s + 1):
+            d_pieces = {pm: d for pm, form in pieces(i, i + s).items()
+                        if not (d := differential(alg, form)).is_zero()}
+            if d_pieces != _window_sum(pieces, i, i + s):
+                return i, i + s
+    return None
 
 
 def _add_piece(pieces, pm, form):
@@ -380,7 +393,7 @@ class FamilyResult:
         return [pid for pid, _ in self.params]
 
     def entry(self, i, j):
-        return self.entries[(i, j)]
+        return self.entries.get((i, j), {})
 
     def substitute(self, assignment):
         """Numeric substitution -> a concrete, verified DefiningSystem."""
@@ -394,11 +407,8 @@ class FamilyResult:
         """Check d a(i,j) = sum_r bar(a(i,r)) a(r+1,j) at every entry piece by
         piece over the parameter monomials, so the equations hold identically
         in the parameters and every substitution is a defining system."""
-        for (i, j), pieces in self.entries.items():
-            d_pieces = {pm: d for pm, form in pieces.items()
-                        if not (d := differential(self.alg, form)).is_zero()}
-            if d_pieces != _window_sum(self.entry, i, j):
-                raise UnverifiedInput(f"defining-system equation fails at ({i},{j})")
+        if (failing := _failing_equation(self.alg, self.n, self.entry)) is not None:
+            raise UnverifiedInput("defining-system equation fails at ({},{})".format(*failing))
         return self
 
     def value_polynomial(self):
@@ -573,19 +583,14 @@ def triple_product(g, a, b, c):
     for kind, degree, bound, outer, outer_degree in (
             ("g", q + r - 1, min(g.cutoff - a_weights[0], wb + wc + spread_a), a, p),
             ("f", p + q - 1, min(g.cutoff - c_weights[0], wa + wb + spread_c), c, r)):
-        outer_coords = class_coordinates_form(g, outer)
+        # a weight where the class of outer vanishes adds nothing, and its
+        # table may lie past the cutoff
         outer_slices = [(cohomology_slice(g, outer_degree, k), coords)
-                        for k, coords in outer_coords.items()]
+                        for k, coords in class_coordinates_form(g, outer).items() if any(coords)]
         for weight in range(1, bound + 1):
             reps = representatives(g, degree, weight)
-            if not reps:
-                continue
-            gen_forms += [(kind, h) for h in reps]
-            if max(outer_coords) + weight > g.cutoff:
-                # past the cutoff: classify directly, raising where that raises
-                gen_terms += [class_terms(g, wedge(a, h) if kind == "g" else wedge(h, c))
-                              for h in reps]
-            else:
+            if reps:
+                gen_forms += [(kind, h) for h in reps]
                 gen_terms += _generator_terms(outer_slices, cohomology_slice(g, degree, weight),
                                               kind == "g")
     value_terms = class_terms(g, value_form)

@@ -49,17 +49,6 @@ class ParamPoly:
             terms[m] = c if s is None else s + c
         return ParamPoly(terms)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ParamPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-as_poly(other))
-
-    def __rsub__(self, other):
-        return as_poly(other) + (-self)
-
     def __mul__(self, other):
         other = as_poly(other)
         terms = {}
@@ -71,18 +60,10 @@ class ParamPoly:
                 terms[m] = c if s is None else s + c
         return ParamPoly(terms)
 
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = as_poly(other)
         return isinstance(other, ParamPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

@@ -208,8 +208,11 @@ def test_associated_graded_abelian():
 
 
 def test_constructor_rejects_what_the_parser_cannot_reach():
-    # parse_algebra rejects i >= j and names no preset, so these two checks
-    # are reached only through the constructor and load_preset
+    # parse_algebra rejects repeated indices and i >= j itself and names no
+    # preset, so these checks are reached only through the constructor and
+    # load_preset
+    with pytest.raises(AlgebraFormatError, match=r"^line 0: duplicate generator indices$"):
+        GradedLieAlgebra([GeneratorSpec(1, 1), GeneratorSpec(1, 1)], {}, 2)
     gens = [GeneratorSpec(1, 1), GeneratorSpec(2, 2), GeneratorSpec(3, 3)]
     with pytest.raises(AlgebraFormatError, match=r"^line 0: bracket key \(2,1\) must have i < j$"):
         GradedLieAlgebra(gens, {(2, 1): ((Fraction(1), 3),)}, 3)

@@ -8,6 +8,7 @@ import pytest
 
 import gradedlie
 from gradedlie import linalg
+from gradedlie.algebra import load_preset
 from gradedlie.cli import main
 
 
@@ -169,6 +170,39 @@ def test_massey_eval_scalar_class_exit2(capsys, payload):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Massey products need classes of positive degree" in err
+
+
+@pytest.mark.parametrize("extra, loads", [([], [59, 61]), (["--cutoff", "61"], [61])])
+def test_massey_eval_probe_holds_every_generator(capsys, monkeypatch, extra, loads):
+    # the probe that sizes the cutoff used to have 48 generators, so e59 was
+    # refused, and a given cutoff used to build the preset twice
+    calls = []
+    monkeypatch.setattr("gradedlie.cli.load_preset",
+                        lambda name, cutoff: calls.append(cutoff) or load_preset(name, cutoff))
+    code, out, err = run(capsys, "massey", "eval", "e1^e59; e1", "--algebra", "m0", *extra)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "TrivialWitness"
+    assert calls == loads
+
+
+# bad input that reaches the library and the line it prints; ALG is an algebra
+# file with cutoff 2
+CLI_INPUT_ERRORS = [
+    (["betti", "--algebra", "ALG", "--cutoff", "5", "--q", "1", "--k", "1"],
+     "cutoff 2 too small, need at least 5 for algebra file"),
+    (["massey", "classify", "e1; e3"], "line 0: classification needs classes in span(e1, e2)"),
+    # a zero class used to end in a traceback while the cutoff was sized
+    (["massey", "eval", "0; e1"], "all product classes must be nonzero cocycles"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CLI_INPUT_ERRORS)
+def test_cli_input_errors_exit2(tmp_path, capsys, argv, message):
+    path = tmp_path / "alg.txt"
+    path.write_text("generators: (1:1), (2:2)\n")
+    code, out, err = run(capsys, *[str(path) if a == "ALG" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_algebra_file_loading(tmp_path, capsys):

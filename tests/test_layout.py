@@ -173,3 +173,47 @@ def test_module_level_caches_are_the_known_ones():
         "cohomology.py": ["_slice_basis_cached", "cohomology_slice", "partition_count"],
         "forms.py": ["_DGEN_CACHE"],
         "linalg.py": ["d_matrix"]}
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _python_files():
+    for folder in (SRC, os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")):
+        yield from (os.path.join(folder, name) for name in sorted(os.listdir(folder))
+                    if name.endswith(".py"))
+
+
+def _public_definitions(tree):
+    """(name, first line, last line) of each public top-level function,
+    class and assigned name of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node.lineno, node.end_lineno)
+                    for name in names if not name.startswith("_"))
+
+
+def test_every_public_name_is_used():
+    # public API that nothing calls and no test exercises is dead weight; a
+    # re-export in __init__ is an import, not a use
+    definitions, uses = [], {}
+    for path in _python_files():
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        if os.path.dirname(path) == SRC:
+            definitions += [(path, *d) for d in _public_definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((path, node.lineno))
+    unused = [f"{os.path.basename(path)}:{name}" for path, name, first, last in definitions
+              if not any(p != path or not first <= line <= last
+                         for p, line in uses.get(name, ()))]
+    assert unused == []

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedlie import linalg
-from gradedlie.errors import NotACocycle
+from gradedlie.algebra import load_preset
+from gradedlie.errors import CutoffTooSmall, NotACocycle
 from gradedlie.forms import Form, differential
 from gradedlie.linalg import (Echelon, coboundary_preimage, d_matrix, kernel_basis, rank,
                               rref, solve)
@@ -98,6 +100,30 @@ def test_coboundary_preimage_no_solution(L1):
 def test_coboundary_preimage_not_cocycle(L1):
     with pytest.raises(NotACocycle):
         coboundary_preimage(L1, Form.monomial(L1, (1, 6)))
+
+
+M0_6 = load_preset("m0", 6)
+
+# calls past the checks of coboundary_preimage and solve, with the error and
+# its message; e1^e6 over m0/6 is closed and has weight 7
+RAISE_SITES = {
+    "preimage-ambient": (lambda m0, L1: coboundary_preimage(L1, Form.monomial(m0, (1, 2))),
+                         NotACocycle, "ambient mismatch"),
+    "preimage-scalar": (lambda m0, L1: coboundary_preimage(m0, Form.scalar(m0, 1)),
+                        NotACocycle, "cannot take a preimage of a scalar"),
+    "preimage-past-cutoff": (lambda m0, L1: coboundary_preimage(M0_6, Form.monomial(M0_6, (1, 6))),
+                             CutoffTooSmall, "cutoff 6 too small, need at least 7 for "
+                                             "coboundary preimage"),
+    "solve-target-length": (lambda m0, L1: solve([[F(1), F(0)], [F(0), F(1)]], [F(1)]),
+                            ValueError, "target length 1 != 2 rows"),
+}
+
+
+@pytest.mark.parametrize("site", RAISE_SITES)
+def test_raise_sites(m0, L1, site):
+    call, error, message = RAISE_SITES[site]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(m0, L1)
 
 
 def test_coboundary_preimage_roundtrip_random(m0, L1):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -105,6 +106,56 @@ def test_defining_system_rejects_non_closed_class(m0):
     rows[0][1], rows[1][2] = mono(m0, 3), mono(m0, 1)
     with pytest.raises(UnverifiedInput, match="^defining-system equations fail$"):
         ms.DefiningSystem(ms.ConnectionMatrix(m0, 2, rows))
+    # every stored entry satisfies its equation, but a(1, 2) is absent while
+    # bar(a(1,1)) a(2,2) = -e1^e2 is not zero
+    entries = {(1, 1): mono(m0, 1), (2, 2): mono(m0, 2), (3, 3): mono(m0, 2)}
+    with pytest.raises(UnverifiedInput, match="^defining-system equations fail$"):
+        ms.DefiningSystem(ms.ConnectionMatrix.from_entries(m0, 3, entries))
+
+
+M0_4 = load_preset("m0", 4)
+
+# calls past the input checks of the Massey layer, with the error and its
+# message; over m0/4 the product <e2, e1, e2> needs weight 5
+RAISE_SITES = {
+    "family-one-class": (lambda m0, L1: ms.solve_defining_system(m0, [mono(m0, 1)]),
+                         NotApplicable, "need at least 2 classes"),
+    "family-ambient": (lambda m0, L1: ms.solve_defining_system(m0, [mono(L1, 1), mono(L1, 2)]),
+                       NotApplicable, "class ambient mismatch"),
+    "family-graded-mixed-weights": (
+        lambda m0, L1: ms.solve_defining_system(m0, [F(m0, "e1+e2"), mono(m0, 1)], graded=True),
+        NotApplicable, "graded search requires weight-homogeneous classes"),
+    "family-past-cutoff": (
+        lambda m0, L1: ms.solve_defining_system(M0_4, [F(M0_4, t) for t in ("e2", "e1", "e2")]),
+        CutoffTooSmall, "cutoff 4 too small, need at least 5 for defining system"),
+    "evaluate-one-class": (lambda m0, L1: ms.evaluate_product(m0, [mono(m0, 1)]),
+                           NotApplicable, "need at least 2 classes"),
+    "system-nonzero-corner": (
+        lambda m0, L1: ms.DefiningSystem(ms.ConnectionMatrix.from_entries(
+            m0, 2, {(1, 1): mono(m0, 1), (2, 2): mono(m0, 1), (1, 2): mono(m0, 3)})),
+        NotApplicable, "defining system must have a zero corner entry"),
+    "related-cocycle-unverified": (
+        lambda m0, L1: ms.related_cocycle(ms.DefiningSystem(ms.ConnectionMatrix.from_entries(
+            m0, 2, {(1, 1): mono(m0, 1), (2, 2): mono(m0, 1)}), verify=False)),
+        UnverifiedInput, "defining system must be verified first"),
+    "scalar-not-square": (lambda m0, L1: ms.ScalarTriangular([[1, 0]]),
+                          NotApplicable, "matrix must be square"),
+    "scalar-below-diagonal": (lambda m0, L1: ms.ScalarTriangular([[1, 0], [1, 1]]),
+                              NotApplicable, "matrix must be upper triangular"),
+    "conjugate-wrong-size": (
+        lambda m0, L1: ms.conjugate(ms.ConnectionMatrix.from_entries(m0, 2, {(1, 1): mono(m0, 1)}),
+                                    ms.ScalarTriangular.diagonal([1, 1])),
+        NotApplicable, "conjugator must be 3x3"),
+    "two-e2-small-k": (lambda m0, L1: ms.paper_connection_two_e2(m0, 1),
+                       NotApplicable, "need k >= 2"),
+}
+
+
+@pytest.mark.parametrize("site", RAISE_SITES)
+def test_raise_sites(m0, L1, site):
+    call, error, message = RAISE_SITES[site]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(m0, L1)
 
 
 def _paper_systems(m0):
@@ -583,13 +634,43 @@ def test_product_table_matches_direct_classes(name, data):
                                    ("e2^e3+e1^e5", "e1", "e2^e3"),
                                    ("e2^e3+e1^e5", "e2^e3", "e1")])
 def test_triple_generator_past_cutoff_on_exact_part_refuses(texts):
-    # e1^e5 = d(e6) over m0, so [e2^e3 + e1^e5] has no weight-6 coordinate and
-    # its product table with the weight-7 generators is empty; the generator
-    # of weight 13 is still classified, and refused, from the wedge itself
+    # e1^e5 = d(e6) over m0 and H^2_6 is zero, so [e2^e3 + e1^e5] has classes
+    # only in weight 5, whose tables stay within the cutoff.  The product used
+    # to be refused for cohomology slice (q=4, k=13), from the wedge of the
+    # whole form with a weight-7 generator.
     g = load_preset("m0", 12)
-    with pytest.raises(CutoffTooSmall, match=r"^cutoff 12 too small, need at least 13 for "
-                                             r"cohomology slice \(q=4, k=13\)$"):
-        ms.triple_product(g, *[F(g, t) for t in texts])
+    classes = [F(g, t) for t in texts]
+    res = ms.triple_product(g, *classes)
+    assert (res.status, res.certificate) == (ms.TRIVIAL_WITNESS, {"kind": "exact-affine-triple"})
+    assert res.value.is_zero() and res.indeterminacy == ()
+    witness = ms.DefiningSystem(res.witness.matrix)
+    assert witness.classes() == classes
+    assert linalg.coboundary_preimage(g, ms.related_cocycle(witness)) is not None
+
+
+@pytest.mark.parametrize("texts", [("e2^e3+e1^e6", "e1", "e2^e3"),
+                                   ("e2^e3", "e1", "e2^e3+e1^e6"),
+                                   ("e1", "e2^e3", "e2^e3+e1^e6"),
+                                   ("e2^e3+e1^e6", "e2^e3", "e1")])
+def test_triple_skips_outer_weights_where_the_class_vanishes(texts):
+    # e1^e6 = d(e7) over m0, so [e2^e3 + e1^e6] has zero coordinates in
+    # H^2_7, which is not zero.  Over m0/13 the table of that slice with the
+    # weight-7 generators would need the slice (q=4, k=14); the answer is the
+    # one over m0/14, where no table passes the cutoff.
+    results = []
+    for cutoff in (13, 14):
+        g = load_preset("m0", cutoff)
+        results.append(ms.triple_product(g, *[F(g, t) for t in texts]).to_json_dict())
+    assert results[0] == results[1]
+    assert results[0]["status"] == ms.TRIVIAL_WITNESS
+
+
+def test_triple_refuses_when_a_needed_table_passes_the_cutoff():
+    # [e2^e5 - e3^e4] spans H^2_7 over m0, so here the table is needed
+    g = load_preset("m0", 13)
+    with pytest.raises(CutoffTooSmall, match=r"^cutoff 13 too small, need at least 14 for "
+                                             r"cohomology slice \(q=4, k=14\)$"):
+        ms.triple_product(g, F(g, "e2^e3+e2^e5-e3^e4"), F(g, "e1"), F(g, "e2^e3"))
 
 
 NILPOTENT_CLASSES = ["e1", "e2", "e3", "e1+2*e2-e3", "e1^e4", "e1^e5", "e2^e4", "e2^e6"]

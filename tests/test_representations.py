@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,39 @@ def test_lift_obstruction_rejects_higher_degree(m0):
         reps.lift_obstruction(m0, system)
 
 
+# calls past the checks of the representation layer, with the error and its
+# message; the supplied image of e3 is not [rho(e1), rho(e2)]
+RAISE_SITES = {
+    "derive-missing-image": (
+        lambda m0: reps.derive_m0_images(m0, reps.UpperTriangularRep(
+            m0, 1, {1: [[0, 1], [0, 0]]})),
+        NotApplicable, "need images of e1 and e2"),
+    "derive-conflicting-image": (
+        lambda m0: reps.derive_m0_images(m0, reps.UpperTriangularRep(
+            m0, 3, {1: PAPER_E1, 2: PAPER_E2, 3: PAPER_E2})),
+        UnverifiedInput, "supplied image of e3 conflicts with the derived one"),
+    "connection-of-unverified": (
+        lambda m0: reps.connection_of(reps.UpperTriangularRep(
+            m0, 3, {1: PAPER_E1, 2: PAPER_E2})),
+        UnverifiedInput, "run check_homomorphism first"),
+    "associated-graded-unverified": (
+        lambda m0: reps.associated_graded_rep(reps.UpperTriangularRep(
+            m0, 3, {1: PAPER_E1, 2: PAPER_E2})),
+        UnverifiedInput, "run check_homomorphism first"),
+    "from-connection-two-form": (
+        lambda m0: reps.representation_from_connection(
+            ms.ConnectionMatrix.from_entries(m0, 1, {(1, 1): mono(m0, 1, 2)})),
+        NotApplicable, "matrix entries must be 1-forms"),
+}
+
+
+@pytest.mark.parametrize("site", RAISE_SITES)
+def test_raise_sites(m0, site):
+    call, error, message = RAISE_SITES[site]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(m0)
+
+
 def test_parse_representation(m0):
     text = ("rep n=3\n"
             "e1 = [[0,0,0,1],[0,0,1,0],[0,0,0,1],[0,0,0,0]]\n"
@@ -257,6 +291,8 @@ def test_parse_representation_rejects_bad_header(m0, header):
     # a repeated image used to replace the earlier one silently
     ("rep n=1\ne1 = [[0,1],[0,0]]\ne2 = [[0,0],[0,0]]\ne1 = [[0,2],[0,0]]\n",
      "line 4: second image of e1"),
+    ("rep n=1\ne1 = [0,1]\n", "line 2: matrix must look like [[...],[...]]"),
+    ("rep n=1\ne1 = [[0,x],[0,0]]\n", "line 2: bad matrix row '0,x'"),
 ])
 def test_parse_representation_errors(m0, text, message):
     from gradedlie.errors import AlgebraFormatError
