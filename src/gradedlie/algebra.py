@@ -74,6 +74,11 @@ class GradedLieAlgebra:
         self._hash = hash(self._key)    # every cache lookup hashes the algebra
         self._check_weights(lines)
         self._check_jacobi()
+        # is_m0_like, set here: a cached_property would write the instance
+        # __dict__ later, and that slows every attribute read of the algebra
+        self._m0_like = self.has_index(1) and norm == {
+            (1, i): ((Fraction(1), i + 1),) for i in self.indices
+            if i >= 2 and self.has_index(i + 1) and self.weight(1) + self.weight(i) <= cutoff}
 
     # -- identity ---------------------------------------------------------
     def __eq__(self, other):
@@ -167,13 +172,7 @@ def load_preset(name, cutoff):
 
 def is_m0_like(g):
     """True when g has exactly the m0 bracket relations [e1,ei]=e{i+1}."""
-    expected = {}
-    if not g.has_index(1):
-        return False
-    for i in g.indices:
-        if i >= 2 and g.has_index(i + 1) and g.weight(1) + g.weight(i) <= g.cutoff:
-            expected[(1, i)] = ((Fraction(1), i + 1),)
-    return g.brackets == expected
+    return g._m0_like
 
 
 # -- bracket of coefficient vectors ----------------------------------------

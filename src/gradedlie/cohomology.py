@@ -71,6 +71,11 @@ class CohomologySlice:
         return table
 
     @cached_property
+    def cocycle_forms(self):
+        """The cocycles as Forms, built on first use and kept."""
+        return tuple(Form(self.algebra, dict(zip(self.basis, vec))) for vec in self.cocycles)
+
+    @cached_property
     def coordinate_map(self):
         """Reduction of the columns [coboundaries | representatives]: for a
         cocycle v, the leading rows of E v are its coordinates over those

@@ -34,6 +34,14 @@ def sort_with_sign(indices):
     return sign, tuple(seq)
 
 
+def _exact(value):
+    """value as a Fraction; TypeError for anything but an int or a Fraction,
+    so no float enters a form."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"form coefficients are int or Fraction, not {type(value).__name__}")
+    return Fraction(value)
+
+
 class Form:
     """Sparse exterior form over an ambient algebra, with rational (Fraction)
     coefficients."""
@@ -65,7 +73,7 @@ class Form:
 
     @classmethod
     def scalar(cls, alg, value):
-        return cls(alg, {(): Fraction(value) if isinstance(value, int) else value})
+        return cls(alg, {(): _exact(value)})
 
     # -- structure ----------------------------------------------------------
     def is_zero(self):
@@ -113,12 +121,11 @@ class Form:
         return Form(self.alg, {m: -c for m, c in self.terms.items()})
 
     def scaled(self, scalar):
-        if not scalar:
+        if not (scalar := _exact(scalar)):
             return Form.zero(self.alg)
         return Form(self.alg, {m: scalar * c for m, c in self.terms.items()})
 
-    def __rmul__(self, scalar):
-        return self.scaled(Fraction(scalar) if isinstance(scalar, int) else scalar)
+    __rmul__ = scaled
 
     def __eq__(self, other):
         return isinstance(other, Form) and self.alg == other.alg and self.terms == other.terms

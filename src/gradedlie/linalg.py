@@ -10,8 +10,10 @@ vector as {index: nonzero value} and is one integer product over those
 columns and one Fraction per nonzero entry of the result.  ``solve`` is one
 such reduction.  Solves and coboundary preimages return the echelon
 particular solution (free variables zero) or None when there is none; a
-null space comes only from ``kernel_basis``.  No floating point anywhere:
-triviality decisions downstream are exact yes/no questions.
+null space comes only from ``kernel_basis``.  A coboundary preimage that
+solves at every weight certifies its target closed, since it is d x; only
+an unsolvable or past-cutoff target has its differential taken.  No floating
+point anywhere: triviality decisions downstream are exact yes/no questions.
 """
 
 from __future__ import annotations
@@ -304,10 +306,18 @@ def d_matrix(g, q, k):
     return SliceMatrix(len(dst), len(src), entries, row_labels=dst, col_labels=src)
 
 
+def _require_closed(g, c_form):
+    if not differential(g, c_form).is_zero():
+        raise NotACocycle("form is not closed")
+
+
 def coboundary_preimage(g, c_form):
     """The particular solution x of d x = c for a closed degree-homogeneous
     form c, a Form of degree deg(c) - 1, or None when c is not exact.  Mixed
-    weights are handled weight-by-weight.
+    weights are handled weight-by-weight.  A c that solves at every weight is
+    d x, closed since d^2 = 0 (Jacobi is checked at construction), so the
+    differential of c is taken only when a weight has no solution (None or
+    NotACocycle) and before the refusal past the cutoff.
     """
     if c_form.is_zero():
         return Form.zero(c_form.alg)
@@ -317,13 +327,12 @@ def coboundary_preimage(g, c_form):
     q = c_form.degree()
     if q == 0:
         raise NotACocycle("cannot take a preimage of a scalar")
-    if not differential(g, c_form).is_zero():
-        raise NotACocycle("form is not closed")
     weight, parts = g.weight, {}
     for m, c in c_form.terms.items():
         parts.setdefault(sum(map(weight, m)), []).append((m, c))
     top = max(parts)
     if top > g.cutoff:
+        _require_closed(g, c_form)
         raise CutoffTooSmall(top, g.cutoff, "coboundary preimage")
     particular = {}
     for k in sorted(parts):
@@ -331,6 +340,7 @@ def coboundary_preimage(g, c_form):
         rows = mat.row_index
         sol = mat.reduction.solve({rows[m]: c for m, c in parts[k]})
         if sol is None:
+            _require_closed(g, c_form)
             return None
         particular.update((mat.col_labels[i], v) for i, v in enumerate(sol) if v)
     return Form(g, particular)

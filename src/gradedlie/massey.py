@@ -398,10 +398,15 @@ class FamilyResult:
     def substitute(self, assignment):
         """Numeric substitution -> a concrete, verified DefiningSystem."""
         assign = {pid: Fraction(assignment.get(pid, 0)) for pid, _ in self.params}
+        entries = {}
+        for key, pieces in self.entries.items():
+            terms = entries[key] = {}
+            for pm, form in pieces.items():
+                if scalar := ParamPoly({pm: 1}).evaluate(assign):
+                    for m, c in form.terms.items():
+                        terms[m] = terms.get(m, 0) + scalar * c
         return DefiningSystem(ConnectionMatrix.from_entries(self.alg, self.n, {
-            key: sum((ParamPoly({pm: 1}).evaluate(assign) * form for pm, form in pieces.items()),
-                     Form.zero(self.alg))
-            for key, pieces in self.entries.items()}))
+            key: Form(self.alg, terms) for key, terms in entries.items()}))
 
     def verify(self):
         """Check d a(i,j) = sum_r bar(a(i,r)) a(r+1,j) at every entry piece by
@@ -430,12 +435,7 @@ def _class_polynomials(g, pieces):
 def _kernel_forms(g, degree, weights):
     """All closed forms of the given degree in the given weights (cocycle
     bases of the slices, as Forms)."""
-    out = []
-    for k in weights:
-        slc = cohomology_slice(g, degree, k)
-        for vec in slc.cocycles:
-            out.append(Form(g, {slc.basis[i]: v for i, v in enumerate(vec) if v}))
-    return out
+    return [kf for k in weights for kf in cohomology_slice(g, degree, k).cocycle_forms]
 
 
 def solve_defining_system(g, classes, graded=None):

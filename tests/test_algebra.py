@@ -219,3 +219,30 @@ def test_constructor_rejects_what_the_parser_cannot_reach():
     with pytest.raises(AlgebraFormatError,
                        match=r"^line 0: unknown preset 'm1' \(expected 'm0' or 'L1'\)$"):
         load_preset("m1", 5)
+
+
+def _bracket_comparison(g):
+    """The m0 test spelled out: g has e1 and exactly the brackets
+    [e1, ei] = e{i+1} that fit under its cutoff."""
+    if 1 not in g.indices:
+        return False
+    return g.brackets == {(1, i): ((Fraction(1), i + 1),) for i in g.indices
+                          if i >= 2 and i + 1 in g.indices
+                          and g.weight(1) + g.weight(i) <= g.cutoff}
+
+
+M0_TYPE_FILE = ("# m0 relations with explicit weights\n"
+                "generators: (1:1), (2:2), (3:3), (4:4), (5:5), (6:6)\n"
+                "cutoff: 6\n"
+                "[1,2] = 1*3\n[1,3] = 1*4\n[1,4] = 1*5\n[1,5] = 1*6\n")
+
+
+@pytest.mark.parametrize("make, known", [
+    (lambda: load_preset("m0", 11), True), (lambda: load_preset("L1", 11), False),
+    (lambda: associated_graded(load_preset("L1", 11)), False),
+    (lambda: parse_algebra(M0_TYPE_FILE), True)],
+    ids=["m0", "L1", "gr-L1", "m0-file"])
+def test_is_m0_like_is_stored_and_matches_the_brackets(make, known):
+    # the answer is computed once, when the algebra is built, and kept on it
+    g = make()
+    assert g._m0_like is is_m0_like(g) is _bracket_comparison(g) is known

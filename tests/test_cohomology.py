@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gradedlie import cohomology as coh
+from gradedlie import linalg
 from gradedlie.algebra import associated_graded, load_preset
 from gradedlie.errors import CutoffTooSmall, InternalCheckFailed, NotACocycle
 from gradedlie.forms import Form, differential, wedge
@@ -180,6 +181,22 @@ def test_check_m0_dimensions_q2_weights():
 
 def test_m0_dim_weight18_degree3(m0_big):
     assert coh.betti(m0_big, 3, 18) == 2
+
+
+def test_betti_builds_nothing_of_the_massey_path():
+    # betti reads dimensions only; the cocycle Forms, the coordinate map and
+    # the reduction of the previous differential serve the Massey path, and
+    # building them here would slow the cold betti sweep
+    for name in ("m0", "L1"):
+        g = load_preset(name, 15)
+        for q in range(1, 5):
+            for k in range(1, 16):
+                misses = coh.cohomology_slice.cache_info().misses
+                coh.betti(g, q, k)
+                assert coh.cohomology_slice.cache_info().misses == misses + 1, "not fresh"
+                slc = coh.cohomology_slice(g, q, k)
+                assert not {"cocycle_forms", "coordinate_map"} & vars(slc).keys(), (q, k)
+                assert "reduction" not in vars(linalg.d_matrix(g, q - 1, k)), (q, k)
 
 
 def test_truncation_stability():

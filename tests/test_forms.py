@@ -246,3 +246,25 @@ def test_weight_components_partition_the_form(a):
 def test_wedge_graded_commutative(g, p, q, data):
     a, b = data.draw(forms(g, [p])), data.draw(forms(g, [q]))
     assert wedge(a, b) == (-1) ** (p * q) * wedge(b, a)
+
+
+# -- exact coefficients only --------------------------------------------------
+
+FLOAT_SITES = {
+    "rmul": lambda g: 0.5 * Form.generator(g, 1),
+    "scaled": lambda g: Form.generator(g, 1).scaled(0.5),
+    "scalar": lambda g: Form.scalar(g, 0.5),
+}
+
+
+@pytest.mark.parametrize("site", FLOAT_SITES)
+def test_float_coefficients_are_refused(m0, site):
+    with pytest.raises(TypeError, match="^form coefficients are int or Fraction, not float$"):
+        FLOAT_SITES[site](m0)
+
+
+def test_int_and_fraction_coefficients_become_fractions(m0):
+    for a in (3 * mono(m0, 1, 2), mono(m0, 1, 2).scaled(Fraction(3)), Form.scalar(m0, 3),
+              Form.scalar(m0, Fraction(3))):
+        assert [type(c) for c in a.terms.values()] == [Fraction] and set(a.terms.values()) == {3}
+    assert (0 * mono(m0, 1, 2)).is_zero()

@@ -24,6 +24,7 @@ from gradedlie.errors import (CutoffTooSmall, GradedLieError, InternalCheckFaile
                               UsageError)
 from gradedlie.forms import Form, differential, parse_form, render_form, slice_basis, wedge
 from gradedlie.mzero import Dm1, omega
+from gradedlie.params import ParamPoly
 
 
 def F(g, s):
@@ -1116,6 +1117,50 @@ def test_family_pieces_are_keyed_by_sorted_monomials(m0):
     pieces = [(pm, form) for entry in fam.entries.values() for pm, form in entry.items()]
     assert any(len(pm) > 1 for pm, _ in pieces)
     assert all(list(pm) == sorted(pm) and not form.is_zero() for pm, form in pieces)
+
+
+# (algebra, product, graded) families at cutoff 12: three that
+# _resolve_linear_obstruction narrows on the way and two that it does not
+SUBSTITUTE_FAMILIES = [("m0", "e2^e3; e2; e2; e2", None, True),
+                       ("m0", "e2; e1; e1; e2; e1", None, True),
+                       ("L1", "e1+e2; e1; e1; e1; e1", None, True),
+                       ("L1", "e2; e1; e1; e1", None, False),
+                       ("m0", "e2; e1; e1; e2^e3", False, False)]
+
+
+@pytest.fixture(scope="module")
+def substitute_families():
+    algebras = {name: load_preset(name, 12) for name in ("m0", "L1")}
+    narrowed, resolve = [], ms._resolve_linear_obstruction
+
+    def counting(fam, bad):
+        narrowed.append(resolve(fam, bad))
+        return narrowed[-1]
+
+    families = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ms, "_resolve_linear_obstruction", counting)
+        for name, text, graded, narrows in SUBSTITUTE_FAMILIES:
+            narrowed.clear()
+            g = algebras[name]
+            families[text] = ms.solve_defining_system(g, ms.parse_product(g, text), graded)
+            assert families[text].ok and any(narrowed) is narrows, text
+    return families
+
+
+@pytest.mark.parametrize("text", [text for _, text, _, _ in SUBSTITUTE_FAMILIES])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_substitute_is_the_weighted_sum_of_the_pieces(substitute_families, text, data):
+    fam = substitute_families[text]
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    assignment = data.draw(st.dictionaries(st.sampled_from(fam.param_ids()), values))
+    assign = {pid: Fraction(assignment.get(pid, 0)) for pid in fam.param_ids()}
+    system = fam.substitute(assignment)
+    assert system.matrix.entries == {
+        key: form for key, pieces in fam.entries.items()
+        if not (form := sum((ParamPoly({pm: 1}).evaluate(assign) * piece
+                             for pm, piece in pieces.items()), Form.zero(fam.alg))).is_zero()}
 
 
 # (algebra, product) pairs at cutoff 12, at least two for each rung of the
