@@ -76,14 +76,19 @@ class CohomologySlice:
         return tuple(Form(self.algebra, dict(zip(self.basis, vec))) for vec in self.cocycles)
 
     @cached_property
-    def coordinate_map(self):
-        """Reduction of the columns [coboundaries | representatives]: for a
-        cocycle v, the leading rows of E v are its coordinates over those
-        columns, and the rows past the rank vanish exactly on cocycles."""
-        cols = self.coboundaries + self.rep_vectors
-        red = linalg.Reduction([[col[r] for col in cols] for r in range(len(self.basis))],
-                               len(cols))
-        internal_check(red.rank == len(cols) == len(self.cocycles)
+    def reduction(self):
+        """Reduction of the columns [d | representatives], d the differential
+        into this slice.  Of E v (see linalg.Reduction), the first
+        len(coboundaries) rows are the echelon d-preimage of v (d comes first,
+        so its pivots are those of rref(d)), the next dimension rows its class
+        coordinates; the rows past the rank vanish exactly on cocycles."""
+        d = linalg.d_matrix(self.algebra, self.q - 1, self.k)
+        rows = d.dense_rows()
+        for r, row in enumerate(rows):
+            row.extend(vec[r] for vec in self.rep_vectors)
+        red = linalg.Reduction(rows, d.ncols + len(self.rep_vectors))
+        internal_check(red.rank == len(self.coboundaries) + len(self.rep_vectors)
+                       == len(self.cocycles)
                        and not any(any(red.image({i: v for i, v in enumerate(c) if v})[red.rank:])
                                    for c in self.cocycles),
                        "coboundaries and representatives must be a basis of the cocycles")
@@ -173,7 +178,7 @@ def representatives(g, q, k):
 def class_coordinates(slc, c_form):
     """Unique coordinates of [c] in the representative basis of the slice,
     as a tuple."""
-    red, index = slc.coordinate_map, slc.index
+    red, index = slc.reduction, slc.index
     try:
         vec = {index[m]: c for m, c in c_form.terms.items()}
     except KeyError:

@@ -8,7 +8,9 @@ reduced once (``Reduction``) and keeps its transform as integer columns with
 one denominator per row: every later solve or coordinate query takes its
 vector as {index: nonzero value} and is one integer product over those
 columns and one Fraction per nonzero entry of the result.  ``solve`` is one
-such reduction.  Solves and coboundary preimages return the echelon
+such reduction.  Coboundary preimages are read off the one reduction a
+cohomology slice keeps, that of [d | representatives], whose leading rows
+solve d x = c.  Solves and coboundary preimages return the echelon
 particular solution (free variables zero) or None when there is none; a
 null space comes only from ``kernel_basis``.  A coboundary preimage that
 solves at every weight certifies its target closed, since it is d x; only
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
 
+from . import cohomology   # cohomology imports linalg; read at call time only
 from .errors import CutoffTooSmall, NotACocycle
 from .forms import Form, differential
 
@@ -42,16 +45,6 @@ class SliceMatrix:
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
-
-    @cached_property
-    def reduction(self):
-        """The Reduction of this matrix, built on first use and kept."""
-        return Reduction(self.dense_rows(), self.ncols)
-
-    @cached_property
-    def row_index(self):
-        """{row label: row}, built on first use and kept."""
-        return {m: r for r, m in enumerate(self.row_labels)}
 
 
 def _integerize(row):
@@ -290,13 +283,10 @@ def d_matrix(g, q, k):
     """Matrix of the differential from the (q, k) slice to the (q+1, k) slice.
 
     Rows are indexed by the target slice basis, columns by the source basis.
-    Cached per (algebra, degree, weight); only the lazily built reduction is
-    filled in.
+    Cached per (algebra, degree, weight) and never changed.
     """
-    from .cohomology import weight_slice_basis   # cohomology imports linalg
-
-    src = weight_slice_basis(g, q, k)
-    dst = weight_slice_basis(g, q + 1, k)
+    src = cohomology.weight_slice_basis(g, q, k)
+    dst = cohomology.weight_slice_basis(g, q + 1, k)
     dst_index = {m: r for r, m in enumerate(dst)}
     entries = {}
     for c, mono in enumerate(src):
@@ -336,11 +326,12 @@ def coboundary_preimage(g, c_form):
         raise CutoffTooSmall(top, g.cutoff, "coboundary preimage")
     particular = {}
     for k in sorted(parts):
-        mat = d_matrix(g, q - 1, k)
-        rows = mat.row_index
-        sol = mat.reduction.solve({rows[m]: c for m, c in parts[k]})
-        if sol is None:
+        slc = cohomology.cohomology_slice(g, q, k)
+        red, index, exact = slc.reduction, slc.index, len(slc.coboundaries)
+        image = red.image({index[m]: c for m, c in parts[k]})
+        if any(image[exact:]):
             _require_closed(g, c_form)
             return None
-        particular.update((mat.col_labels[i], v) for i, v in enumerate(sol) if v)
+        labels = d_matrix(g, q - 1, k).col_labels
+        particular.update((labels[pc], v) for pc, v in zip(red.pivots, image[:exact]) if v)
     return Form(g, particular)

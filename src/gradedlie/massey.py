@@ -367,7 +367,7 @@ def _require_cocycles(g, classes, message):
 @dataclass
 class Obstruction:
     position: tuple                  # (i, j) a-coordinates
-    coordinates: dict                # {param monomial: {(weight, rep_index): coeff}}
+    coordinates: dict                # {(weight, rep_index): ParamPoly}
 
 
 class FamilyResult:
@@ -397,16 +397,27 @@ class FamilyResult:
 
     def substitute(self, assignment):
         """Numeric substitution -> a concrete, verified DefiningSystem."""
-        assign = {pid: Fraction(assignment.get(pid, 0)) for pid, _ in self.params}
-        entries = {}
-        for key, pieces in self.entries.items():
-            terms = entries[key] = {}
-            for pm, form in pieces.items():
-                if scalar := ParamPoly({pm: 1}).evaluate(assign):
-                    for m, c in form.terms.items():
-                        terms[m] = terms.get(m, 0) + scalar * c
+        entries = self._substituted({pid: ParamPoly.const(assignment.get(pid, 0))
+                                     for pid, _ in self.params})
         return DefiningSystem(ConnectionMatrix.from_entries(self.alg, self.n, {
-            key: Form(self.alg, terms) for key, terms in entries.items()}))
+            key: pieces[()] for key, pieces in entries.items() if pieces}))
+
+    def _substituted(self, values):
+        """The entries with each parameter pid in values replaced by the
+        ParamPoly values[pid]; each new piece is summed in one term dict."""
+        out, expansions = {}, {}
+        for key, pieces in self.entries.items():
+            sums = {}
+            for pm, form in pieces.items():
+                if pm not in expansions:
+                    expansions[pm] = ParamPoly({pm: 1}).substitute(values).terms
+                for new_pm, c in expansions[pm].items():
+                    terms = sums.setdefault(new_pm, {})
+                    for m, v in form.terms.items():
+                        terms[m] = terms.get(m, 0) + c * v
+            out[key] = {pm: form for pm, terms in sums.items()
+                        if not (form := Form(self.alg, terms)).is_zero()}
+        return out
 
     def verify(self):
         """Check d a(i,j) = sum_r bar(a(i,r)) a(r+1,j) at every entry piece by
@@ -432,19 +443,33 @@ def _class_polynomials(g, pieces):
     return coords
 
 
-def _kernel_forms(g, degree, weights):
-    """All closed forms of the given degree in the given weights (cocycle
-    bases of the slices, as Forms)."""
-    return [kf for k in weights for kf in cohomology_slice(g, degree, k).cocycle_forms]
+def _affine_zeros(polys):
+    """Every common zero of the affine ParamPolys as one substitution
+    {pid: ParamPoly} of the parameters they contain: the echelon particular
+    solution plus one free parameter along each kernel direction, so a free
+    parameter maps to itself.  None when there is no common zero."""
+    pids = sorted({p for poly in polys for p in poly.variables()})
+    rows = [[poly.linear_coeff(p) for p in pids] for poly in polys]
+    particular = linalg.solve(rows, [-poly.constant_term() for poly in polys])
+    if particular is None:
+        return None
+    zeros = {pid: {(): v} for pid, v in zip(pids, particular)}
+    for vec in linalg.kernel_basis(rows):
+        # the free column of a reduced-echelon kernel vector is its last nonzero entry
+        free = (pids[max(c for c, v in enumerate(vec) if v)],)
+        for pid, v in zip(pids, vec):
+            zeros[pid][free] = v
+    return {pid: ParamPoly(terms) for pid, terms in zeros.items()}
 
 
 def solve_defining_system(g, classes, graded=None):
     """Diagonal-by-diagonal construction of the parametrized family.
 
     Free parameters are attached to every closed form that may be added at a
-    solvable slot; parameter-dependent obstructions are resolved exactly when
-    they are affine (substituting the solved parameters), otherwise the first
-    obstructed (i, j) is reported with the obstruction class coordinates.
+    solvable slot.  An obstruction whose class coordinates are affine in the
+    parameters and have a common zero narrows the family by the substitution
+    of _affine_zeros; otherwise the first obstructed (i, j) is reported with
+    its class coordinates as ParamPolys.
     """
     classes = list(classes)
     n = len(classes)
@@ -471,12 +496,9 @@ def solve_defining_system(g, classes, graded=None):
     for i in range(1, n + 1):
         fam.entries[(i, i)] = {(): classes[i - 1]}
 
-    next_pid = 0
-    for s in range(1, n):
+    for s in range(1, n - 1):        # the last diagonal is the corner, kept zero
         for i in range(1, n - s + 1):
             j = i + s
-            if (i, j) == (1, n):
-                continue
             entry_degree = sum(degrees[r - 1] - 1 for r in range(i, j + 1)) + 1
             while True:
                 pieces = {}
@@ -484,65 +506,29 @@ def solve_defining_system(g, classes, graded=None):
                 for pm, comp in sorted(_window_sum(fam.entry, i, j).items()):
                     preimage = linalg.coboundary_preimage(g, comp)
                     if preimage is None:
-                        bad[pm] = class_terms(g, comp)
+                        bad[pm] = comp
                     else:
                         pieces[pm] = preimage
                 if not bad:
                     break
-                resolved = _resolve_linear_obstruction(fam, bad)
-                if not resolved:
+                coords = _class_polynomials(g, bad)
+                polys = list(coords.values())
+                zeros = _affine_zeros(polys) if all(p.is_affine() for p in polys) else None
+                if not zeros:
                     fam.ok = False
-                    fam.obstruction = Obstruction((i, j), bad)
+                    fam.obstruction = Obstruction((i, j), coords)
                     return fam
+                fam.entries = fam._substituted(zeros)
             if graded:
                 kernel_weights = [sum(weights_max[r - 1] for r in range(i, j + 1))]
             else:
-                kernel_weights = list(range(1, min(g.cutoff, total_weight) + 1))
-            kernel = _kernel_forms(g, entry_degree, kernel_weights)
-            for kf in kernel:
-                fam.params.append((next_pid, (i, j)))
-                pieces[(next_pid,)] = kf
-                next_pid += 1
+                kernel_weights = range(1, min(g.cutoff, total_weight) + 1)
+            for k in kernel_weights:
+                for kf in cohomology_slice(g, entry_degree, k).cocycle_forms:
+                    pieces[(len(fam.params),)] = kf
+                    fam.params.append((len(fam.params), (i, j)))
             fam.entries[(i, j)] = pieces
     return fam
-
-
-def _resolve_linear_obstruction(fam, bad):
-    """Zero an obstruction that is affine in the parameters by solving the
-    linear system exactly and substituting pivot parameters by affine
-    expressions in the free ones.  Returns True when the family was narrowed,
-    False when the obstruction is nonlinear or unsolvable."""
-    equations = {}
-    for pm, coords in bad.items():
-        if len(pm) > 1:
-            return False
-        for key, coeff in coords.items():
-            equations[key] = equations.get(key, ParamPoly()) + ParamPoly({pm: coeff})
-    pids = sorted({p for poly in equations.values() for p in poly.variables()})
-    if not pids:
-        return False
-    aug = [[poly.linear_coeff(p) for p in pids] + [-poly.constant_term()]
-           for poly in equations.values()]
-    red, pivots = linalg.rref(aug)
-    if len(pids) in pivots:
-        return False
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(len(pids)) if c not in pivot_set]
-    assignment = {}
-    for row_i, pc in enumerate(pivots):
-        expr = ParamPoly.const(red[row_i][len(pids)])
-        for fc in free_cols:
-            coeff = -red[row_i][fc]
-            if coeff:
-                expr = expr + ParamPoly({(pids[fc],): coeff})
-        assignment[pids[pc]] = expr
-    for key, pieces in list(fam.entries.items()):
-        out = {}
-        for pm, form in pieces.items():
-            for new_pm, c in ParamPoly({pm: 1}).substitute(assignment).terms.items():
-                _add_piece(out, new_pm, c * form)
-        fam.entries[key] = {pm: form for pm, form in out.items() if not form.is_zero()}
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -859,12 +845,9 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
                                            "parameters over the complete family"})
 
     if all(poly.is_affine() for poly in coords.values()):
-        pids = sorted({p for poly in coords.values() for p in poly.variables()})
-        rows = [[poly.linear_coeff(p) for p in pids] for poly in coords.values()]
-        rhs = [-poly.constant_term() for poly in coords.values()]
-        sol = linalg.solve(rows, rhs)
-        if sol is not None:
-            assignment = dict(zip(pids, sol))
+        zeros = _affine_zeros(list(coords.values()))
+        if zeros is not None:       # the zero with every free parameter 0
+            assignment = {pid: poly.constant_term() for pid, poly in zeros.items()}
             return _witness_result(fam.substitute(assignment), base_value,
                                    {"kind": "exact-affine-family"})
         if fam.complete:

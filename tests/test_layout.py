@@ -30,11 +30,10 @@ def _function_imports(path):
 
 
 def test_imports_at_module_top():
-    # the one exception breaks the linalg -> cohomology -> linalg import cycle
+    # the linalg <-> cohomology cycle is a module-level import read at call time
     found = {name: _function_imports(os.path.join(SRC, name))
              for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
-    assert {name: imports for name, imports in found.items() if imports} == {
-        "linalg.py": [("d_matrix", ".cohomology")]}
+    assert {name: imports for name, imports in found.items() if imports} == {}
 
 
 def _grid_reads(path):

@@ -11,7 +11,7 @@ from gradedlie import linalg
 from gradedlie.algebra import load_preset, parse_algebra
 from gradedlie.cohomology import cohomology_slice
 from gradedlie.errors import CutoffTooSmall, NotACocycle
-from gradedlie.forms import Form, differential, slice_all_degree
+from gradedlie.forms import Form, differential, slice_all_degree, slice_basis
 from gradedlie.linalg import (Echelon, coboundary_preimage, d_matrix, kernel_basis, rank,
                               rref, solve)
 
@@ -144,20 +144,24 @@ def test_coboundary_preimage_roundtrip_random(m0, L1):
 
 @pytest.mark.parametrize("name", ["m0", "L1"])
 def test_coboundary_preimage_matches_solve(name):
-    """The cached reduction of d gives exactly the particular solution, or the
-    inconsistency, that textbook elimination of [d | target] gives."""
+    """The slice's reduction gives exactly the particular solution, or the
+    inconsistency, that textbook elimination of [d | target] gives, weight by
+    weight.  A target whose lower weight is closed but not exact and whose
+    higher weight is not closed still raises NotACocycle."""
     from gradedlie.algebra import load_preset
     from gradedlie.cohomology import representatives
 
     g = load_preset(name, 12)
     rng = random.Random(12)
     consistent = inconsistent = 0
+    found = {}     # (q, k): ([(exact target, its preimage)], [closed, not exact targets])
     for q in range(2, 5):
         for k in range(1, 13):
             mat = d_matrix(g, q - 1, k)
             x = Form(g, {m: F(rng.randint(-3, 3)) for m in mat.col_labels})
             targets = [differential(g, x)] + [rep + differential(g, x)
                                               for rep in representatives(g, q, k)]
+            exact, not_exact = found[q, k] = [], []
             for target in targets:
                 if target.is_zero():
                     continue
@@ -167,10 +171,30 @@ def test_coboundary_preimage_matches_solve(name):
                 assert (sol is None) == (ref is None), (q, k)
                 if ref is None:
                     inconsistent += 1
+                    not_exact.append(target)
                     continue
                 consistent += 1
                 assert sol == Form(g, dict(zip(mat.col_labels, ref)))
+                exact.append((target, sol))
     assert consistent >= 10 and inconsistent >= 3
+
+    mixed = {"exact": 0, "not exact": 0, "not closed": 0}
+    for (q, k), (exact, not_exact) in found.items():
+        higher_exact = found.get((q, k + 1), ([], []))[0]
+        nonclosed = [Form.monomial(g, m) for m in slice_basis(g, q, k + 1)
+                     if not differential(g, Form.monomial(g, m)).is_zero()][:1] if k < 12 else []
+        for (t1, s1), (t2, s2) in zip(exact, higher_exact):
+            assert coboundary_preimage(g, t1 + t2) == s1 + s2, (q, k)
+            mixed["exact"] += 1
+        for t1 in not_exact[:1]:
+            for t2, _ in higher_exact[:1]:
+                assert coboundary_preimage(g, t1 + t2) is None, (q, k)
+                mixed["not exact"] += 1
+            for t2 in nonclosed:
+                with pytest.raises(NotACocycle, match="^form is not closed$"):
+                    coboundary_preimage(g, t1 + t2)
+                mixed["not closed"] += 1
+    assert min(mixed.values()) >= 1, mixed
 
 
 # -- property tests against a textbook oracle ---------------------------------

@@ -9,10 +9,11 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradedlie
+from gradedlie import cohomology as coh
 from gradedlie import linalg
 from gradedlie import massey as ms
 from gradedlie.algebra import load_preset, parse_algebra
@@ -336,8 +337,7 @@ def test_solver_obstruction_reported(m0):
     fam = ms.solve_defining_system(m0, classes)
     assert not fam.ok
     assert fam.obstruction.position == (1, 3)
-    coords = fam.obstruction.coordinates[()]
-    assert coords == {(5, 0): Fraction(2)}
+    assert fam.obstruction.coordinates == {(5, 0): ParamPoly.const(2)}
 
 
 def test_sub_window_triviality(m0):
@@ -466,33 +466,36 @@ def _in_class_span(vec, generators):
 
 def test_triple_invariant_under_coboundary_change(m0):
     """Kraines (1966): a triple product depends only on the classes, so
-    changing the last cocycle c to c + dx keeps the verdict, the
-    indeterminacy, and the value class up to the indeterminacy."""
+    changing any one of the cocycles a, b, c to itself plus dx keeps the
+    verdict, the indeterminacy, and the value class up to the indeterminacy."""
     rng = random.Random(1966)
     ones = [F(m0, "e1"), F(m0, "e2")]
-    lasts = [(q, k, rep) for q in (2, 3) for k in range(1, 13)
-             for rep in representatives(m0, q, k)]
-    changed = nontrivial = 0
-    for a, b in iter_product(ones, repeat=2):
-        for q, k, c in lasts:
-            x = Form(m0, {m: Fraction(rng.randint(-3, 3)) for m in slice_basis(m0, q - 1, k)})
-            c2 = c + differential(m0, x)
-            try:
-                r1 = ms.triple_product(m0, a, b, c)
-            except MasseyNotDefined:
-                with pytest.raises(MasseyNotDefined):
-                    ms.triple_product(m0, a, b, c2)
-                continue
-            r2 = ms.triple_product(m0, a, b, c2)
-            assert r2.status == r1.status
-            assert all(_in_class_span(_class_dict(v), r1.indeterminacy) for v in r2.indeterminacy)
-            assert all(_in_class_span(_class_dict(v), r2.indeterminacy) for v in r1.indeterminacy)
-            v1, v2 = _class_dict(r1.value), _class_dict(r2.value)
-            diff = {key: v1.get(key, 0) - v2.get(key, 0) for key in set(v1) | set(v2)}
-            assert _in_class_span(diff, r1.indeterminacy)
-            changed += c2 != c
-            nontrivial += r1.status == ms.NONTRIVIAL_CERTIFIED
-    assert changed >= 15 and nontrivial >= 3
+    cocycles = [(q, k, rep) for q in (2, 3) for k in range(1, 13)
+                for rep in representatives(m0, q, k)]
+    changed, nontrivial = [0, 0, 0], [0, 0, 0]
+    for slot, (a, b), (q, k, c) in iter_product(range(3), iter_product(ones, repeat=2), cocycles):
+        x = Form(m0, {m: Fraction(rng.randint(-3, 3)) for m in slice_basis(m0, q - 1, k)})
+        c2 = c + differential(m0, x)
+        before, after = [a, b], [a, b]
+        before.insert(slot, c)
+        after.insert(slot, c2)
+        try:
+            r1 = ms.triple_product(m0, *before)
+        except MasseyNotDefined:
+            with pytest.raises(MasseyNotDefined):
+                ms.triple_product(m0, *after)
+            continue
+        r2 = ms.triple_product(m0, *after)
+        assert r2.status == r1.status
+        assert all(_in_class_span(_class_dict(v), r1.indeterminacy) for v in r2.indeterminacy)
+        assert all(_in_class_span(_class_dict(v), r2.indeterminacy) for v in r1.indeterminacy)
+        v1, v2 = _class_dict(r1.value), _class_dict(r2.value)
+        diff = {key: v1.get(key, 0) - v2.get(key, 0) for key in set(v1) | set(v2)}
+        assert _in_class_span(diff, r1.indeterminacy)
+        changed[slot] += c2 != c
+        nontrivial[slot] += r1.status == ms.NONTRIVIAL_CERTIFIED
+    # on these inputs every defined product with the cocycle in the middle is trivial
+    assert min(changed) >= 15 and nontrivial[0] >= 3 and nontrivial[2] >= 3
 
 
 def test_triple_criterion_grid(m0):
@@ -1119,8 +1122,8 @@ def test_family_pieces_are_keyed_by_sorted_monomials(m0):
     assert all(list(pm) == sorted(pm) and not form.is_zero() for pm, form in pieces)
 
 
-# (algebra, product, graded) families at cutoff 12: three that
-# _resolve_linear_obstruction narrows on the way and two that it does not
+# (algebra, product, graded) families at cutoff 12: three that the zeros of
+# _affine_zeros narrow on the way and two that are never narrowed
 SUBSTITUTE_FAMILIES = [("m0", "e2^e3; e2; e2; e2", None, True),
                        ("m0", "e2; e1; e1; e2; e1", None, True),
                        ("L1", "e1+e2; e1; e1; e1; e1", None, True),
@@ -1131,15 +1134,15 @@ SUBSTITUTE_FAMILIES = [("m0", "e2^e3; e2; e2; e2", None, True),
 @pytest.fixture(scope="module")
 def substitute_families():
     algebras = {name: load_preset(name, 12) for name in ("m0", "L1")}
-    narrowed, resolve = [], ms._resolve_linear_obstruction
+    narrowed, affine_zeros = [], ms._affine_zeros
 
-    def counting(fam, bad):
-        narrowed.append(resolve(fam, bad))
+    def counting(polys):
+        narrowed.append(affine_zeros(polys))
         return narrowed[-1]
 
     families = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ms, "_resolve_linear_obstruction", counting)
+        patch.setattr(ms, "_affine_zeros", counting)
         for name, text, graded, narrows in SUBSTITUTE_FAMILIES:
             narrowed.clear()
             g = algebras[name]
@@ -1161,6 +1164,68 @@ def test_substitute_is_the_weighted_sum_of_the_pieces(substitute_families, text,
         key: form for key, pieces in fam.entries.items()
         if not (form := sum((ParamPoly({pm: 1}).evaluate(assign) * piece
                              for pm, piece in pieces.items()), Form.zero(fam.alg))).is_zero()}
+
+
+def _affine_reference(polys):
+    """(has a common zero, rank) of the affine ParamPolys, by textbook
+    Gauss-Jordan over Fractions on [coefficients | -constant]: a pivot in the
+    last column means no common zero."""
+    pids = sorted({p for poly in polys for p in poly.variables()})
+    m = [[poly.terms.get((p,), Fraction(0)) for p in pids] + [-poly.terms.get((), Fraction(0))]
+         for poly in polys]
+    rank = 0
+    for c in range(len(pids) + 1):
+        sel = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if sel is None:
+            continue
+        if c == len(pids):
+            return False, rank
+        m[rank], m[sel] = m[sel], m[rank]
+        m[rank] = [v / m[rank][c] for v in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return True, rank
+
+
+@st.composite
+def affine_systems(draw):
+    """Up to 5 affine ParamPolys in at most 5 parameters.  About half of the
+    systems have a common zero by construction, at a drawn point."""
+    pids = draw(st.lists(st.integers(0, 9), max_size=5, unique=True))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(pids), max_size=len(pids))
+    rows = draw(st.lists(coeffs, max_size=5))
+    if draw(st.booleans()):
+        point = draw(st.lists(st.fractions(-2, 2, max_denominator=3),
+                              min_size=len(pids), max_size=len(pids)))
+        constants = [-sum(a * x for a, x in zip(row, point)) for row in rows]
+    else:
+        constants = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+    return [ParamPoly({(): c, **{(p,): a for p, a in zip(pids, row)}})
+            for row, c in zip(rows, constants)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys=affine_systems())
+@example(polys=[ParamPoly({(0,): 1, (1,): -1})])           # kernel vector (1, 1)
+@example(polys=[ParamPoly({(0,): 1, (1,): 1, (2,): -1}), ParamPoly({(1,): 1, (2,): 1, (): 2})])
+@example(polys=[ParamPoly.const(0), ParamPoly()])          # constants only
+@example(polys=[ParamPoly.const(3)])
+@example(polys=[ParamPoly.var(4), ParamPoly({(4,): 2, (): 1})])   # inconsistent
+def test_affine_zeros_match_a_gauss_jordan_reference(polys):
+    # the substitution zeroes every polynomial identically and keeps exactly
+    # one free parameter per dimension of the zero set
+    zeros = ms._affine_zeros(polys)
+    consistent, rank = _affine_reference(polys)
+    assert (zeros is None) == (not consistent)
+    if zeros is None:
+        return
+    assert all(poly.substitute(zeros) == ParamPoly() for poly in polys)
+    pids = {p for poly in polys for p in poly.variables()}
+    free = {pid for pid, value in zeros.items() if value == ParamPoly.var(pid)}
+    assert zeros.keys() == pids and len(free) == len(pids) - rank
+    assert all(value.variables() <= free for value in zeros.values())
 
 
 # (algebra, product) pairs at cutoff 12, at least two for each rung of the
@@ -1215,3 +1280,44 @@ def test_golden_family_digest():
     assert coords
     digest.update(json.dumps([coords, fam.substitute({}).matrix.render()]).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_FAMILY_DIGEST
+
+
+def test_family_products_reduce_each_queried_slice_once(monkeypatch):
+    # one reduction per slice answers both its class coordinates and the
+    # coboundary preimages of its forms; no d-matrix is reduced on its own,
+    # and the only other reductions are the solves of parameter systems
+    built, queried = [], set()
+
+    class CountingReduction(linalg.Reduction):
+        __slots__ = ()
+
+        def __init__(self, rows, ncols):
+            caller = sys._getframe(1)
+            slc = caller.f_locals.get("self")
+            key = (slc.algebra, slc.q, slc.k) if caller.f_code.co_name == "reduction" else None
+            built.append((caller.f_code.co_name, key))
+            super().__init__(rows, ncols)
+
+    def spy(function, keys):
+        def wrapper(*args):
+            queried.update(keys(*args))
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "Reduction", CountingReduction)
+    monkeypatch.setattr(coh, "class_coordinates", spy(
+        coh.class_coordinates, lambda slc, form: [(slc.algebra, slc.q, slc.k)]))
+    monkeypatch.setattr(linalg, "coboundary_preimage", spy(
+        linalg.coboundary_preimage,
+        lambda g, form: [(g, len(m), sum(map(g.weight, m))) for m in form.terms]))
+    coh.cohomology_slice.cache_clear()
+    algebras = {name: load_preset(name, 12) for name in ("m0", "L1")}
+    for name, text in GOLDEN_FAMILY_PRODUCTS:
+        g = algebras[name]
+        try:
+            ms.evaluate_product(g, ms.parse_product(g, text))
+        except MasseyNotDefined:
+            pass
+    slices = [key for caller, key in built if caller == "reduction"]
+    assert {caller for caller, _ in built} == {"reduction", "solve"}
+    assert len(slices) == len(set(slices)) and set(slices) <= queried
