@@ -32,10 +32,10 @@ from itertools import islice, product as iter_product
 from . import linalg
 from .algebra import is_m0_like
 from .cohomology import class_coordinates_form, class_terms, cohomology_slice, representatives
-from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined,
+from .errors import (AlgebraFormatError, AmbientMismatch, CutoffTooSmall, MasseyNotDefined,
                      NotACocycle, NotApplicable, UnverifiedInput, UsageError,
                      internal_check)
-from .forms import Form, bar, differential, parse_form, render_form, wedge
+from .forms import Form, bar, differential, parse_form, render_form, sort_with_sign, wedge
 from .mzero import Dm1, omega, omega_index_lists, omega_weight
 from .params import ParamPoly
 
@@ -108,6 +108,8 @@ def msub(a, b):
 
 
 def mmul(a, b):
+    if a.alg != b.alg:
+        raise AmbientMismatch("matrices live over different algebras")
     left, right, zero = _pieces(a), _pieces(b), Form.zero(a.alg)
     return ConnectionMatrix.from_entries(a.alg, a.n, {
         (i, j): _window_product(left, right, i, j).get((), zero)
@@ -176,23 +178,43 @@ class DefiningSystem:
         return sub, self.matrix.entry(l, q)
 
 
-def _window_product(left, right, i, j):
-    """sum_{r=i}^{j-1} left(i,r) right(r+1,j) over entries given as pieces:
-    left(k, l) and right(k, l) are {parameter monomial: nonzero Form}.
-    Returns the pieces of the sum in the same form."""
-    total = {}
+def _window_product(left, right, i, j, bar_left=False):
+    """sum_{r=i}^{j-1} left(i,r) right(r+1,j), with bar(left(i,r)) when
+    bar_left, over entries given as pieces: left(k, l) and right(k, l) are
+    {parameter monomial: nonzero Form}.  Returns the pieces of the sum in the
+    same form, monomials in order of first appearance.  Every wedge term,
+    sign and bar sign in its coefficient, goes straight into one term dict
+    per monomial."""
+    sums = {}
     for r in range(i, j):
         right_pieces = right(r + 1, j)
+        if not right_pieces:
+            continue
         for pl, lf in left(i, r).items():
+            alg = lf.alg
+            # each left term with its coefficient for a positive and a
+            # negative sorting sign
+            left_terms = [(ma, -ca, ca) if bar_left and not len(ma) % 2 else (ma, ca, -ca)
+                          for ma, ca in lf.terms.items()]
             for pr, rf in right_pieces.items():
-                _add_piece(total, tuple(sorted(pl + pr)), wedge(lf, rf))
-    return {pm: form for pm, form in total.items() if not form.is_zero()}
+                pm = tuple(sorted(pl + pr)) if pl and pr else pl or pr
+                terms = sums.setdefault(pm, {})
+                right_terms = rf.terms.items()
+                for ma, pos, neg in left_terms:
+                    for mb, cb in right_terms:
+                        norm = sort_with_sign(ma + mb)
+                        if norm is None:
+                            continue
+                        sign, mono = norm
+                        c = (pos if sign > 0 else neg) * cb
+                        s = terms.get(mono)
+                        terms[mono] = c if s is None else s + c
+    return {pm: form for pm, terms in sums.items() if (form := Form(alg, terms)).terms}
 
 
 def _window_sum(pieces, i, j):
     """The window product of bar(A) and A: sum_{r=i}^{j-1} bar(a(i,r)) a(r+1,j)."""
-    return _window_product(lambda k, l: {pm: bar(f) for pm, f in pieces(k, l).items()},
-                           pieces, i, j)
+    return _window_product(pieces, pieces, i, j, bar_left=True)
 
 
 def _pieces(matrix):
@@ -404,19 +426,32 @@ class FamilyResult:
 
     def _substituted(self, values):
         """The entries with each parameter pid in values replaced by the
-        ParamPoly values[pid]; each new piece is summed in one term dict."""
+        ParamPoly values[pid].  A piece whose monomial is the only one to
+        land on its image, with coefficient 1, keeps its Form (a monomial
+        with no pid in values is such an image of itself); a monomial that
+        becomes zero drops its piece; every other new piece is summed in one
+        term dict."""
         out, expansions = {}, {}
         for key, pieces in self.entries.items():
-            sums = {}
+            sums = {}                # new monomial -> [(coefficient, Form)]
             for pm, form in pieces.items():
                 if pm not in expansions:
-                    expansions[pm] = ParamPoly({pm: 1}).substitute(values).terms
+                    expansions[pm] = (ParamPoly({pm: 1}).substitute(values).terms
+                                      if any(pid in values for pid in pm) else {pm: 1})
                 for new_pm, c in expansions[pm].items():
-                    terms = sums.setdefault(new_pm, {})
+                    sums.setdefault(new_pm, []).append((c, form))
+            out[key] = new = {}
+            for pm, parts in sums.items():
+                if len(parts) == 1 and parts[0][0] == 1:
+                    new[pm] = parts[0][1]
+                    continue
+                terms = {}
+                for c, form in parts:
                     for m, v in form.terms.items():
-                        terms[m] = terms.get(m, 0) + c * v
-            out[key] = {pm: form for pm, terms in sums.items()
-                        if not (form := Form(self.alg, terms)).is_zero()}
+                        s = terms.get(m)
+                        terms[m] = c * v if s is None else s + c * v
+                if (form := Form(self.alg, terms)).terms:
+                    new[pm] = form
         return out
 
     def verify(self):
@@ -435,12 +470,12 @@ class FamilyResult:
 
 def _class_polynomials(g, pieces):
     """The class coordinates of the closed pieces {parameter monomial: Form}
-    as {(weight, rep_index): ParamPoly}."""
+    as {(weight, rep_index): ParamPoly}, each built from one term dict."""
     coords = {}
     for pm, comp in pieces.items():
         for key, coeff in class_terms(g, comp).items():
-            coords[key] = coords.get(key, ParamPoly()) + ParamPoly({pm: coeff})
-    return coords
+            coords.setdefault(key, {})[pm] = coeff
+    return {key: ParamPoly(terms) for key, terms in coords.items()}
 
 
 def _affine_zeros(polys):
@@ -500,17 +535,23 @@ def solve_defining_system(g, classes, graded=None):
         for i in range(1, n - s + 1):
             j = i + s
             entry_degree = sum(degrees[r - 1] - 1 for r in range(i, j + 1)) + 1
+            before = {}              # pm -> (window piece, preimage or None) of the last pass
             while True:
-                pieces = {}
-                bad = {}
+                pieces, bad, solved = {}, {}, {}
                 for pm, comp in sorted(_window_sum(fam.entry, i, j).items()):
-                    preimage = linalg.coboundary_preimage(g, comp)
+                    # after a narrowing, a window piece equal to that of the
+                    # pass before has the same preimage
+                    known = before.get(pm)
+                    preimage = (known[1] if known is not None and known[0] == comp
+                                else linalg.coboundary_preimage(g, comp))
+                    solved[pm] = comp, preimage
                     if preimage is None:
                         bad[pm] = comp
                     else:
                         pieces[pm] = preimage
                 if not bad:
                     break
+                before = solved
                 coords = _class_polynomials(g, bad)
                 polys = list(coords.values())
                 zeros = _affine_zeros(polys) if all(p.is_affine() for p in polys) else None
@@ -790,8 +831,11 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
     Exact for n = 2, n = 3 and for products of 1-classes over an m0-type
     algebra; otherwise works through the parametrized family (exact affine
     solve, bounded grid search, sampling certificate, honest Undecided).
-    Raises MasseyNotDefined when the product is not defined.
+    Raises MasseyNotDefined when the product is not defined, and UsageError
+    for budget < 0 (the number of grid systems tried).
     """
+    if budget < 0:
+        raise UsageError(f"a grid search needs budget >= 0, got {budget}")
     classes = list(classes)
     n = len(classes)
     if n < 2:

@@ -11,22 +11,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .forms import _exact
+
 
 def as_poly(value):
-    """value as a ParamPoly (a number becomes a constant)."""
+    """value as a ParamPoly (an int or a Fraction becomes a constant)."""
     if isinstance(value, ParamPoly):
         return value
-    return ParamPoly({(): Fraction(value)})
+    return ParamPoly({(): value})
 
 
 class ParamPoly:
+    """Coefficients are Fractions; an int is converted and any other number
+    (a float above all) raises TypeError."""
+
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c) if not isinstance(c, Fraction) else c
+                c = c if isinstance(c, Fraction) else _exact(c)
                 if c != 0:
                     clean[tuple(mono)] = c
         self.terms = clean
@@ -34,7 +39,7 @@ class ParamPoly:
     # -- constructors ------------------------------------------------------
     @classmethod
     def const(cls, value):
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @classmethod
     def var(cls, pid):
@@ -111,11 +116,13 @@ class ParamPoly:
         return out
 
     def evaluate(self, assignment):
-        """Full numeric evaluation; every variable must be assigned."""
+        """Full numeric evaluation; every variable must be assigned an int or a
+        Fraction."""
         total = Fraction(0)
         for mono, c in self.terms.items():
             prod = c
             for pid in mono:
-                prod *= Fraction(assignment[pid])
+                v = assignment[pid]
+                prod *= v if isinstance(v, Fraction) else _exact(v)
             total += prod
         return total

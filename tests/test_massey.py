@@ -25,7 +25,7 @@ from gradedlie.errors import (CutoffTooSmall, GradedLieError, InternalCheckFaile
                               UsageError)
 from gradedlie.forms import Form, differential, parse_form, render_form, slice_basis, wedge
 from gradedlie.mzero import Dm1, omega
-from gradedlie.params import ParamPoly
+from gradedlie.params import ParamPoly, as_poly
 
 
 def F(g, s):
@@ -132,6 +132,11 @@ RAISE_SITES = {
         CutoffTooSmall, "cutoff 4 too small, need at least 5 for defining system"),
     "evaluate-one-class": (lambda m0, L1: ms.evaluate_product(m0, [mono(m0, 1)]),
                            NotApplicable, "need at least 2 classes"),
+    "evaluate-negative-budget": (
+        lambda m0, L1: ms.evaluate_product(
+            m0, [F(m0, "e2+e1"), mono(m0, 1), omega(m0, [2]), F(m0, "e2+e1"), F(m0, "e2+e1")],
+            budget=-1),
+        UsageError, "a grid search needs budget >= 0, got -1"),
     "system-nonzero-corner": (
         lambda m0, L1: ms.DefiningSystem(ms.ConnectionMatrix.from_entries(
             m0, 2, {(1, 1): mono(m0, 1), (2, 2): mono(m0, 1), (1, 2): mono(m0, 3)})),
@@ -1164,6 +1169,162 @@ def test_substitute_is_the_weighted_sum_of_the_pieces(substitute_families, text,
         key: form for key, pieces in fam.entries.items()
         if not (form := sum((ParamPoly({pm: 1}).evaluate(assign) * piece
                              for pm, piece in pieces.items()), Form.zero(fam.alg))).is_zero()}
+
+
+def _substituted_reference(fam, values):
+    """FamilyResult._substituted by ParamPoly.substitute and Form sums: each
+    new piece in order of first appearance, zero pieces dropped."""
+    out = {}
+    for key, pieces in fam.entries.items():
+        sums = {}
+        for pm, form in pieces.items():
+            for new_pm, c in ParamPoly({pm: 1}).substitute(values).terms.items():
+                sums[new_pm] = sums.get(new_pm, Form.zero(fam.alg)) + c * form
+        out[key] = {pm: form for pm, form in sums.items() if not form.is_zero()}
+    return out
+
+
+def _merges(fam):
+    """(entry key, pm, q, m, ratio) for each two pieces pm and (q,) of one
+    entry, q not in pm, whose Forms share the monomial m; ratio is the
+    quotient of their coefficients at m, so q -> -ratio * pm cancels m."""
+    return [(key, pm, q[0], m, form.terms[m] / other.terms[m])
+            for key, pieces in fam.entries.items()
+            for pm, form in pieces.items() for q, other in pieces.items()
+            if len(q) == 1 and q[0] not in pm
+            for m in sorted(form.terms.keys() & other.terms.keys())]
+
+
+@st.composite
+def substitutions(draw, fam):
+    """Values for a subset of the family's parameters: each one maps to
+    itself, to zero, to a constant or to an affine polynomial in the
+    parameters left symbolic.  Half of the time two pieces of one entry that
+    share a form monomial m are also merged: the degree-one piece (q,) maps
+    onto the other piece's monomial with the coefficient that cancels m."""
+    pids = fam.param_ids()
+    chosen = draw(st.lists(st.sampled_from(pids), unique=True))
+    kept = [pid for pid in pids if pid not in chosen]
+    coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    values = {}
+    for pid in chosen:
+        kind = draw(st.sampled_from(("identity", "zero", "constant", "affine")))
+        if kind == "identity":
+            values[pid] = ParamPoly.var(pid)
+        elif kind == "zero":
+            values[pid] = ParamPoly()
+        elif kind == "constant":
+            values[pid] = ParamPoly.const(draw(coeffs))
+        else:
+            free = draw(st.lists(st.sampled_from(kept), unique=True, max_size=3)) if kept else []
+            values[pid] = ParamPoly({(): draw(coeffs), **{(f,): draw(coeffs) for f in free}})
+    merges = _merges(fam)
+    if merges and draw(st.booleans()):
+        _, pm, q, _, ratio = draw(st.sampled_from(merges))
+        for pid in pm:
+            values.pop(pid, None)
+        values[q] = ParamPoly({pm: -ratio})
+    return values
+
+
+@pytest.mark.parametrize("text", [text for _, text, _, _ in SUBSTITUTE_FAMILIES])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_substituted_matches_param_poly_substitution(substitute_families, text, data):
+    fam = substitute_families[text]
+    values = data.draw(substitutions(fam))
+    out, ref = fam._substituted(values), _substituted_reference(fam, values)
+    assert list(out) == list(ref)
+    assert all(list(out[key].items()) == list(ref[key].items()) for key in ref)
+    assert not any(form.is_zero() for pieces in out.values() for form in pieces.values())
+
+
+def test_substituted_merges_and_cancels(substitute_families):
+    # the piece (q,) of e2^e3; e2; e2; e2 merged onto a piece that shares a
+    # monomial with it loses that monomial, and the identity keeps the Forms
+    fam = substitute_families["e2^e3; e2; e2; e2"]
+    key, pm, q, m, ratio = _merges(fam)[0]
+    out = fam._substituted({q: ParamPoly({pm: -ratio})})
+    assert (q,) not in out[key] and m not in out[key][pm].terms
+    assert out == _substituted_reference(fam, {q: ParamPoly({pm: -ratio})})
+    same = fam._substituted({pid: ParamPoly.var(pid) for pid in fam.param_ids()})
+    assert all(same[key][pm] is form for key, pieces in fam.entries.items()
+               for pm, form in pieces.items())
+
+
+@pytest.mark.parametrize("text", [text for _, text, _, _ in SUBSTITUTE_FAMILIES])
+def test_window_sum_is_the_form_sum_of_bar_products(substitute_families, text):
+    fam = substitute_families[text]
+    for i in range(1, fam.n):
+        for j in range(i + 1, fam.n + 1):          # (1, n) is the corner
+            ref = {}
+            for r in range(i, j):
+                for pl, left in fam.entry(i, r).items():
+                    for pr, right in fam.entry(r + 1, j).items():
+                        pm = tuple(sorted(pl + pr))
+                        ref[pm] = ref.get(pm, Form.zero(fam.alg)) + wedge(ms.bar(left), right)
+            ref = {pm: form for pm, form in ref.items() if not form.is_zero()}
+            assert list(ms._window_sum(fam.entry, i, j).items()) == list(ref.items()), (i, j)
+
+
+NARROWED_FAMILIES = [row[:3] for row in SUBSTITUTE_FAMILIES if row[3]]
+
+
+@pytest.mark.parametrize("name, text, graded", NARROWED_FAMILIES)
+def test_narrowing_reuses_the_preimages_of_unchanged_window_pieces(monkeypatch, name, text,
+                                                                   graded):
+    # within one slot, the pass after a narrowing asks for no preimage of a
+    # window piece that an earlier pass already solved at the same monomial
+    g = load_preset(name, 12)
+    window_sum, preimage = ms._window_sum, linalg.coboundary_preimage
+    affine_zeros = ms._affine_zeros
+    window, asked, repeats, narrowings = {}, set(), [], []
+
+    def spy_window_sum(pieces, i, j):
+        window["slot"], window["pieces"] = (i, j), window_sum(pieces, i, j)
+        return window["pieces"]
+
+    def spy_preimage(alg, form):
+        pm = next(pm for pm, comp in window["pieces"].items() if comp is form)
+        key = (window["slot"], pm, frozenset(form.terms.items()))
+        if key in asked:
+            repeats.append(key)
+        asked.add(key)
+        return preimage(alg, form)
+
+    def spy_affine_zeros(polys):
+        narrowings.append(affine_zeros(polys))
+        return narrowings[-1]
+
+    monkeypatch.setattr(ms, "_window_sum", spy_window_sum)
+    monkeypatch.setattr(linalg, "coboundary_preimage", spy_preimage)
+    monkeypatch.setattr(ms, "_affine_zeros", spy_affine_zeros)
+    fam = ms.solve_defining_system(g, ms.parse_product(g, text), graded)
+    assert fam.ok and any(narrowings) and asked
+    assert repeats == []
+
+
+FLOAT_SITES = {
+    "const": lambda fam: ParamPoly.const(0.1),
+    "as_poly": lambda fam: as_poly(0.5),
+    "evaluate": lambda fam: ParamPoly.var(0).evaluate({0: 0.5}),
+    "substitute": lambda fam: fam.substitute({fam.param_ids()[0]: 0.1}),
+}
+
+
+@pytest.mark.parametrize("site", FLOAT_SITES)
+def test_param_polys_refuse_floats(substitute_families, site):
+    fam = substitute_families["e2^e3; e2; e2; e2"]
+    with pytest.raises(TypeError, match="^form coefficients are int or Fraction, not float$"):
+        FLOAT_SITES[site](fam)
+
+
+def test_param_polys_take_ints_and_fractions(substitute_families):
+    fam = substitute_families["e2^e3; e2; e2; e2"]
+    pid = fam.param_ids()[0]
+    assert type(ParamPoly.const(2).terms[()]) is Fraction
+    assert ParamPoly.var(0).evaluate({0: 3}) == 3
+    assert fam.substitute({pid: 1}).matrix == fam.substitute({pid: Fraction(1)}).matrix
 
 
 def _affine_reference(polys):
