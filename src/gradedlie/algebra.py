@@ -42,7 +42,11 @@ class GradedLieAlgebra:
     """Immutable truncated graded Lie algebra.
 
     brackets maps (i, j) with i < j to a tuple of (coefficient, target index)
-    pairs.  Zero brackets are never stored; absence means zero.
+    pairs, one per target: repeated targets are summed and zero sums dropped.
+    Zero brackets are never stored; absence means zero.  The algebra is the
+    only reader of this table.  generator_differentials maps k to the
+    structure constants {(i, j): c_ij^k} of d e^k = sum c_ij^k e^i^e^j,
+    built once here; a generator with d e^k = 0 has no key.
     """
 
     def __init__(self, generators, brackets, cutoff, lines=None):
@@ -62,14 +66,19 @@ class GradedLieAlgebra:
             if g.weight > cutoff:
                 raise WeightViolation(g.index, 0, 0, f"{_at(lines, 'generators')}generator "
                                       f"e{g.index} has weight {g.weight} > cutoff {cutoff}")
-        norm = {}
+        norm, dgen = {}, {}
         for (i, j), terms in brackets.items():
             if i >= j:
                 raise AlgebraFormatError(0, f"bracket key ({i},{j}) must have i < j")
-            clean = tuple((Fraction(c), int(k)) for c, k in terms if c != 0)
-            if clean:
+            summed = {}
+            for c, k in terms:
+                summed[int(k)] = summed.get(int(k), 0) + Fraction(c)
+            if clean := tuple((c, k) for k, c in summed.items() if c):
                 norm[(i, j)] = clean
+                for c, k in clean:
+                    dgen.setdefault(k, {})[(i, j)] = c
         self.brackets = norm
+        self.generator_differentials = dgen
         self._key = (gens, tuple(sorted(norm.items())), cutoff)
         self._hash = hash(self._key)    # every cache lookup hashes the algebra
         self._check_weights(lines)

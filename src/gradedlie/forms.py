@@ -7,7 +7,9 @@ into the coefficient (canonical term maps make equality testing trivial).
 The differential is the antiderivation with d e^k = sum c_ij^k e^i^e^j over
 the structure constants, which on 1-forms gives (df)(X,Y) = +f([X,Y]); this
 sign is locked in because the m0 operator identity d xi = e^1 ^ D_1 xi fails
-under the opposite convention.
+under the opposite convention.  The constants of each d e^k come from the
+algebra's generator_differentials, built once with the algebra; this module
+keeps no cache of its own.
 """
 
 from __future__ import annotations
@@ -162,38 +164,24 @@ def bar(a):
     return Form(a.alg, {m: (c if len(m) % 2 == 1 else -c) for m, c in a.terms.items()})
 
 
-def _d_generator(alg, k):
-    terms = {}
-    for (i, j), cs in alg.brackets.items():
-        for c, t in cs:
-            if t == k:
-                terms[(i, j)] = terms.get((i, j), Fraction(0)) + c
-    return Form(alg, terms)
-
-
-_DGEN_CACHE = {}
-
-
 def differential(g, a):
     """Chevalley-Eilenberg differential (trivial coefficients).
 
-    Antiderivation extension of d e^k = sum_{i<j} c_ij^k e^i^e^j; raises
-    degree by one and preserves weight.
+    Antiderivation extension of d e^k = sum_{i<j} c_ij^k e^i^e^j, read off
+    g.generator_differentials; raises degree by one and preserves weight.
     """
     if a.alg != g:
         raise AmbientMismatch("form ambient does not match the algebra")
-    cache = _DGEN_CACHE.setdefault(g, {})
+    dgens = g.generator_differentials
     out = {}
     for mono, coeff in a.terms.items():
         for r, idx in enumerate(mono):
-            dgen = cache.get(idx)
+            dgen = dgens.get(idx)
             if dgen is None:
-                dgen = cache[idx] = _d_generator(g, idx)
-            if dgen.is_zero():
                 continue
             rest = mono[:r] + mono[r + 1:]
             sign = -1 if r % 2 else 1
-            for (i, j), c in dgen.terms.items():
+            for (i, j), c in dgen.items():
                 norm = sort_with_sign((i, j) + rest)
                 if norm is None:
                     continue

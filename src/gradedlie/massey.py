@@ -832,10 +832,12 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
     algebra; otherwise works through the parametrized family (exact affine
     solve, bounded grid search, sampling certificate, honest Undecided).
     Raises MasseyNotDefined when the product is not defined, and UsageError
-    for budget < 0 (the number of grid systems tried).
+    for budget < 0 (the number of grid systems tried) or samples < 1, whether
+    or not the grid or the sampling rung is reached.
     """
     if budget < 0:
         raise UsageError(f"a grid search needs budget >= 0, got {budget}")
+    _require_samples(samples)
     classes = list(classes)
     n = len(classes)
     if n < 2:
@@ -1006,6 +1008,11 @@ def _main_shape(g, classes):
     return None
 
 
+def _require_samples(samples):
+    if samples < 1:
+        raise UsageError(f"a sampling certificate needs samples >= 1, got {samples}")
+
+
 def leading_coefficient_certificate(g, classes, samples=100, seed=0):
     """Sampling certificate for <e^2, e^1, ..., e^1, omega(tail)> shapes.
 
@@ -1019,8 +1026,7 @@ def leading_coefficient_certificate(g, classes, samples=100, seed=0):
     not proved away; the certificate records this caveat.  Raises UsageError
     for samples < 1: a certificate needs at least one sample.
     """
-    if samples < 1:
-        raise UsageError(f"a sampling certificate needs samples >= 1, got {samples}")
+    _require_samples(samples)
     shape = _main_shape(g, classes)
     if shape is None:
         return None

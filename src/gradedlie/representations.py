@@ -17,8 +17,8 @@ from .cohomology import class_terms
 from .errors import (AlgebraFormatError, NotApplicable, UnverifiedInput,
                      internal_check)
 from .forms import Form
-from .massey import (ConnectionMatrix, one_form_connection, related_cocycle,
-                     sized_file_lines, _mat_bracket)
+from .massey import (ConnectionMatrix, mc_residual, one_form_connection,
+                     related_cocycle, sized_file_lines, _mat_bracket)
 
 
 def _checked_image(idx, mat, size, line_no=0):
@@ -67,29 +67,22 @@ def derive_m0_images(g, rep):
 
 
 def check_homomorphism(g, rep, derive=True):
-    """Verify bracket preservation on all basis pairs within the cutoff.
+    """Verify bracket preservation on all basis pairs: rho is a homomorphism
+    exactly when its connection of 1-forms has zero Maurer-Cartan residual,
+    whose e^i^e^j coefficient is rho([e_i, e_j]) - [rho(e_i), rho(e_j)].
 
-    Returns (True, None, full_rep) or (False, (i, j), full_rep); for m0-type
-    algebras missing images are derived from e1, e2 first."""
+    Returns (True, None, full_rep) or (False, (i, j), full_rep) with (i, j)
+    the least monomial of the residual; for m0-type algebras missing images
+    are derived from e1, e2 first."""
     full = rep
     if derive and is_m0_like(g) and 1 in rep.images and 2 in rep.images:
         full = derive_m0_images(g, rep)
     # a new rep, so the argument keeps its images and its flag
     full = UpperTriangularRep(g, full.n, {i: full.image(i) for i in g.indices} | full.images)
-    for i in g.indices:
-        for j in g.indices:
-            if i >= j:
-                continue
-            lhs = _mat_bracket(full.image(i), full.image(j))
-            rhs = [[Fraction(0)] * full.size for _ in range(full.size)]
-            for c, k in g.bracket_terms(i, j):
-                mat = full.image(k)
-                for r in range(full.size):
-                    for s in range(full.size):
-                        if mat[r][s]:
-                            rhs[r][s] += c * mat[r][s]
-            if lhs != rhs:
-                return False, (i, j), full
+    residual = mc_residual(one_form_connection(g, {i: full.images[i] for i in g.indices},
+                                               full.size, "representation image"))
+    if residual.entries:
+        return False, min(m for e in residual.entries.values() for m in e.terms), full
     full.verified = True
     return True, None, full
 

@@ -246,3 +246,42 @@ def test_is_m0_like_is_stored_and_matches_the_brackets(make, known):
     # the answer is computed once, when the algebra is built, and kept on it
     g = make()
     assert g._m0_like is is_m0_like(g) is _bracket_comparison(g) is known
+
+
+def test_repeated_bracket_targets_are_summed():
+    # one term per target: [1,2] = e3 - e3 is the zero bracket, so the
+    # algebra is abelian and its central series has a single term
+    g = parse_algebra("generators: (1:1), (2:2), (3:3)\n[1,2] = 1*3 + -1*3\n")
+    assert g.brackets == {}
+    assert g.generator_differentials == {}
+    assert central_series(g).terms == (frozenset({1, 2, 3}),)
+    assert g == parse_algebra("generators: (1:1), (2:2), (3:3)\n")
+    h = parse_algebra("generators: (1:1), (2:2), (3:3)\n[1,2] = 1*3 + 1/2*3\n")
+    assert h.brackets == {(1, 2): ((Fraction(3, 2), 3),)}
+    assert h.generator_differentials == {3: {(1, 2): Fraction(3, 2)}}
+
+
+TWO_TARGET_FILE = ("generators: (1:1), (2:1), (3:2), (4:2)\n"
+                   "[1,2] = 1*3 + 2*4 + 1/2*3\n")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load_preset("m0", 12), lambda: load_preset("L1", 12),
+    lambda: associated_graded(load_preset("L1", 12)),
+    lambda: parse_algebra(M0_TYPE_FILE),
+    lambda: parse_algebra("generators: (1:1), (2:2), (3:3)\n[1,2] = 1/2*3\n"),
+    lambda: parse_algebra(TWO_TARGET_FILE)],
+    ids=["m0", "L1", "gr-L1", "m0-file", "half-file", "two-target-file"])
+def test_generator_differentials_sum_the_bracket_terms(make):
+    # d e^k = sum_{i<j} c_ij^k e^i^e^j with c_ij^k summed over the terms of
+    # [e_i, e_j] that land on e_k; zero sums have no entry
+    g = make()
+    expected = {}
+    for i in g.indices:
+        for j in g.indices:
+            if i < j:
+                for c, k in g.bracket_terms(i, j):
+                    column = expected.setdefault(k, {})
+                    column[(i, j)] = column.get((i, j), 0) + c
+    expected = {k: {ij: c for ij, c in column.items() if c} for k, column in expected.items()}
+    assert g.generator_differentials == {k: column for k, column in expected.items() if column}

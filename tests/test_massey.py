@@ -137,6 +137,14 @@ RAISE_SITES = {
             m0, [F(m0, "e2+e1"), mono(m0, 1), omega(m0, [2]), F(m0, "e2+e1"), F(m0, "e2+e1")],
             budget=-1),
         UsageError, "a grid search needs budget >= 0, got -1"),
+    # samples is refused at entry, before an exact rung settles the product
+    "evaluate-zero-samples": (
+        lambda m0, L1: ms.evaluate_product(m0, [F(m0, t) for t in ("e2", "e1", "e2")], samples=0),
+        UsageError, "a sampling certificate needs samples >= 1, got 0"),
+    "evaluate-negative-samples": (
+        lambda m0, L1: ms.evaluate_product(
+            m0, [F(m0, t) for t in ("e2", "e1", "e1", "e2^e3")], samples=-5),
+        UsageError, "a sampling certificate needs samples >= 1, got -5"),
     "system-nonzero-corner": (
         lambda m0, L1: ms.DefiningSystem(ms.ConnectionMatrix.from_entries(
             m0, 2, {(1, 1): mono(m0, 1), (2, 2): mono(m0, 1), (1, 2): mono(m0, 3)})),

@@ -2,10 +2,12 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedlie import massey as ms
 from gradedlie import representations as reps
-from gradedlie.algebra import is_m0_like
+from gradedlie.algebra import is_m0_like, load_preset, parse_algebra
 from gradedlie.errors import NotApplicable, UnverifiedInput
 from gradedlie.forms import Form
 
@@ -89,6 +91,68 @@ def test_connection_of_rejects_an_image_outside_the_algebra(m0):
     assert ok
     with pytest.raises(CutoffTooSmall, match="need at least 20 for representation image"):
         reps.connection_of(full)
+
+
+def _dense_check(g, rep, derive):
+    """Bracket preservation checked with dense matrices, pair by pair in
+    i < j order: the reference for check_homomorphism's verdict."""
+    full = rep
+    if derive and is_m0_like(g) and 1 in rep.images and 2 in rep.images:
+        full = reps.derive_m0_images(g, rep)
+    full = reps.UpperTriangularRep(g, full.n, {i: full.image(i) for i in g.indices} | full.images)
+    for i in g.indices:
+        for j in g.indices:
+            if i >= j:
+                continue
+            lhs = ms._mat_bracket(full.image(i), full.image(j))
+            rhs = [[Fraction(0)] * full.size for _ in range(full.size)]
+            for c, k in g.bracket_terms(i, j):
+                mat = full.image(k)
+                for r in range(full.size):
+                    for s in range(full.size):
+                        if mat[r][s]:
+                            rhs[r][s] += c * mat[r][s]
+            if lhs != rhs:
+                return False, (i, j)
+    return True, None
+
+
+HALF_FILE = ("generators: (1:1), (2:1), (3:2), (4:3), (5:3)\n"
+             "[1,2] = 1/2*3\n[1,3] = 1*4\n[2,3] = 1/2*5\n")
+REP_ALGEBRAS = {"m0": load_preset("m0", 8), "L1": load_preset("L1", 8),
+                "half-file": parse_algebra(HALF_FILE)}
+
+
+@st.composite
+def sparse_images(draw, g):
+    """Strictly upper triangular images of some generators of g, mostly
+    zero, so that a good share of them are homomorphisms."""
+    size = draw(st.integers(2, 4))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+    indices = draw(st.lists(st.sampled_from(g.indices), unique=True, max_size=4))
+    return reps.UpperTriangularRep(g, size - 1, {
+        idx: [[draw(entry) if c > r else 0 for c in range(size)] for r in range(size)]
+        for idx in indices})
+
+
+@pytest.mark.parametrize("derive", [True, False], ids=["derive", "no-derive"])
+@pytest.mark.parametrize("name", REP_ALGEBRAS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_check_homomorphism_matches_the_dense_bracket_check(name, derive, data):
+    # a homomorphism is a connection of 1-forms with zero Maurer-Cartan
+    # residual; the failing pair is the one the dense i < j loop finds first
+    g = REP_ALGEBRAS[name]
+    rep = data.draw(sparse_images(g))
+    try:
+        expected = _dense_check(g, rep, derive)
+    except UnverifiedInput as err:
+        with pytest.raises(UnverifiedInput, match=f"^{re.escape(str(err))}$"):
+            reps.check_homomorphism(g, rep, derive=derive)
+        return
+    ok, pair, full = reps.check_homomorphism(g, rep, derive=derive)
+    assert (ok, pair) == expected
+    assert full.verified is ok and not rep.verified
 
 
 def test_strong_mc_iff_homomorphism(m0, paper_rep):
