@@ -24,6 +24,7 @@ from .errors import (
     NotApplicable,
     WeightViolation,
 )
+from .forms import _exact
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class GradedLieAlgebra:
                 raise AlgebraFormatError(0, f"bracket key ({i},{j}) must have i < j")
             summed = {}
             for c, k in terms:
-                summed[int(k)] = summed.get(int(k), 0) + Fraction(c)
+                summed[int(k)] = summed.get(int(k), 0) + _exact(c)
             if clean := tuple((c, k) for k, c in summed.items() if c):
                 norm[(i, j)] = clean
                 for c, k in clean:

@@ -126,8 +126,14 @@ def mdiff(a):
 
 
 def mc_residual(a):
-    """mu(A) = dA - bar(A).A, entrywise."""
-    return msub(mdiff(a), mmul(mbar(a), a))
+    """mu(A) = dA - bar(A).A, entrywise: d a(i,j) - sum_r bar(a(i,r)) a(r+1,j)."""
+    g, pieces, entries = a.alg, _pieces(a), {}
+    for i in range(1, a.n + 1):
+        for j in range(i, a.n + 1):
+            d = differential(g, a.entry(i, j))
+            window = _window_sum(pieces, i, j)
+            entries[(i, j)] = d - window[()] if window else d
+    return ConnectionMatrix.from_entries(g, a.n, entries)
 
 
 def is_formal_connection(a):
@@ -696,29 +702,6 @@ def _generator_terms(outer_slices, h_slice, outer_left):
 # products of 1-classes over m0: the graded thread-module decision
 # ---------------------------------------------------------------------------
 
-def _superdiag_matrix(values, size):
-    m = [[Fraction(0)] * size for _ in range(size)]
-    for i, v in enumerate(values):
-        m[i][i + 1] = Fraction(v)
-    return m
-
-
-def _mat_bracket(a, b):
-    size = len(a)
-    out = [[Fraction(0)] * size for _ in range(size)]
-    for r in range(size):
-        for k in range(size):
-            if a[r][k]:
-                for c in range(size):
-                    if b[k][c]:
-                        out[r][c] += a[r][k] * b[k][c]
-            if b[r][k]:
-                for c in range(size):
-                    if a[k][c]:
-                        out[r][c] -= b[r][k] * a[k][c]
-    return out
-
-
 def pairs_of_one_classes(classes):
     """Extract (alpha_i, beta_i) with class_i = alpha e^1 + beta e^2, or None."""
     pairs = []
@@ -732,88 +715,58 @@ def pairs_of_one_classes(classes):
     return pairs
 
 
-def thread_candidate(pairs):
-    """The unique graded thread-module candidate for prescribed second
-    diagonals: rho(e1), rho(e2) superdiagonal, rho(e_{k+1}) = [rho(e1), rho(e_k)].
+def thread_connection(g, pairs):
+    """The unique graded thread-module candidate for the second diagonal
+    alpha_i e^1 + beta_i e^2, as a connection of 1-forms: a(i,j) =
+    c(i,j) e^{j-i+2} above the diagonal, with c(i,i) = beta_i and
+    c(i,j) = alpha_i c(i+1,j) - c(i,j-1) alpha_j.  This is
+    rho(e_{k+1}) = [rho(e1), rho(e_k)] written on the superdiagonals.
 
-    Returns (matrices rho_k for k = 1..n+1, off-corner violations, corner
-    violations); the product is defined iff no off-corner violation exists and
-    trivial iff no violation at all (associated-graded representation
-    argument: any defining system of 1-forms degrades to this candidate).
-    """
+    Its Maurer-Cartan residual decides the product (associated-graded
+    representation argument: any defining system of 1-forms degrades to this
+    candidate): defined iff it vanishes off the corner, trivial iff it
+    vanishes.  Raises CutoffTooSmall at a generator it needs that g lacks."""
     n = len(pairs)
-    size = n + 1
-    rho = {1: _superdiag_matrix([a for a, _ in pairs], size),
-           2: _superdiag_matrix([b for _, b in pairs], size)}
-    k = 2
-    while k <= size:
-        nxt = _mat_bracket(rho[1], rho[k])
-        if not any(any(row) for row in nxt):
-            break
-        rho[k + 1] = nxt
-        k += 1
-    off_corner = []
-    corner = []
-    ks = sorted(rho)
-    for ai in range(len(ks)):
-        for bi in range(ai + 1, len(ks)):
-            i, j = ks[ai], ks[bi]
-            if i == 1:
-                continue  # [e1, e_k] defines rho(e_{k+1})
-            comm = _mat_bracket(rho[i], rho[j])
-            for r in range(size):
-                for c in range(size):
-                    if comm[r][c]:
-                        if (r, c) == (0, size - 1):
-                            corner.append(((i, j), comm[r][c]))
-                        else:
-                            off_corner.append(((i, j), (r + 1, c + 1), comm[r][c]))
-    return rho, off_corner, corner
-
-
-def one_form_connection(g, images, size, what):
-    """Connection matrix of 1-forms a_rc = sum_k images[k][r][c] e^k.
-    Raises CutoffTooSmall (for `what`) at the first index k, entry by entry,
-    that has a nonzero image but no generator in g."""
-    entries = {}
-    for r in range(size):
-        for c in range(r + 1, size):
-            terms = {}
-            for k, mat in images.items():
-                if mat[r][c]:
-                    if not g.has_index(k):
-                        raise CutoffTooSmall(k, g.cutoff, what)
-                    terms[(k,)] = mat[r][c]
-            entries[(r + 1, c)] = Form(g, terms)
-    return ConnectionMatrix.from_entries(g, size - 1, entries)
-
-
-def thread_defining_system(g, pairs, rho):
-    """Defining system read off the candidate: entry a(i,j) = sum_k
-    rho(e_k)[i-1][j] e^k, corner dropped.  Also returns the corner 1-form."""
-    n = len(pairs)
-    conn = one_form_connection(g, rho, n + 1, "thread witness")
-    return DefiningSystem(conn.with_entry(1, n, Form.zero(g))), conn.corner()
+    alpha = [Fraction(a) for a, _ in pairs]
+    c = {(i, i): Fraction(b) for i, (_, b) in enumerate(pairs, 1)}
+    entries = {(i, i): Form(g, {(1,): alpha[i - 1], (2,): c[(i, i)]}) for i in range(1, n + 1)}
+    for s in range(1, n):
+        for i in range(1, n - s + 1):
+            j = i + s
+            c[(i, j)] = coeff = alpha[i - 1] * c[(i + 1, j)] - c[(i, j - 1)] * alpha[j - 1]
+            if coeff:
+                if not g.has_index(s + 2):
+                    raise CutoffTooSmall(s + 2, g.cutoff, "thread witness")
+                entries[(i, j)] = Form(g, {(s + 2,): coeff})
+    return ConnectionMatrix.from_entries(g, n, entries)
 
 
 def _one_class_result(g, classes, pairs):
-    rho, off_corner, corner = thread_candidate(pairs)
+    total_weight = sum(max(cl.weights()) for cl in classes)
+    if total_weight > g.cutoff:
+        raise CutoffTooSmall(total_weight, g.cutoff, "thread witness")
+    n = len(pairs)
+    conn = thread_connection(g, pairs)
+    residual = mc_residual(conn)
+    # e^a^e^b (1 < a < b) has coefficient -[rho(e_a), rho(e_b)]; a window
+    # is the 1-based matrix position (i, j+1) of a(i, j)
+    off_corner = [(mono, (i, j + 1)) for (i, j), form in residual.entries.items()
+                  if (i, j) != (1, n) for mono in form.terms]
     if off_corner:
-        raise MasseyNotDefined(off_corner[0][1],
-                               "graded thread candidate obstructed off-corner at "
-                               f"{off_corner[0][1]} (relation [e{off_corner[0][0][0]},"
-                               f"e{off_corner[0][0][1]}])")
-    system, corner_form = thread_defining_system(g, pairs, rho)
-    cocycle = related_cocycle(system)
-    value = value_class_of(g, cocycle)
-    if not corner:
+        (a, b), position = min(off_corner)
+        raise MasseyNotDefined(position, "graded thread candidate obstructed off-corner at "
+                                         f"{position} (relation [e{a},e{b}])")
+    system = DefiningSystem(conn.with_entry(1, n, Form.zero(g)))
+    value = value_class_of(g, related_cocycle(system))
+    corner = residual.corner()
+    if corner.is_zero():
         return _witness_result(system, value, {"kind": "graded-thread-module",
-                                               "corner": render_form(corner_form)})
+                                               "corner": render_form(conn.corner())})
     internal_check(not value.is_zero(), "corner violations must give a nonzero class")
+    violations = [f"[e{a},e{b}] -> {-v}" for (a, b), v in sorted(corner.terms.items())]
     return MasseyResult(
         NONTRIVIAL_CERTIFIED, witness=None, value=value,
-        certificate={"kind": "graded-thread-module",
-                     "violations": [f"[e{i},e{j}] -> {c}" for (i, j), c in corner],
+        certificate={"kind": "graded-thread-module", "violations": violations,
                      "detail": "no thread module carries the prescribed diagonal"})
 
 

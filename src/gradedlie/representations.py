@@ -14,11 +14,10 @@ from fractions import Fraction
 from . import linalg
 from .algebra import central_series, is_m0_like
 from .cohomology import class_terms
-from .errors import (AlgebraFormatError, NotApplicable, UnverifiedInput,
+from .errors import (AlgebraFormatError, CutoffTooSmall, NotApplicable, UnverifiedInput,
                      internal_check)
 from .forms import Form
-from .massey import (ConnectionMatrix, mc_residual, one_form_connection,
-                     related_cocycle, sized_file_lines, _mat_bracket)
+from .massey import ConnectionMatrix, mc_residual, related_cocycle, sized_file_lines
 
 
 def _checked_image(idx, mat, size, line_no=0):
@@ -30,6 +29,39 @@ def _checked_image(idx, mat, size, line_no=0):
     if any(mat[r][c] != 0 for r in range(size) for c in range(r + 1)):
         raise AlgebraFormatError(line_no, f"image of e{idx} is not strictly upper triangular")
     return mat
+
+
+def _mat_bracket(a, b):
+    size = len(a)
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for r in range(size):
+        for k in range(size):
+            if a[r][k]:
+                for c in range(size):
+                    if b[k][c]:
+                        out[r][c] += a[r][k] * b[k][c]
+            if b[r][k]:
+                for c in range(size):
+                    if a[k][c]:
+                        out[r][c] -= b[r][k] * a[k][c]
+    return out
+
+
+def one_form_connection(g, images, size, what):
+    """Connection matrix of 1-forms a_rc = sum_k images[k][r][c] e^k.
+    Raises CutoffTooSmall (for `what`) at the first index k, entry by entry,
+    that has a nonzero image but no generator in g."""
+    entries = {}
+    for r in range(size):
+        for c in range(r + 1, size):
+            terms = {}
+            for k, mat in images.items():
+                if mat[r][c]:
+                    if not g.has_index(k):
+                        raise CutoffTooSmall(k, g.cutoff, what)
+                    terms[(k,)] = mat[r][c]
+            entries[(r + 1, c)] = Form(g, terms)
+    return ConnectionMatrix.from_entries(g, size - 1, entries)
 
 
 class UpperTriangularRep:

@@ -325,6 +325,19 @@ def test_criterion_11_main_theorem_certificates():
                           + ", ".join(details))
 
 
+def _thread_system(g, pairs):
+    """(off-corner residual?, corner residual terms, defining system) of the
+    thread connection for pairs; the system drops the corner and exists only
+    when the residual vanishes off the corner."""
+    n = len(pairs)
+    conn = ms.thread_connection(g, pairs)
+    residual = ms.mc_residual(conn)
+    if residual.entries.keys() - {(1, n)}:
+        return True, None, None
+    system = ms.DefiningSystem(conn.with_entry(1, n, Form.zero(g)))
+    return False, residual.corner().terms, system
+
+
 def test_criterion_12_lifting_obstruction():
     g = load_preset("m0", 14)
     checked = 0
@@ -332,11 +345,10 @@ def test_criterion_12_lifting_obstruction():
     # trivial table instances: obstruction vanishes and the corner solves
     for n in (3, 4):
         for kind, pairs in _table_instances(n):
-            rho, off_corner, corner = ms.thread_candidate(pairs)
+            off_corner, corner, system = _thread_system(g, pairs)
             if off_corner:
                 ok = False
                 continue
-            system, _ = ms.thread_defining_system(g, pairs, rho)
             coords, solvable = reps.lift_obstruction(g, system)
             checked += 1
             if not solvable or coords or corner:
@@ -347,10 +359,9 @@ def test_criterion_12_lifting_obstruction():
                   [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)),
                    (Fraction(1), Fraction(0)),
                    (Fraction(1), Fraction(1))]):
-        rho, off_corner, corner = ms.thread_candidate(pairs)
+        off_corner, corner, system = _thread_system(g, pairs)
         if off_corner:
             continue
-        system, _ = ms.thread_defining_system(g, pairs, rho)
         coords, solvable = reps.lift_obstruction(g, system)
         checked += 1
         if solvable != (not coords) or solvable != (not corner):

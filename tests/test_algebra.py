@@ -216,6 +216,9 @@ def test_constructor_rejects_what_the_parser_cannot_reach():
     gens = [GeneratorSpec(1, 1), GeneratorSpec(2, 2), GeneratorSpec(3, 3)]
     with pytest.raises(AlgebraFormatError, match=r"^line 0: bracket key \(2,1\) must have i < j$"):
         GradedLieAlgebra(gens, {(2, 1): ((Fraction(1), 3),)}, 3)
+    # the parser makes only Fractions; a float would turn inexact
+    with pytest.raises(TypeError, match=r"^form coefficients are int or Fraction, not float$"):
+        GradedLieAlgebra(gens, {(1, 2): ((0.1, 3),)}, 3)
     with pytest.raises(AlgebraFormatError,
                        match=r"^line 0: unknown preset 'm1' \(expected 'm0' or 'L1'\)$"):
         load_preset("m1", 5)

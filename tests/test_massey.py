@@ -16,6 +16,7 @@ import gradedlie
 from gradedlie import cohomology as coh
 from gradedlie import linalg
 from gradedlie import massey as ms
+from gradedlie import representations as reps
 from gradedlie.algebra import load_preset, parse_algebra
 from gradedlie.checks import bianchi_suite, random_connection
 from gradedlie.cohomology import (betti, class_coordinates, class_coordinates_form, class_terms,
@@ -78,6 +79,17 @@ def test_is_formal_connection_perturbed(m0):
 def test_bianchi_involution_leibniz_random():
     ok, detail = bianchi_suite(samples=40, seed=5)
     assert ok, detail
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), preset=st.sampled_from(["m0", "L1"]),
+       n=st.integers(2, 5), max_weight=st.integers(2, 16))
+def test_mc_residual_matches_the_matrix_composition(seed, preset, n, max_weight):
+    # the residual summed entry by entry against dA - bar(A).A built from the
+    # whole-matrix operations
+    g = load_preset(preset, 16)
+    a = random_connection(random.Random(seed), g, n, max_weight)
+    assert ms.mc_residual(a) == ms.msub(ms.mdiff(a), ms.mmul(ms.mbar(a), a))
 
 
 def test_related_cocycle_examples(m0):
@@ -1070,17 +1082,161 @@ def test_classifier_thread_candidate_concordance_random():
     # random products at n = 4, 5, 6 (any trivial instance unmatched by a
     # table row would show up here as a disagreement)
     rng = random.Random(99)
+    g = load_preset("m0", 14)
     for n in (4, 5, 6):
         for _ in range(200):
             pairs = [rng.choice(GRID) for _ in range(n)]
             tag = ms.classify_trivial_ones(pairs)
-            _, off_corner, corner = ms.thread_candidate(pairs)
+            residual = ms.mc_residual(ms.thread_connection(g, pairs))
+            off_corner = residual.entries.keys() - {(1, n)}
+            corner = residual.corner().terms
             if tag.kind == "NotDefined":
                 assert off_corner
             elif tag.kind == "NotTrivial":
                 assert not off_corner and corner
             else:
                 assert not off_corner and not corner
+
+
+# -- the graded thread rung against a dense reference -------------------------
+# _superdiag_matrix, thread_candidate, thread_defining_system and
+# _reference_one_class_result decide the rung with dense matrices, pair by
+# pair of generator images: the reference for the thread connection's answers.
+
+def _superdiag_matrix(values, size):
+    m = [[Fraction(0)] * size for _ in range(size)]
+    for i, v in enumerate(values):
+        m[i][i + 1] = Fraction(v)
+    return m
+
+
+def thread_candidate(pairs):
+    """The unique graded thread-module candidate for prescribed second
+    diagonals: rho(e1), rho(e2) superdiagonal, rho(e_{k+1}) = [rho(e1), rho(e_k)].
+
+    Returns (matrices rho_k for k = 1..n+1, off-corner violations, corner
+    violations); the product is defined iff no off-corner violation exists and
+    trivial iff no violation at all (associated-graded representation
+    argument: any defining system of 1-forms degrades to this candidate).
+    """
+    n = len(pairs)
+    size = n + 1
+    rho = {1: _superdiag_matrix([a for a, _ in pairs], size),
+           2: _superdiag_matrix([b for _, b in pairs], size)}
+    k = 2
+    while k <= size:
+        nxt = reps._mat_bracket(rho[1], rho[k])
+        if not any(any(row) for row in nxt):
+            break
+        rho[k + 1] = nxt
+        k += 1
+    off_corner = []
+    corner = []
+    ks = sorted(rho)
+    for ai in range(len(ks)):
+        for bi in range(ai + 1, len(ks)):
+            i, j = ks[ai], ks[bi]
+            if i == 1:
+                continue  # [e1, e_k] defines rho(e_{k+1})
+            comm = reps._mat_bracket(rho[i], rho[j])
+            for r in range(size):
+                for c in range(size):
+                    if comm[r][c]:
+                        if (r, c) == (0, size - 1):
+                            corner.append(((i, j), comm[r][c]))
+                        else:
+                            off_corner.append(((i, j), (r + 1, c + 1), comm[r][c]))
+    return rho, off_corner, corner
+
+
+def thread_defining_system(g, pairs, rho):
+    """Defining system read off the candidate: entry a(i,j) = sum_k
+    rho(e_k)[i-1][j] e^k, corner dropped.  Also returns the corner 1-form."""
+    n = len(pairs)
+    conn = reps.one_form_connection(g, rho, n + 1, "thread witness")
+    return ms.DefiningSystem(conn.with_entry(1, n, Form.zero(g))), conn.corner()
+
+
+def _reference_one_class_result(g, classes, pairs):
+    rho, off_corner, corner = thread_candidate(pairs)
+    if off_corner:
+        raise MasseyNotDefined(off_corner[0][1],
+                               "graded thread candidate obstructed off-corner at "
+                               f"{off_corner[0][1]} (relation [e{off_corner[0][0][0]},"
+                               f"e{off_corner[0][0][1]}])")
+    system, corner_form = thread_defining_system(g, pairs, rho)
+    cocycle = ms.related_cocycle(system)
+    value = ms.value_class_of(g, cocycle)
+    if not corner:
+        return ms._witness_result(system, value, {"kind": "graded-thread-module",
+                                                  "corner": render_form(corner_form)})
+    return ms.MasseyResult(
+        ms.NONTRIVIAL_CERTIFIED, witness=None, value=value,
+        certificate={"kind": "graded-thread-module",
+                     "violations": [f"[e{i},e{j}] -> {c}" for (i, j), c in corner],
+                     "detail": "no thread module carries the prescribed diagonal"})
+
+
+_THREAD_ALGEBRAS = {}
+
+
+def _thread_algebra(weight_e2, cutoff):
+    """m0 itself (weight(e2) = 2), or the m0 relations on generators of
+    weights 1, 3, 4, 5, ... read from a file (weight(e2) = 3)."""
+    key = weight_e2, cutoff
+    if key not in _THREAD_ALGEBRAS:
+        if weight_e2 == 2:
+            _THREAD_ALGEBRAS[key] = load_preset("m0", cutoff)
+        else:
+            top = cutoff - weight_e2 + 2
+            gens = ", ".join(f"({k}:{1 if k == 1 else k + weight_e2 - 2})"
+                             for k in range(1, top + 1))
+            brackets = "".join(f"[1,{k}] = 1*{k + 1}\n" for k in range(2, top))
+            _THREAD_ALGEBRAS[key] = parse_algebra(
+                f"generators: {gens}\ncutoff: {cutoff}\n{brackets}")
+    return _THREAD_ALGEBRAS[key]
+
+
+def _outcome(rung, g, classes, pairs):
+    """The JSON of the rung's result, or its refusal with its window."""
+    try:
+        return rung(g, classes, pairs).to_json()
+    except (MasseyNotDefined, CutoffTooSmall) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "window", None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.sampled_from(GRID), min_size=3, max_size=7),
+       weight_e2=st.sampled_from([2, 3]), extra=st.sampled_from([0, 1, 3]))
+@example(pairs=[(0, 1), (1, 0), (0, 1), (1, 0)], weight_e2=2, extra=0)          # NotDefined
+@example(pairs=[(1, 0), (0, 1), (1, 0), (1, 0), (0, 1)], weight_e2=2, extra=0)  # 2 violations
+@example(pairs=[(1, 0), (1, 0), (1, 0), (0, 1)], weight_e2=3, extra=1)          # corner e5
+@example(pairs=[(1, 1)] * 5, weight_e2=3, extra=3)                              # zero corner
+def test_thread_rung_matches_the_dense_candidate(pairs, weight_e2, extra):
+    # every product whose total weight fits the cutoff: same status, window
+    # and message, violations, value and witness
+    total_weight = sum(weight_e2 if b else 1 for _, b in pairs)
+    g = _thread_algebra(weight_e2, total_weight + extra)
+    classes = [a * mono(g, 1) + b * mono(g, 2) for a, b in pairs]
+    pairs = ms.pairs_of_one_classes(classes)
+    got = _outcome(ms._one_class_result, g, classes, pairs)
+    assert got == _outcome(_reference_one_class_result, g, classes, pairs)
+
+
+@pytest.mark.parametrize("cutoff", range(2, 8))
+def test_thread_rung_refuses_below_the_total_weight(cutoff):
+    # as the triple and family rungs do: below the total weight the thread
+    # connection may need generators past the cutoff, and an answer for
+    # <e2, e1, e2, e1> at cutoff 2 would cite a relation [e2,e3] of no e3
+    g = load_preset("m0", cutoff)
+    for texts in iter_product(["e1", "e2", "e1+e2"], repeat=4):
+        total_weight = sum(1 if t == "e1" else 2 for t in texts)
+        if cutoff >= total_weight:
+            continue
+        with pytest.raises(CutoffTooSmall) as info:
+            ms.evaluate_product(g, [F(g, t) for t in texts])
+        assert (info.value.needed, info.value.available) == (total_weight, cutoff)
+        assert str(info.value).endswith(f"need at least {total_weight} for thread witness")
 
 
 def test_error_paths():

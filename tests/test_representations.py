@@ -104,7 +104,7 @@ def _dense_check(g, rep, derive):
         for j in g.indices:
             if i >= j:
                 continue
-            lhs = ms._mat_bracket(full.image(i), full.image(j))
+            lhs = reps._mat_bracket(full.image(i), full.image(j))
             rhs = [[Fraction(0)] * full.size for _ in range(full.size)]
             for c, k in g.bracket_terms(i, j):
                 mat = full.image(k)
