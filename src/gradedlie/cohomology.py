@@ -8,6 +8,13 @@ Canonical representatives: closed single monomials are preferred (greedily,
 in lexicographic order), the remainder is completed by reduced-echelon
 vectors; for m0 the omega cocycles are returned verbatim whenever they span
 the slice, since the explicit constructions downstream quote omega classes.
+
+Each slice has one homotopy-transfer contraction (h, p), read off the one
+reduction of [d | representatives] it builds on first use: for a component
+z, p(z) are its class coordinates and h(z) the echelon d-preimage of
+z - i p(z).  Class coordinates are p and coboundary preimages (linalg) are
+h, both read through CohomologySlice.contract, which keeps each reading
+per component on the slice, unbounded like the cup-product tables.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ class CohomologySlice:
     dimension: int = field(default=0)
     # {(q, k) of a right slice: product table}, see product_terms
     products: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # {component key: (h, p)}, see contract
+    contractions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def index(self):
@@ -93,6 +102,33 @@ class CohomologySlice:
                                    for c in self.cocycles),
                        "coboundaries and representatives must be a basis of the cocycles")
         return red
+
+    def contract(self, terms):
+        """(h, p) of a component {monomial: coefficient} of this slice, the
+        homotopy-transfer contraction read off one E v of the reduction: p
+        the class coordinates (a tuple), h the echelon d-preimage of
+        z - i p(z) as a tuple of (monomial of the (q-1, k) slice, nonzero
+        coefficient); both None when the component is not closed.  Kept per
+        component, keyed on plain ints; raises NotACocycle for a monomial
+        outside the slice."""
+        key = tuple([(m, c.numerator, c.denominator) for m, c in terms.items()])
+        hp = self.contractions.get(key)
+        if hp is None:
+            index = self.index
+            try:
+                vec = {index[m]: c for m, c in terms.items()}
+            except KeyError:
+                raise NotACocycle(f"form is not homogeneous of (q={self.q}, k={self.k})") from None
+            red, exact = self.reduction, len(self.coboundaries)
+            image = red.image(vec)
+            if any(image[red.rank:]):
+                hp = None, None
+            else:
+                labels = _slice_basis_cached(self.algebra, self.q - 1, self.k)
+                hp = (tuple((labels[pc], v) for pc, v in zip(red.pivots, image[:exact]) if v),
+                      tuple(image[exact:red.rank]))
+            self.contractions[key] = hp
+        return hp
 
 
 @lru_cache(maxsize=None)
@@ -177,16 +213,11 @@ def representatives(g, q, k):
 
 def class_coordinates(slc, c_form):
     """Unique coordinates of [c] in the representative basis of the slice,
-    as a tuple."""
-    red, index = slc.reduction, slc.index
-    try:
-        vec = {index[m]: c for m, c in c_form.terms.items()}
-    except KeyError:
-        raise NotACocycle(f"form is not homogeneous of (q={slc.q}, k={slc.k})") from None
-    image = red.image(vec)
-    if any(image[red.rank:]):
+    as a tuple: p of the slice's contraction."""
+    p = slc.contract(c_form.terms)[1]
+    if p is None:
         raise NotACocycle("form is not closed")
-    return tuple(image[len(slc.coboundaries):red.rank])
+    return p
 
 
 def class_coordinates_form(g, c_form):

@@ -105,7 +105,7 @@ class Form:
 
     # -- arithmetic -----------------------------------------------------------
     def _check_ambient(self, other):
-        if self.alg != other.alg:
+        if self.alg is not other.alg and self.alg != other.alg:
             raise AmbientMismatch("forms live over different algebras")
 
     def __add__(self, other):

@@ -8,9 +8,10 @@ reduced once (``Reduction``) and keeps its transform as integer columns with
 one denominator per row: every later solve or coordinate query takes its
 vector as {index: nonzero value} and is one integer product over those
 columns and one Fraction per nonzero entry of the result.  ``solve`` is one
-such reduction.  Coboundary preimages are read off the one reduction a
-cohomology slice keeps, that of [d | representatives], whose leading rows
-solve d x = c.  Solves and coboundary preimages return the echelon
+such reduction.  A coboundary preimage is, weight by weight, the h of the
+(h, p) contraction of the target's cohomology slice, which reads E v off
+the one reduction the slice keeps, that of [d | representatives], and
+keeps it per component.  Solves and coboundary preimages return the echelon
 particular solution (free variables zero) or None when there is none; a
 null space comes only from ``kernel_basis``.  A coboundary preimage that
 solves at every weight certifies its target closed, since it is d x; only
@@ -303,35 +304,32 @@ def _require_closed(g, c_form):
 
 def coboundary_preimage(g, c_form):
     """The particular solution x of d x = c for a closed degree-homogeneous
-    form c, a Form of degree deg(c) - 1, or None when c is not exact.  Mixed
-    weights are handled weight-by-weight.  A c that solves at every weight is
-    d x, closed since d^2 = 0 (Jacobi is checked at construction), so the
-    differential of c is taken only when a weight has no solution (None or
-    NotACocycle) and before the refusal past the cutoff.
+    form c, a Form of degree deg(c) - 1, or None when c is not exact: the h
+    of each weight's slice contraction, merged.  A c that solves at every
+    weight is d x, closed since d^2 = 0 (Jacobi is checked at construction),
+    so the differential of c is taken only when a weight has no solution
+    (None or NotACocycle) and before the refusal past the cutoff.
     """
     if c_form.is_zero():
         return Form.zero(c_form.alg)
     g_ = c_form.alg
-    if g_ != g:
+    if g_ is not g and g_ != g:
         raise NotACocycle("ambient mismatch")
     q = c_form.degree()
     if q == 0:
         raise NotACocycle("cannot take a preimage of a scalar")
     weight, parts = g.weight, {}
     for m, c in c_form.terms.items():
-        parts.setdefault(sum(map(weight, m)), []).append((m, c))
+        parts.setdefault(sum(map(weight, m)), {})[m] = c
     top = max(parts)
     if top > g.cutoff:
         _require_closed(g, c_form)
         raise CutoffTooSmall(top, g.cutoff, "coboundary preimage")
     particular = {}
     for k in sorted(parts):
-        slc = cohomology.cohomology_slice(g, q, k)
-        red, index, exact = slc.reduction, slc.index, len(slc.coboundaries)
-        image = red.image({index[m]: c for m, c in parts[k]})
-        if any(image[exact:]):
+        h, p = cohomology.cohomology_slice(g, q, k).contract(parts[k])
+        if p is None or any(p):
             _require_closed(g, c_form)
             return None
-        labels = d_matrix(g, q - 1, k).col_labels
-        particular.update((labels[pc], v) for pc, v in zip(red.pivots, image[:exact]) if v)
+        particular.update(h)
     return Form(g, particular)

@@ -281,10 +281,11 @@ class ScalarTriangular:
                      for c in range(n)] for r in range(n)])
 
     def inverse(self):
-        """M^-1, the transform E of the Reduction of M (M reduces to I)."""
+        """M^-1, column by column: the solutions of M x = e_j off one
+        Reduction of M (M reduces to I, so each is unique)."""
         n = len(self.entries)
         red = linalg.Reduction(self.entries, n)
-        columns = [red.image({j: 1}) for j in range(n)]
+        columns = [red.solve({j: 1}) for j in range(n)]
         return ScalarTriangular(list(zip(*columns)))
 
 
@@ -516,7 +517,7 @@ def solve_defining_system(g, classes, graded=None):
     n = len(classes)
     if n < 2:
         raise NotApplicable("need at least 2 classes")
-    if any(a.alg != g for a in classes):
+    if any(a.alg is not g and a.alg != g for a in classes):
         raise NotApplicable("class ambient mismatch")
     _require_cocycles(g, classes, "product classes must be nonzero cocycles")
     degrees = [a.degree() for a in classes]

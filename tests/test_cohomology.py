@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradedlie import cohomology as coh
 from gradedlie import linalg
@@ -102,6 +104,90 @@ def test_class_coordinates_recover_random_combinations(name):
     assert checked >= 5
 
 
+# a filiform algebra read from a file, with rational structure constants:
+# [e1, ei] = e{i+1} and [e2, ej] = 1/2 e{j+2}
+FILIFORM_FILE = ("generators: " + ", ".join(f"({i}:{i})" for i in range(1, 15))
+                 + "\ncutoff: 14\n"
+                 + "".join(f"[1,{i}] = 1*{i + 1}\n" for i in range(2, 14))
+                 + "".join(f"[2,{j}] = 1/2*{j + 2}\n" for j in range(3, 13)))
+CONTRACTION_ALGEBRAS = {"m0": load_preset("m0", 14), "L1": load_preset("L1", 14),
+                        "filiform-file": parse_algebra(FILIFORM_FILE)}
+COEFF = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _combination(data, g, basis, vectors):
+    """A random rational combination of coordinate vectors over basis."""
+    terms = {}
+    for vec in vectors:
+        x = data.draw(COEFF)
+        for m, v in zip(basis, vec):
+            terms[m] = terms.get(m, 0) + x * v
+    return Form(g, terms)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except NotACocycle as err:
+        return str(err)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(CONTRACTION_ALGEBRAS)), st.integers(1, 4), st.integers(1, 14),
+       st.data())
+def test_contraction_identities(name, q, k, data):
+    # z = d(h z) + sum_j p_j(z) rep_j on cocycles, p(rep_j) = e_j with
+    # h(rep_j) = 0, and p(d y) = 0 with d(h d y) = d y; a memo hit returns
+    # the first reading, which is that of a fresh E v
+    g = CONTRACTION_ALGEBRAS[name]
+    slc = coh.cohomology_slice(g, q, k)
+    assume(slc.cocycles)
+    z = _combination(data, g, slc.basis, slc.cocycles)
+    h, p = slc.contract(z.terms)
+    transferred = Form.zero(g)
+    for x, rep in zip(p, slc.representatives):
+        transferred = transferred + x * rep
+    assert differential(g, Form(g, dict(h))) + transferred == z
+    assert slc.contract(dict(z.terms)) == (h, p)
+    red, exact = slc.reduction, len(slc.coboundaries)
+    image = red.image({slc.index[m]: c for m, c in z.terms.items()})
+    labels = coh.weight_slice_basis(g, q - 1, k)
+    assert p == tuple(image[exact:red.rank])
+    assert h == tuple((labels[pc], v) for pc, v in zip(red.pivots, image[:exact]) if v)
+    for j, rep in enumerate(slc.representatives):
+        assert slc.contract(rep.terms) == ((), tuple(int(i == j) for i in range(slc.dimension)))
+    if labels:
+        dy = differential(g, Form(g, {m: data.draw(COEFF) for m in labels}))
+        h, p = slc.contract(dy.terms)
+        assert not any(p) and differential(g, Form(g, dict(h))) == dy
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CONTRACTION_ALGEBRAS)), st.integers(1, 4), st.integers(1, 14),
+       st.data())
+def test_contraction_refusals_repeat(name, q, k, data):
+    # a component that is not closed reads (None, None), and one with a
+    # monomial outside the slice raises; class_coordinates (and
+    # coboundary_preimage on the unclosed one) raise the same NotACocycle on
+    # the first call and on every later one
+    g = CONTRACTION_ALGEBRAS[name]
+    slc = coh.cohomology_slice(g, q, k)
+    z = _combination(data, g, slc.basis, slc.cocycles)
+    nonclosed = [m for m in slc.basis if not differential(g, Form.monomial(g, m)).is_zero()]
+    strays = [m for w in range(1, g.cutoff + 1) if w != k for m in coh.weight_slice_basis(g, q, w)]
+    if nonclosed:
+        bad = z + Form.monomial(g, data.draw(st.sampled_from(nonclosed)))
+        for _ in range(2):
+            assert slc.contract(bad.terms) == (None, None)
+            assert _outcome(lambda: coh.class_coordinates(slc, bad)) == "form is not closed"
+            assert _outcome(lambda: linalg.coboundary_preimage(g, bad)) == "form is not closed"
+    off = z + Form.monomial(g, data.draw(st.sampled_from(strays)))
+    message = f"form is not homogeneous of (q={q}, k={k})"
+    for _ in range(2):
+        assert _outcome(lambda: slc.contract(off.terms)) == message
+        assert _outcome(lambda: coh.class_coordinates(slc, off)) == message
+
+
 def test_class_coordinates_rejects_dependent_representatives(L1):
     slc = coh.cohomology_slice(L1, 2, 7)
     broken = dataclasses.replace(slc, rep_vectors=slc.coboundaries[:1])
@@ -196,6 +282,7 @@ def test_betti_builds_nothing_of_the_massey_path():
                 assert coh.cohomology_slice.cache_info().misses == misses + 1, "not fresh"
                 slc = coh.cohomology_slice(g, q, k)
                 assert not {"cocycle_forms", "reduction"} & vars(slc).keys(), (q, k)
+                assert slc.contractions == {}, (q, k)
 
 
 def test_truncation_stability():

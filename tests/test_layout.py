@@ -78,6 +78,63 @@ def test_bracket_table_read_only_by_the_algebra():
     assert found == {}
 
 
+def _is_reduction(node):
+    """A Reduction(...) call or a .reduction attribute."""
+    return (isinstance(node, ast.Call) and _name_of(node) == "Reduction"
+            or isinstance(node, ast.Attribute) and node.attr == "reduction")
+
+
+def _reduction_image_calls(path):
+    """Line numbers of every .image( call on a Reduction outside class
+    Reduction: on a Reduction(...) call or a .reduction attribute, or on a
+    name bound to one of these in the same function (tuple unpacking
+    included)."""
+    found = []
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == "Reduction":
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child)
+            else:
+                visit(child)
+
+    def scan(function):
+        nodes = list(ast.walk(function))
+        bound = set()
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs = zip(target.elts, node.value.elts)
+                    else:
+                        pairs = [(target, node.value)]
+                    bound.update(t.id for t, v in pairs
+                                 if isinstance(t, ast.Name) and _is_reduction(v))
+        found.extend(node.lineno for node in nodes
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "image"
+                     and (_is_reduction(node.func.value)
+                          or isinstance(node.func.value, ast.Name)
+                          and node.func.value.id in bound))
+
+    visit(tree)
+    return sorted(set(found))
+
+
+def test_reduction_read_only_by_the_slice():
+    # a slice's (h, p) contraction is the one code path that reads E v off a
+    # Reduction; the other modules solve and classify through it, and a
+    # Reduction elsewhere is read through its own solve
+    found = {name: _reduction_image_calls(os.path.join(SRC, name))
+             for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
+    assert found.pop("cohomology.py"), "the rule no longer sees the slice's reads"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_no_assert_statements():
     # python -O strips asserts, so the checks behind a certificate are
     # internal_check calls or raised errors instead

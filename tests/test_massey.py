@@ -24,8 +24,9 @@ from gradedlie.cohomology import (betti, class_coordinates, class_coordinates_fo
 from gradedlie.errors import (CutoffTooSmall, GradedLieError, InternalCheckFailed,
                               MasseyNotDefined, NotACocycle, NotApplicable, UnverifiedInput,
                               UsageError)
-from gradedlie.forms import Form, differential, parse_form, render_form, slice_basis, wedge
-from gradedlie.mzero import Dm1, omega
+from gradedlie.forms import (Form, bar, differential, parse_form, render_form, slice_basis,
+                             wedge)
+from gradedlie.mzero import Dm1, omega, omega_index_lists, omega_weight
 from gradedlie.params import ParamPoly, as_poly
 
 
@@ -834,6 +835,56 @@ def test_paper_main_examples(m0, m0_big):
 def test_paper_main_rejects_bad_indices(m0):
     with pytest.raises(NotApplicable):
         ms.paper_connection_main(m0, 4, [3])
+
+
+def _canonical_system(g, classes):
+    """The canonical defining system: A(i, i) the classes and, diagonal by
+    diagonal, A(i, j) = h(w(i, j)) with w(i, j) = sum_r bar(A(i, r)) A(r+1, j)
+    and h, p the contraction of the slice of w(i, j).  Returns the entries
+    below the corner and the corner's w(1, n), or None at the first window
+    whose class p(w) is nonzero."""
+    n = len(classes)
+    entries = {(i, i): a for i, a in enumerate(classes, 1)}
+    for s in range(1, n):
+        for i in range(1, n - s + 1):
+            j = i + s
+            w = Form.zero(g)
+            for r in range(i, j):
+                if (i, r) in entries and (r + 1, j) in entries:
+                    w = w + wedge(bar(entries[(i, r)]), entries[(r + 1, j)])
+            if (i, j) == (1, n):
+                return entries, w
+            if w.is_zero():
+                continue
+            (k,) = w.weights()
+            h, p = cohomology_slice(g, w.degree(), k).contract(w.terms)
+            if any(p):
+                return None
+            entries[(i, j)] = Form(g, dict(h))
+
+
+def test_canonical_system_value_on_every_main_shape():
+    # every <e2, e1^(i1-2), omega(tail)> with omega([i1] + tail) of weight at
+    # most 20 has an unobstructed canonical system whose related cocycle has
+    # class exactly (-1)^i1 [omega([i1] + tail)]
+    g = load_preset("m0", 20)
+    e1, e2 = Form.generator(g, 1), Form.generator(g, 2)
+    shapes = [idx for q in range(2, 8) for weight in range(1, 21)
+              for idx in omega_index_lists(q, weight)]
+    assert len(shapes) == 26
+    for idx in shapes:
+        i1, tail = idx[0], idx[1:]
+        built = _canonical_system(g, [e2] + [e1] * (i1 - 2) + [omega(g, tail)])
+        assert built is not None, idx
+        entries, w = built
+        system = ms.DefiningSystem(ms.ConnectionMatrix.from_entries(g, i1, entries),
+                                   verify=True)
+        assert system.matrix.corner().is_zero()
+        assert ms.related_cocycle(system) == w
+        slc = cohomology_slice(g, w.degree(), omega_weight(idx))
+        target = slc.representatives.index(omega(g, idx))
+        assert class_coordinates(slc, w) == tuple(
+            (-1) ** i1 if r == target else 0 for r in range(slc.dimension)), idx
 
 
 # -- certificates -----------------------------------------------------------------
