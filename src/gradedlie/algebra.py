@@ -85,10 +85,11 @@ class GradedLieAlgebra:
         self._check_weights(lines)
         self._check_jacobi()
         # is_m0_like, set here: a cached_property would write the instance
-        # __dict__ later, and that slows every attribute read of the algebra
+        # __dict__ later, and that slows every attribute read of the algebra.
+        # Every bracket target is a generator, so a missing e{i+1} fails it.
         self._m0_like = self.has_index(1) and norm == {
             (1, i): ((Fraction(1), i + 1),) for i in self.indices
-            if i >= 2 and self.has_index(i + 1) and self.weight(1) + self.weight(i) <= cutoff}
+            if i >= 2 and self.weight(1) + self.weight(i) <= cutoff}
 
     # -- identity ---------------------------------------------------------
     def __eq__(self, other):
@@ -181,7 +182,8 @@ def load_preset(name, cutoff):
 
 
 def is_m0_like(g):
-    """True when g has exactly the m0 bracket relations [e1,ei]=e{i+1}."""
+    """True when g has exactly the m0 bracket relations [e1,ei]=e{i+1}, one for
+    every i >= 2 with weight(1) + weight(i) <= cutoff."""
     return g._m0_like
 
 

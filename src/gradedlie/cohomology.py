@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .errors import CutoffTooSmall, NotACocycle, internal_check
-from .forms import Form, slice_basis, wedge
+from .forms import Form, slice_basis, wedge, weight_parts
 from .algebra import is_m0_like, load_preset
 from .mzero import omega, omega_index_lists
 
@@ -211,10 +211,11 @@ def representatives(g, q, k):
     return list(cohomology_slice(g, q, k).representatives)
 
 
-def class_coordinates(slc, c_form):
+def class_coordinates(slc, c):
     """Unique coordinates of [c] in the representative basis of the slice,
-    as a tuple: p of the slice's contraction."""
-    p = slc.contract(c_form.terms)[1]
+    as a tuple: p of the slice's contraction.  c is a closed form of the
+    slice or its term map {monomial: coefficient}."""
+    p = slc.contract(c.terms if isinstance(c, Form) else c)[1]
     if p is None:
         raise NotACocycle("form is not closed")
     return p
@@ -226,8 +227,8 @@ def class_coordinates_form(g, c_form):
     if c_form.is_zero():
         return {}
     q = c_form.degree()
-    return {k: class_coordinates(cohomology_slice(g, q, k), comp)
-            for k, comp in c_form.weight_components().items()}
+    return {k: class_coordinates(cohomology_slice(g, q, k), terms)
+            for k, terms in weight_parts(c_form).items()}
 
 
 def class_terms(g, c_form):

@@ -94,15 +94,6 @@ class Form:
             raise ArityMismatch(f"form is not degree-homogeneous: degrees {degs}")
         return degs[0]
 
-    def weight_components(self):
-        """{weight: component of that weight}, weights ascending, from one pass
-        over the terms; the components partition the terms."""
-        w = self.alg.weight
-        parts = {}
-        for m, c in self.terms.items():
-            parts.setdefault(sum(map(w, m)), {})[m] = c
-        return {k: Form(self.alg, parts[k]) for k in sorted(parts)}
-
     # -- arithmetic -----------------------------------------------------------
     def _check_ambient(self, other):
         if self.alg is not other.alg and self.alg != other.alg:
@@ -157,6 +148,16 @@ def wedge(a, b):
             s = terms.get(mono)
             terms[mono] = c if s is None else s + c
     return Form(a.alg, terms)
+
+
+def weight_parts(a):
+    """{weight: {monomial: coefficient}} of a form, weights ascending, from one
+    pass over its terms; the parts partition the terms."""
+    w = a.alg.weight
+    parts = {}
+    for m, c in a.terms.items():
+        parts.setdefault(sum(map(w, m)), {})[m] = c
+    return {k: parts[k] for k in sorted(parts)}
 
 
 def bar(a):

@@ -28,7 +28,7 @@ from math import gcd, lcm
 
 from . import cohomology   # cohomology imports linalg; read at call time only
 from .errors import CutoffTooSmall, NotACocycle
-from .forms import Form, differential
+from .forms import Form, differential, weight_parts
 
 
 class SliceMatrix:
@@ -318,16 +318,14 @@ def coboundary_preimage(g, c_form):
     q = c_form.degree()
     if q == 0:
         raise NotACocycle("cannot take a preimage of a scalar")
-    weight, parts = g.weight, {}
-    for m, c in c_form.terms.items():
-        parts.setdefault(sum(map(weight, m)), {})[m] = c
+    parts = weight_parts(c_form)
     top = max(parts)
     if top > g.cutoff:
         _require_closed(g, c_form)
         raise CutoffTooSmall(top, g.cutoff, "coboundary preimage")
     particular = {}
-    for k in sorted(parts):
-        h, p = cohomology.cohomology_slice(g, q, k).contract(parts[k])
+    for k, terms in parts.items():
+        h, p = cohomology.cohomology_slice(g, q, k).contract(terms)
         if p is None or any(p):
             _require_closed(g, c_form)
             return None

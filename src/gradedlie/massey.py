@@ -5,20 +5,22 @@ forms; it is a formal connection when the Maurer-Cartan residual
 mu(A) = dA - bar(A).A is supported in the one-dimensional center (the
 corner).  Defining systems fix the corner to zero, so the corner residual is
 exactly -c(A) with c(A) = sum_r bar(a(1,r)) a(r+1,n) the related cocycle.
+_residual is the one evaluation of these equations; every check reads it.
 
 Entry coordinates: a(i,j) for 1 <= i <= j <= n denotes the window of classes
 i..j and sits at matrix position [i-1][j] (0-based).  The second diagonal
 a(i,i) carries the given cocycles.
 
-Triviality decisions are exact for n = 3 (affine geometry of the triple
-value set) and for products of 1-classes over an m0-type algebra (existence
-of the unique graded thread-module candidate, checked off-corner for
-definedness and at the corner for triviality).  Otherwise the parametrized
-defining-system family is solved diagonal by diagonal; the related-cocycle
-class is a polynomial in the free parameters and the decision hierarchy is:
-exact linear solve when the dependence is affine, bounded grid search for
-witnesses, sampling certificates for the explicit omega-tail shapes, and an
-honest Undecided otherwise.
+Triviality decisions are exact for n = 2 (the class of the related cocycle),
+for n = 3 (affine geometry of the triple value set) and for products of
+1-classes over an m0-type algebra (the residual of the unique graded
+thread-module candidate: off the corner it decides definedness, at the
+corner triviality).  Otherwise the parametrized defining-system family is
+solved diagonal by diagonal; the related-cocycle class is a polynomial in
+the free parameters and the decision hierarchy is: exact linear solve when
+the dependence is affine, bounded grid search for witnesses, sampling
+certificates for the explicit omega-tail shapes, and an honest Undecided
+otherwise.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ from itertools import islice, product as iter_product
 from . import linalg
 from .algebra import is_m0_like
 from .cohomology import class_coordinates_form, class_terms, cohomology_slice, representatives
-from .errors import (AlgebraFormatError, AmbientMismatch, CutoffTooSmall, MasseyNotDefined,
-                     NotACocycle, NotApplicable, UnverifiedInput, UsageError,
-                     internal_check)
-from .forms import Form, bar, differential, parse_form, render_form, sort_with_sign, wedge
+from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined, NotACocycle,
+                     NotApplicable, UnverifiedInput, UsageError, internal_check)
+from .forms import Form, differential, parse_form, render_form, sort_with_sign, wedge
 from .mzero import Dm1, omega, omega_index_lists, omega_weight
 from .params import ParamPoly
 
@@ -102,38 +103,13 @@ class ConnectionMatrix:
                 and self.n == other.n and self.entries == other.entries)
 
 
-def msub(a, b):
-    return ConnectionMatrix.from_entries(a.alg, a.n, {
-        key: a.entry(*key) - b.entry(*key) for key in a.entries.keys() | b.entries.keys()})
-
-
-def mmul(a, b):
-    if a.alg != b.alg:
-        raise AmbientMismatch("matrices live over different algebras")
-    left, right, zero = _pieces(a), _pieces(b), Form.zero(a.alg)
-    return ConnectionMatrix.from_entries(a.alg, a.n, {
-        (i, j): _window_product(left, right, i, j).get((), zero)
-        for i in range(1, a.n + 1) for j in range(i + 1, a.n + 1)})
-
-
-def mbar(a):
-    return ConnectionMatrix.from_entries(a.alg, a.n, {key: bar(e) for key, e in a.entries.items()})
-
-
-def mdiff(a):
-    return ConnectionMatrix.from_entries(a.alg, a.n, {
-        key: differential(a.alg, e) for key, e in a.entries.items()})
-
-
 def mc_residual(a):
-    """mu(A) = dA - bar(A).A, entrywise: d a(i,j) - sum_r bar(a(i,r)) a(r+1,j)."""
-    g, pieces, entries = a.alg, _pieces(a), {}
-    for i in range(1, a.n + 1):
-        for j in range(i, a.n + 1):
-            d = differential(g, a.entry(i, j))
-            window = _window_sum(pieces, i, j)
-            entries[(i, j)] = d - window[()] if window else d
-    return ConnectionMatrix.from_entries(g, a.n, entries)
+    """mu(A) = dA - bar(A).A as a matrix: _residual of its entries, each the
+    one constant piece {(): a(i, j)}."""
+    entries = a.entries
+    residual = _residual(a.alg, a.n,
+                         lambda i, j: {(): entries[(i, j)]} if (i, j) in entries else {})
+    return ConnectionMatrix.from_entries(a.alg, a.n, {key: r[()] for key, r in residual.items()})
 
 
 def is_formal_connection(a):
@@ -148,12 +124,17 @@ def is_formal_connection(a):
 # ---------------------------------------------------------------------------
 
 class DefiningSystem:
-    """Connection matrix with zero corner and prescribed second diagonal."""
+    """Connection matrix with zero corner and prescribed second diagonal.
+
+    Its Maurer-Cartan residual is computed once, when it is built.  The system
+    is verified when the residual vanishes off the corner; verify=False skips
+    only that check."""
 
     def __init__(self, matrix, verify=True):
         self.matrix = matrix
         if not matrix.corner().is_zero():
             raise NotApplicable("defining system must have a zero corner entry")
+        self.residual = mc_residual(matrix)
         self.verified = False
         if verify:
             self.verify()
@@ -170,37 +151,28 @@ class DefiningSystem:
         return self.matrix.second_diagonal()
 
     def verify(self):
-        if _failing_equation(self.alg, self.n, _pieces(self.matrix)) is not None:
+        if self.residual.entries.keys() - {(1, self.n)}:
             raise UnverifiedInput("defining-system equations fail")
         self.verified = True
         return self
 
-    def window(self, l, q):
-        """Sub defining system for classes l..q together with its corner
-        entry a(l, q) from the ambient matrix (a trivialization witness)."""
-        entries = {(i - l + 1, j - l + 1): form for (i, j), form in self.matrix.entries.items()
-                   if l <= i and j <= q and (i, j) != (l, q)}
-        sub = DefiningSystem(ConnectionMatrix.from_entries(self.alg, q - l + 1, entries))
-        return sub, self.matrix.entry(l, q)
 
-
-def _window_product(left, right, i, j, bar_left=False):
-    """sum_{r=i}^{j-1} left(i,r) right(r+1,j), with bar(left(i,r)) when
-    bar_left, over entries given as pieces: left(k, l) and right(k, l) are
-    {parameter monomial: nonzero Form}.  Returns the pieces of the sum in the
-    same form, monomials in order of first appearance.  Every wedge term,
-    sign and bar sign in its coefficient, goes straight into one term dict
-    per monomial."""
+def _window_sum(pieces, i, j):
+    """sum_{r=i}^{j-1} bar(a(i,r)) a(r+1,j) over entries given as pieces:
+    pieces(k, l) is a(k, l) as {parameter monomial: nonzero Form}, {} where
+    it is absent.  Returns the pieces of the sum in the same form, monomials
+    in order of first appearance.  Every wedge term, sorting sign and bar
+    sign in its coefficient, goes straight into one term dict per monomial."""
     sums = {}
     for r in range(i, j):
-        right_pieces = right(r + 1, j)
+        right_pieces = pieces(r + 1, j)
         if not right_pieces:
             continue
-        for pl, lf in left(i, r).items():
+        for pl, lf in pieces(i, r).items():
             alg = lf.alg
-            # each left term with its coefficient for a positive and a
-            # negative sorting sign
-            left_terms = [(ma, -ca, ca) if bar_left and not len(ma) % 2 else (ma, ca, -ca)
+            # each barred left term with its coefficient for a positive and
+            # a negative sorting sign
+            left_terms = [(ma, ca, -ca) if len(ma) % 2 else (ma, -ca, ca)
                           for ma, ca in lf.terms.items()]
             for pr, rf in right_pieces.items():
                 pm = tuple(sorted(pl + pr)) if pl and pr else pl or pr
@@ -218,29 +190,24 @@ def _window_product(left, right, i, j, bar_left=False):
     return {pm: form for pm, terms in sums.items() if (form := Form(alg, terms)).terms}
 
 
-def _window_sum(pieces, i, j):
-    """The window product of bar(A) and A: sum_{r=i}^{j-1} bar(a(i,r)) a(r+1,j)."""
-    return _window_product(pieces, pieces, i, j, bar_left=True)
-
-
-def _pieces(matrix):
-    """The entries of a matrix as pieces: a(i, j) -> {(): a(i, j)}, {} if zero."""
-    entries = matrix.entries
-    return lambda i, j: {(): entries[(i, j)]} if (i, j) in entries else {}
-
-
-def _failing_equation(alg, n, pieces):
-    """The first (i, j), diagonal by diagonal and skipping the corner, where
-    d a(i,j) = sum_r bar(a(i,r)) a(r+1,j) fails piece by piece over the
-    parameter monomials, or None.  pieces(i, j) is the entry as
-    {parameter monomial: nonzero Form}, {} where it is absent."""
-    for s in range(n - 1):           # the last diagonal is the corner alone
+def _residual(alg, n, pieces):
+    """mu(A) = dA - bar(A).A, the one evaluation of the defining equations:
+    {(i, j): d a(i,j) - sum_r bar(a(i,r)) a(r+1,j)} over the nonzero entries,
+    diagonal by diagonal.  Entries come in and go out as pieces
+    {parameter monomial: nonzero Form}; pieces(i, j) is {} where a(i, j) is
+    absent.  Each window is summed once."""
+    residual = {}
+    for s in range(n):
         for i in range(1, n - s + 1):
-            d_pieces = {pm: d for pm, form in pieces(i, i + s).items()
-                        if not (d := differential(alg, form)).is_zero()}
-            if d_pieces != _window_sum(pieces, i, i + s):
-                return i, i + s
-    return None
+            window, entry = _window_sum(pieces, i, i + s), {}
+            for pm, form in pieces(i, i + s).items():
+                d, w = differential(alg, form), window.pop(pm, None)
+                if w is None or d.terms != w.terms:      # no Form for a solved equation
+                    entry[pm] = d if w is None else d - w
+            entry |= {pm: -form for pm, form in window.items()}
+            if entry := {pm: form for pm, form in entry.items() if form.terms}:
+                residual[(i, i + s)] = entry
+    return residual
 
 
 def _add_piece(pieces, pm, form):
@@ -248,11 +215,11 @@ def _add_piece(pieces, pm, form):
 
 
 def related_cocycle(system):
-    """c(A) = sum_{r=1}^{n-1} bar(a(1,r)) a(r+1,n); closed of degree p(1,n)+2."""
+    """c(A) = sum_{r=1}^{n-1} bar(a(1,r)) a(r+1,n) = -mu(A)(1,n), read off the
+    residual the system computed when it was built; closed of degree p(1,n)+2."""
     if not getattr(system, "verified", False):
         raise UnverifiedInput("defining system must be verified first")
-    m = system.matrix
-    return _window_sum(_pieces(m), 1, m.n).get((), Form.zero(m.alg))
+    return -system.residual.corner()
 
 
 # ---------------------------------------------------------------------------
@@ -462,17 +429,19 @@ class FamilyResult:
         return out
 
     def verify(self):
-        """Check d a(i,j) = sum_r bar(a(i,r)) a(r+1,j) at every entry piece by
-        piece over the parameter monomials, so the equations hold identically
-        in the parameters and every substitution is a defining system."""
-        if (failing := _failing_equation(self.alg, self.n, self.entry)) is not None:
-            raise UnverifiedInput("defining-system equation fails at ({},{})".format(*failing))
-        return self
+        """Check that the residual vanishes off the corner piece by piece over
+        the parameter monomials, so every substitution is a defining system;
+        names the first failing entry, diagonal by diagonal.  Returns the
+        related cocycle c(A) = -mu(A)(1,n) as pieces."""
+        residual, corner = _residual(self.alg, self.n, self.entry), (1, self.n)
+        if failing := [key for key in residual if key != corner]:
+            raise UnverifiedInput("defining-system equation fails at ({},{})".format(*failing[0]))
+        return {pm: -form for pm, form in residual.get(corner, {}).items()}
 
     def value_polynomial(self):
-        """Class coordinates of the related cocycle as ParamPolys:
-        {(weight, rep_index): ParamPoly}; every component verified closed."""
-        return _class_polynomials(self.alg, _window_sum(self.entry, 1, self.n))
+        """Class coordinates of the verified family's related cocycle as
+        ParamPolys: {(weight, rep_index): ParamPoly}, each component closed."""
+        return _class_polynomials(self.alg, self.verify())
 
 
 def _class_polynomials(g, pieces):
@@ -508,10 +477,11 @@ def solve_defining_system(g, classes, graded=None):
     """Diagonal-by-diagonal construction of the parametrized family.
 
     Free parameters are attached to every closed form that may be added at a
-    solvable slot.  An obstruction whose class coordinates are affine in the
-    parameters and have a common zero narrows the family by the substitution
-    of _affine_zeros; otherwise the first obstructed (i, j) is reported with
-    its class coordinates as ParamPolys.
+    solvable slot.  When the class coordinates of an obstruction that are
+    affine in the parameters have a common zero, the substitution of
+    _affine_zeros narrows the family and the window is summed again;
+    otherwise the first obstructed (i, j) is reported with its class
+    coordinates as ParamPolys.
     """
     classes = list(classes)
     n = len(classes)
@@ -560,8 +530,10 @@ def solve_defining_system(g, classes, graded=None):
                     break
                 before = solved
                 coords = _class_polynomials(g, bad)
-                polys = list(coords.values())
-                zeros = _affine_zeros(polys) if all(p.is_affine() for p in polys) else None
+                # the substitution covers every common zero of the affine
+                # members and removes at least one parameter
+                affine = [poly for poly in coords.values() if poly.is_affine()]
+                zeros = _affine_zeros(affine) if affine else None
                 if not zeros:
                     fam.ok = False
                     fam.obstruction = Obstruction((i, j), coords)
@@ -748,18 +720,18 @@ def _one_class_result(g, classes, pairs):
         raise CutoffTooSmall(total_weight, g.cutoff, "thread witness")
     n = len(pairs)
     conn = thread_connection(g, pairs)
-    residual = mc_residual(conn)
+    system = DefiningSystem(conn.with_entry(1, n, Form.zero(g)), verify=False)
     # e^a^e^b (1 < a < b) has coefficient -[rho(e_a), rho(e_b)]; a window
     # is the 1-based matrix position (i, j+1) of a(i, j)
-    off_corner = [(mono, (i, j + 1)) for (i, j), form in residual.entries.items()
+    off_corner = [(mono, (i, j + 1)) for (i, j), form in system.residual.entries.items()
                   if (i, j) != (1, n) for mono in form.terms]
     if off_corner:
         (a, b), position = min(off_corner)
         raise MasseyNotDefined(position, "graded thread candidate obstructed off-corner at "
                                          f"{position} (relation [e{a},e{b}])")
-    system = DefiningSystem(conn.with_entry(1, n, Form.zero(g)))
-    value = value_class_of(g, related_cocycle(system))
-    corner = residual.corner()
+    cocycle = related_cocycle(system.verify())
+    value = value_class_of(g, cocycle)
+    corner = differential(g, conn.corner()) - cocycle      # mu of the candidate at the corner
     if corner.is_zero():
         return _witness_result(system, value, {"kind": "graded-thread-module",
                                                "corner": render_form(conn.corner())})
@@ -798,11 +770,11 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
         raise NotApplicable("need at least 2 classes")
     _require_cocycles(g, classes, "all product classes must be nonzero cocycles")
     if n == 2:
-        c2 = wedge(bar(classes[0]), classes[1])
-        value = value_class_of(g, c2)
+        system = DefiningSystem(ConnectionMatrix.from_entries(
+            g, 2, {(1, 1): classes[0], (2, 2): classes[1]}))
+        value = value_class_of(g, related_cocycle(system))
         if value.is_zero():
-            system = ConnectionMatrix.from_entries(g, 2, {(1, 1): classes[0], (2, 2): classes[1]})
-            return _witness_result(DefiningSystem(system), value, {"kind": "direct-product"})
+            return _witness_result(system, value, {"kind": "direct-product"})
         return MasseyResult(NONTRIVIAL_CERTIFIED, value=value,
                             certificate={"kind": "direct-product"})
     if n == 3:
@@ -997,7 +969,7 @@ def leading_coefficient_certificate(g, classes, samples=100, seed=0):
     fam = solve_defining_system(g, classes, graded=True)
     if not fam.ok:
         return None
-    coords = fam.verify().value_polynomial()
+    coords = fam.value_polynomial()
     target_poly = coords.get((target_weight, rep_index), ParamPoly())
     rng = random.Random(seed)
     pids = fam.param_ids()

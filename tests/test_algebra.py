@@ -226,12 +226,12 @@ def test_constructor_rejects_what_the_parser_cannot_reach():
 
 def _bracket_comparison(g):
     """The m0 test spelled out: g has e1 and exactly the brackets
-    [e1, ei] = e{i+1} that fit under its cutoff."""
+    [e1, ei] = e{i+1} that fit under its cutoff, each with its e{i+1}."""
     if 1 not in g.indices:
         return False
-    return g.brackets == {(1, i): ((Fraction(1), i + 1),) for i in g.indices
-                          if i >= 2 and i + 1 in g.indices
-                          and g.weight(1) + g.weight(i) <= g.cutoff}
+    fitting = [i for i in g.indices if i >= 2 and g.weight(1) + g.weight(i) <= g.cutoff]
+    return (all(i + 1 in g.indices for i in fitting)
+            and g.brackets == {(1, i): ((Fraction(1), i + 1),) for i in fitting})
 
 
 M0_TYPE_FILE = ("# m0 relations with explicit weights\n"
@@ -243,8 +243,9 @@ M0_TYPE_FILE = ("# m0 relations with explicit weights\n"
 @pytest.mark.parametrize("make, known", [
     (lambda: load_preset("m0", 11), True), (lambda: load_preset("L1", 11), False),
     (lambda: associated_graded(load_preset("L1", 11)), False),
-    (lambda: parse_algebra(M0_TYPE_FILE), True)],
-    ids=["m0", "L1", "gr-L1", "m0-file"])
+    (lambda: parse_algebra(M0_TYPE_FILE), True),
+    (lambda: parse_algebra("generators: (1:1), (2:2)\ncutoff: 6\n"), False)],
+    ids=["m0", "L1", "gr-L1", "m0-file", "no-e3"])
 def test_is_m0_like_is_stored_and_matches_the_brackets(make, known):
     # the answer is computed once, when the algebra is built, and kept on it
     g = make()

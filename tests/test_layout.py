@@ -289,3 +289,25 @@ def test_every_public_name_is_used():
               if not any(p != path or not first <= line <= last
                          for p, line in uses.get(name, ()))]
     assert unused == []
+
+
+MATRIX_OPERATIONS = ("mmul", "mbar", "msub", "mdiff")
+
+
+def test_bianchi_route_shares_no_code_with_the_residual():
+    # the identity suites compose dA - bar(A).A from checks.py's own matrix
+    # operations, so they check massey's residual by an independent route
+    private, defined = [], {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            if name == "checks.py":
+                private = [alias.name for node in ast.walk(tree)
+                           if isinstance(node, ast.ImportFrom) and node.module == "massey"
+                           for alias in node.names if alias.name.startswith("_")]
+            if names := [node.name for node in tree.body
+                         if isinstance(node, ast.FunctionDef) and node.name in MATRIX_OPERATIONS]:
+                defined[name] = sorted(names)
+    assert private == []
+    assert defined == {"checks.py": sorted(MATRIX_OPERATIONS)}

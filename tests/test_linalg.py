@@ -11,7 +11,7 @@ from gradedlie import linalg
 from gradedlie.algebra import load_preset, parse_algebra
 from gradedlie.cohomology import cohomology_slice
 from gradedlie.errors import CutoffTooSmall, NotACocycle
-from gradedlie.forms import Form, differential, slice_all_degree, slice_basis
+from gradedlie.forms import Form, differential, slice_all_degree, slice_basis, weight_parts
 from gradedlie.linalg import (Echelon, coboundary_preimage, d_matrix, kernel_basis, rank,
                               rref, solve)
 
@@ -385,13 +385,13 @@ def _reference_preimage(g, c):
         return Form.zero(g)
     if not differential(g, c).is_zero():
         raise NotACocycle("form is not closed")
-    parts = c.weight_components()
+    parts = weight_parts(c)
     if max(parts) > g.cutoff:
         raise CutoffTooSmall(max(parts), g.cutoff, "coboundary preimage")
     particular = {}
-    for k, part in parts.items():
+    for k, terms in parts.items():
         mat = d_matrix(g, c.degree() - 1, k)
-        ref = _oracle_solution(mat.dense_rows(), [part.terms.get(m, F(0)) for m in mat.row_labels])
+        ref = _oracle_solution(mat.dense_rows(), [terms.get(m, F(0)) for m in mat.row_labels])
         if ref is None:
             return None
         particular.update(zip(mat.col_labels, ref))

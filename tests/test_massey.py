@@ -18,7 +18,7 @@ from gradedlie import linalg
 from gradedlie import massey as ms
 from gradedlie import representations as reps
 from gradedlie.algebra import load_preset, parse_algebra
-from gradedlie.checks import bianchi_suite, random_connection
+from gradedlie.checks import bianchi_suite, mbar, mdiff, mmul, msub, random_connection
 from gradedlie.cohomology import (betti, class_coordinates, class_coordinates_form, class_terms,
                                   cohomology_slice, representatives)
 from gradedlie.errors import (CutoffTooSmall, GradedLieError, InternalCheckFailed,
@@ -90,7 +90,63 @@ def test_mc_residual_matches_the_matrix_composition(seed, preset, n, max_weight)
     # whole-matrix operations
     g = load_preset(preset, 16)
     a = random_connection(random.Random(seed), g, n, max_weight)
-    assert ms.mc_residual(a) == ms.msub(ms.mdiff(a), ms.mmul(ms.mbar(a), a))
+    assert ms.mc_residual(a) == msub(mdiff(a), mmul(mbar(a), a))
+
+
+@pytest.fixture(scope="module")
+def verified_systems(m0, L1):
+    """Families over m0/16 and L1/16, each substituted at grid points by the
+    test, and the paper systems over m0/16."""
+    families = [ms.solve_defining_system(g, ms.parse_product(g, text))
+                for g, text in ((m0, "e2; e1; e1; e2; e1"), (m0, "e2^e3; e2; e2; e2"),
+                                (L1, "e1+e2; e1; e1; e1; e1"), (L1, "e2; e1; e1; e1"))]
+    assert all(fam.ok for fam in families)
+    papers = [ms.paper_connection_two_e2(m0, 2), ms.paper_connection_two_e2(m0, 3),
+              ms.paper_connection_main(m0, 3, [4]), ms.paper_connection_main(m0, 4, [5])]
+    return families, papers
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_defining_system_verifies_by_the_matrix_route(m0, L1, verified_systems, data):
+    # a DefiningSystem verifies exactly when dA - bar(A).A, composed from the
+    # checks-module matrix operations, vanishes off the corner, and its related
+    # cocycle is minus that corner
+    families, papers = verified_systems
+    kind = data.draw(st.sampled_from(["random", "family", "paper"]))
+    if kind == "random":
+        g, n = data.draw(st.sampled_from([m0, L1])), data.draw(st.integers(2, 5))
+        a = random_connection(random.Random(data.draw(st.integers(0, 2 ** 32 - 1))), g, n,
+                              data.draw(st.integers(2, 16))).with_entry(1, n, Form.zero(g))
+    elif kind == "family":
+        fam = data.draw(st.sampled_from(families))
+        a = fam.substitute({pid: data.draw(st.sampled_from(ms.GRID_VALUES))
+                            for pid in fam.param_ids()}).matrix
+    else:
+        a = data.draw(st.sampled_from(papers)).matrix
+    route = msub(mdiff(a), mmul(mbar(a), a))
+    off_corner = route.entries.keys() - {(1, a.n)}
+    try:
+        system = ms.DefiningSystem(a)
+    except UnverifiedInput:
+        assert off_corner
+    else:
+        assert not off_corner and ms.related_cocycle(system) == -route.corner()
+
+
+def test_thread_witness_sums_each_window_once(monkeypatch, m0):
+    # one residual answers the verdict, the verification and the related
+    # cocycle of <e1; e1; e1; e1>: its 10 windows, each summed once
+    sums, window_sum = [], ms._window_sum
+
+    def counting(pieces, i, j):
+        sums.append((i, j))
+        return window_sum(pieces, i, j)
+
+    monkeypatch.setattr(ms, "_window_sum", counting)
+    result = ms.evaluate_product(m0, ms.parse_product(m0, "e1; e1; e1; e1"))
+    assert result.status == ms.TRIVIAL_WITNESS
+    assert sorted(sums) == [(i, j) for i in range(1, 5) for j in range(i, 5)]
 
 
 def test_related_cocycle_examples(m0):
@@ -366,18 +422,39 @@ def test_solver_obstruction_reported(m0):
     assert fam.obstruction.coordinates == {(5, 0): ParamPoly.const(2)}
 
 
-def test_sub_window_triviality(m0):
-    # every proper window of a defining system is trivial, with the witness
-    # extracted from the same matrix: d a(l,q) = c(window)
-    for system in (ms.paper_connection_two_e2(m0, 3),
-                   ms.paper_connection_main(m0, 3, [4])):
-        n = system.n
-        for l in range(1, n + 1):
-            for q in range(l + 1, n + 1):
-                if (l, q) == (1, n):
-                    continue
-                sub, corner = system.window(l, q)
-                assert ms.related_cocycle(sub) == differential(m0, corner)
+# <e2, e1^(i1-2), omega(tail)> over m0/30 whose first obstruction mixes
+# affine and nonlinear class coordinates.  Solving the affine members first
+# decides the first five by the constant coordinate (-1)^i1 on
+# omega([i1] + tail); the last three stay obstructed at (2, 6), where the
+# only member is a product of linear factors (-2 p1 p2, p1 (3 p3 - 2 p2)).
+MIXED_OBSTRUCTIONS = [(7, [8], None), (7, [9], None), (7, [10], None), (7, [11], None),
+                      (6, [7, 8], None), (8, [9], (2, 6)), (8, [10], (2, 6)),
+                      (9, [10], (2, 6))]
+
+
+@pytest.fixture(scope="module")
+def m0_30():
+    return load_preset("m0", 30)
+
+
+@pytest.mark.parametrize("i1, tail, obstructed", MIXED_OBSTRUCTIONS)
+def test_mixed_obstructions_narrow_by_their_affine_members(m0_30, i1, tail, obstructed):
+    g = m0_30
+    classes = [mono(g, 2)] + [mono(g, 1)] * (i1 - 2) + [omega(g, tail)]
+    if obstructed is not None:
+        with pytest.raises(MasseyNotDefined, match=re.escape(
+                f"defining system obstructed at {obstructed}")) as err:
+            ms.evaluate_product(g, classes)
+        assert err.value.window == obstructed
+        return
+    result = ms.evaluate_product(g, classes)
+    cert = result.certificate
+    assert result.status == ms.NONTRIVIAL_CERTIFIED and cert["kind"] == "constant-coordinate"
+    target = omega(g, [i1] + tail)
+    assert cert["weight"] == omega_weight([i1] + tail)
+    assert cohomology_slice(g, target.degree(), cert["weight"]).representatives[
+        cert["index"]] == target
+    assert cert["coefficient"] == str((-1) ** i1)
 
 
 def test_well_definedness_repair(m0):
@@ -402,7 +479,7 @@ def test_well_definedness_repair(m0):
             if be is None:
                 continue
             prime = madd3(a, differential(m0, b), (r0, c0),
-                          ms.mmul(a, be), ms.mmul(mbar_single(be), a))
+                          mmul(a, be), mmul(mbar_single(be), a))
             ok, _tau = ms.is_formal_connection(prime)
             assert ok
             assert prime.second_diagonal() == a.second_diagonal()
@@ -422,7 +499,7 @@ def madd3(a, db, pos, m1, m2):
 
 
 def mbar_single(be):
-    return ms.mbar(be)
+    return mbar(be)
 
 
 # -- triple products ----------------------------------------------------------
@@ -1477,7 +1554,7 @@ def test_window_sum_is_the_form_sum_of_bar_products(substitute_families, text):
                 for pl, left in fam.entry(i, r).items():
                     for pr, right in fam.entry(r + 1, j).items():
                         pm = tuple(sorted(pl + pr))
-                        ref[pm] = ref.get(pm, Form.zero(fam.alg)) + wedge(ms.bar(left), right)
+                        ref[pm] = ref.get(pm, Form.zero(fam.alg)) + wedge(bar(left), right)
             ref = {pm: form for pm, form in ref.items() if not form.is_zero()}
             assert list(ms._window_sum(fam.entry, i, j).items()) == list(ref.items()), (i, j)
 
