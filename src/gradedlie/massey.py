@@ -5,7 +5,8 @@ forms; it is a formal connection when the Maurer-Cartan residual
 mu(A) = dA - bar(A).A is supported in the one-dimensional center (the
 corner).  Defining systems fix the corner to zero, so the corner residual is
 exactly -c(A) with c(A) = sum_r bar(a(1,r)) a(r+1,n) the related cocycle.
-_residual is the one evaluation of these equations; every check reads it.
+_residual is the one evaluation of these equations; every check reads it,
+and the exact triple rung reads its windows off the same _window_sum.
 
 Entry coordinates: a(i,j) for 1 <= i <= j <= n denotes the window of classes
 i..j and sits at matrix position [i-1][j] (0-based).  The second diagonal
@@ -36,7 +37,7 @@ from .algebra import is_m0_like
 from .cohomology import class_coordinates_form, class_terms, cohomology_slice, representatives
 from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined, NotACocycle,
                      NotApplicable, UnverifiedInput, UsageError, internal_check)
-from .forms import Form, differential, parse_form, render_form, sort_with_sign, wedge
+from .forms import Form, differential, parse_form, render_form, sort_with_sign
 from .mzero import Dm1, omega, omega_index_lists, omega_weight
 from .params import ParamPoly
 
@@ -106,9 +107,7 @@ class ConnectionMatrix:
 def mc_residual(a):
     """mu(A) = dA - bar(A).A as a matrix: _residual of its entries, each the
     one constant piece {(): a(i, j)}."""
-    entries = a.entries
-    residual = _residual(a.alg, a.n,
-                         lambda i, j: {(): entries[(i, j)]} if (i, j) in entries else {})
+    residual = _residual(a.alg, a.n, {key: {(): form} for key, form in a.entries.items()})
     return ConnectionMatrix.from_entries(a.alg, a.n, {key: r[()] for key, r in residual.items()})
 
 
@@ -157,50 +156,55 @@ class DefiningSystem:
         return self
 
 
-def _window_sum(pieces, i, j):
-    """sum_{r=i}^{j-1} bar(a(i,r)) a(r+1,j) over entries given as pieces:
-    pieces(k, l) is a(k, l) as {parameter monomial: nonzero Form}, {} where
-    it is absent.  Returns the pieces of the sum in the same form, monomials
-    in order of first appearance.  Every wedge term, sorting sign and bar
-    sign in its coefficient, goes straight into one term dict per monomial."""
+def _window_sum(entries, i, j):
+    """sum_{r=i}^{j-1} bar(a(i,r)) a(r+1,j) over the entry dict
+    {(k, l): {parameter monomial: nonzero Form}}, where an absent key is a zero
+    entry.  Returns the pieces of the sum in the same form, monomials in order
+    of first appearance.  Every wedge term goes straight into one term dict per
+    monomial, subtracted where the bar sign times the sorting sign is
+    negative.  The loops build no comprehension: this runs three times per
+    triple product."""
     sums = {}
     for r in range(i, j):
-        right_pieces = pieces(r + 1, j)
-        if not right_pieces:
+        left_pieces, right_pieces = entries.get((i, r)), entries.get((r + 1, j))
+        if not left_pieces or not right_pieces:
             continue
-        for pl, lf in pieces(i, r).items():
-            alg = lf.alg
-            # each barred left term with its coefficient for a positive and
-            # a negative sorting sign
-            left_terms = [(ma, ca, -ca) if len(ma) % 2 else (ma, -ca, ca)
-                          for ma, ca in lf.terms.items()]
+        for pl, lf in left_pieces.items():
+            alg, left_terms = lf.alg, lf.terms.items()
             for pr, rf in right_pieces.items():
                 pm = tuple(sorted(pl + pr)) if pl and pr else pl or pr
                 terms = sums.setdefault(pm, {})
                 right_terms = rf.terms.items()
-                for ma, pos, neg in left_terms:
+                for ma, ca in left_terms:
+                    even = not len(ma) % 2          # bar is -1 on even degrees
                     for mb, cb in right_terms:
                         norm = sort_with_sign(ma + mb)
                         if norm is None:
                             continue
                         sign, mono = norm
-                        c = (pos if sign > 0 else neg) * cb
-                        s = terms.get(mono)
-                        terms[mono] = c if s is None else s + c
-    return {pm: form for pm, terms in sums.items() if (form := Form(alg, terms)).terms}
+                        c, s = ca * cb, terms.get(mono)
+                        if (sign < 0) != even:
+                            terms[mono] = -c if s is None else s - c
+                        else:
+                            terms[mono] = c if s is None else s + c
+    out = {}
+    for pm, terms in sums.items():
+        if (form := Form(alg, terms)).terms:
+            out[pm] = form
+    return out
 
 
-def _residual(alg, n, pieces):
+def _residual(alg, n, entries):
     """mu(A) = dA - bar(A).A, the one evaluation of the defining equations:
     {(i, j): d a(i,j) - sum_r bar(a(i,r)) a(r+1,j)} over the nonzero entries,
-    diagonal by diagonal.  Entries come in and go out as pieces
-    {parameter monomial: nonzero Form}; pieces(i, j) is {} where a(i, j) is
-    absent.  Each window is summed once."""
+    diagonal by diagonal.  Entries come in as the entry dict of _window_sum
+    and go out as pieces {parameter monomial: nonzero Form}.  Each window is
+    summed once."""
     residual = {}
     for s in range(n):
         for i in range(1, n - s + 1):
-            window, entry = _window_sum(pieces, i, i + s), {}
-            for pm, form in pieces(i, i + s).items():
+            window, entry = _window_sum(entries, i, i + s), {}
+            for pm, form in entries.get((i, i + s), {}).items():
                 d, w = differential(alg, form), window.pop(pm, None)
                 if w is None or d.terms != w.terms:      # no Form for a solved equation
                     entry[pm] = d if w is None else d - w
@@ -388,9 +392,6 @@ class FamilyResult:
     def param_ids(self):
         return [pid for pid, _ in self.params]
 
-    def entry(self, i, j):
-        return self.entries.get((i, j), {})
-
     def substitute(self, assignment):
         """Numeric substitution -> a concrete, verified DefiningSystem."""
         entries = self._substituted({pid: ParamPoly.const(assignment.get(pid, 0))
@@ -433,7 +434,7 @@ class FamilyResult:
         the parameter monomials, so every substitution is a defining system;
         names the first failing entry, diagonal by diagonal.  Returns the
         related cocycle c(A) = -mu(A)(1,n) as pieces."""
-        residual, corner = _residual(self.alg, self.n, self.entry), (1, self.n)
+        residual, corner = _residual(self.alg, self.n, self.entries), (1, self.n)
         if failing := [key for key in residual if key != corner]:
             raise UnverifiedInput("defining-system equation fails at ({},{})".format(*failing[0]))
         return {pm: -form for pm, form in residual.get(corner, {}).items()}
@@ -515,7 +516,7 @@ def solve_defining_system(g, classes, graded=None):
             before = {}              # pm -> (window piece, preimage or None) of the last pass
             while True:
                 pieces, bad, solved = {}, {}, {}
-                for pm, comp in sorted(_window_sum(fam.entry, i, j).items()):
+                for pm, comp in sorted(_window_sum(fam.entries, i, j).items()):
                     # after a narrowing, a window piece equal to that of the
                     # pass before has the same preimage
                     known = before.get(pm)
@@ -558,9 +559,12 @@ def solve_defining_system(g, classes, graded=None):
 def triple_product(g, a, b, c):
     """Exact triple Massey product <[a],[b],[c]>.
 
-    Returns a MasseyResult carrying one value class, the indeterminacy
-    subspace basis, and the exact decision whether 0 lies in the affine set.
-    Raises MasseyNotDefined when [a][b] or [b][c] is nonzero.
+    a(1,2) and a(2,3) are the coboundary preimages of their windows
+    bar(a) b and bar(b) c, and the value is the corner window
+    bar(a) a(2,3) + bar(a(1,2)) c.  Returns a MasseyResult carrying that
+    value class, the indeterminacy subspace basis, and the exact decision
+    whether 0 lies in the affine set.  Raises MasseyNotDefined when [a][b]
+    or [b][c] is nonzero.
     """
     _require_cocycles(g, (a, b, c), "triple product needs nonzero cocycles")
     p, q, r = a.degree(), b.degree(), c.degree()
@@ -569,15 +573,21 @@ def triple_product(g, a, b, c):
     total_weight = wa + wb + wc
     if total_weight > g.cutoff:
         raise CutoffTooSmall(total_weight, g.cutoff, "triple product")
-    # signs (-1)^(p+1), (-1)^(q+1) and (-1)^(p+q) applied by negation
-    f0 = _signed_primitive(g, wedge(a, b), p, (1, 2), "[a][b] is not exact")
-    g0 = _signed_primitive(g, wedge(b, c), q, (2, 3), "[b][c] is not exact")
-    ag, fc = wedge(a, g0), wedge(f0, c)
-    value_form = (ag if p % 2 else -ag) + (fc if (p + q) % 2 == 0 else -fc)
+    entries = {(1, 1): {(): a}, (2, 2): {(): b}, (3, 3): {(): c}}
+    for slot, message in (((1, 2), "[a][b] is not exact"), ((2, 3), "[b][c] is not exact")):
+        if window := _window_sum(entries, *slot):
+            preimage = linalg.coboundary_preimage(g, window[()])
+            if preimage is None:
+                raise MasseyNotDefined(slot, message)
+            entries[slot] = {(): preimage}
+    corner = _window_sum(entries, 1, 3)
+    value_form = corner[()] if corner else Form.zero(g)
     target_degree = p + q + r - 1
 
-    # indeterminacy generators: [a ^ h'] for closed h' (deg q+r-1) and
-    # [h ^ c] for closed h (deg p+q-1); classes depend only on [h], [h'].
+    # indeterminacy generators: [a ^ h'] for closed h' (deg q+r-1) at a(2,3)
+    # and [h ^ c] for closed h (deg p+q-1) at a(1,2); classes depend only on
+    # [h], [h'].  In c(A) they enter as bar(a) h' and bar(h) c, so each keeps
+    # the bar sign of its slot in the witness.
     # Mixed-weight outer classes widen the search: a generator of weight up
     # to wb + wc + (wa - min_wt(a)) can still land inside the value weights
     # through the low-weight part of a (and symmetrically for c).  Each
@@ -586,9 +596,11 @@ def triple_product(g, a, b, c):
     spread_a = wa - a_weights[0]
     spread_c = wc - c_weights[0]
     gen_forms, gen_terms = [], []
-    for kind, degree, bound, outer, outer_degree in (
-            ("g", q + r - 1, min(g.cutoff - a_weights[0], wb + wc + spread_a), a, p),
-            ("f", p + q - 1, min(g.cutoff - c_weights[0], wa + wb + spread_c), c, r)):
+    for slot, sign, degree, bound, outer, outer_degree in (
+            ((2, 3), (-1) ** (p + 1), q + r - 1,
+             min(g.cutoff - a_weights[0], wb + wc + spread_a), a, p),
+            ((1, 2), (-1) ** (p + q), p + q - 1,
+             min(g.cutoff - c_weights[0], wa + wb + spread_c), c, r)):
         # a weight where the class of outer vanishes adds nothing, and its
         # table may lie past the cutoff
         outer_slices = [(cohomology_slice(g, outer_degree, k), coords)
@@ -596,9 +608,9 @@ def triple_product(g, a, b, c):
         for weight in range(1, bound + 1):
             reps = representatives(g, degree, weight)
             if reps:
-                gen_forms += [(kind, h) for h in reps]
+                gen_forms += [(slot, sign, h) for h in reps]
                 gen_terms += _generator_terms(outer_slices, cohomology_slice(g, degree, weight),
-                                              kind == "g")
+                                              slot == (2, 3))
     value_terms = class_terms(g, value_form)
 
     # coordinates on the classes that occur, (weight, index) ascending; a
@@ -625,33 +637,17 @@ def triple_product(g, a, b, c):
     value_cls = _value_class(g, target_degree, value_terms)
 
     if solvable:
-        f_w, g_w = f0, g0
-        for coeff, (kind, h) in zip(coeffs, gen_forms):
-            if coeff == 0:
-                continue
-            if kind == "g":
-                g_w = g_w + coeff * h
-            else:
-                f_w = f_w + coeff * h
+        for coeff, (slot, sign, h) in zip(coeffs, gen_forms):
+            if coeff:
+                _add_piece(entries.setdefault(slot, {}), (), (coeff if sign > 0 else -coeff) * h)
         system = ConnectionMatrix.from_entries(
-            g, 3, {(1, 1): a, (2, 2): b, (3, 3): c, (1, 2): f_w, (2, 3): g_w})
+            g, 3, {key: pieces[()] for key, pieces in entries.items()})
         return _witness_result(DefiningSystem(system), value_cls,
                                {"kind": "exact-affine-triple"}, indet_classes)
     return MasseyResult(NONTRIVIAL_CERTIFIED, value=value_cls,
                         indeterminacy=indet_classes,
                         certificate={"kind": "exact-affine-triple",
                                      "detail": "0 is not in the affine value set"})
-
-
-def _signed_primitive(g, form, degree, window, message):
-    """(-1)^(degree+1) times the particular primitive of form (zero for the
-    zero form); raises MasseyNotDefined(window) when form is not exact."""
-    if form.is_zero():
-        return Form.zero(g)
-    preimage = linalg.coboundary_preimage(g, form)
-    if preimage is None:
-        raise MasseyNotDefined(window, message)
-    return preimage if degree % 2 else -preimage
 
 
 def _generator_terms(outer_slices, h_slice, outer_left):
@@ -797,7 +793,7 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
             "family obstructed at " + str(fam.obstruction.position),
             "family not known complete; product may still be defined"))
 
-    corner = _window_sum(fam.entry, 1, n)
+    corner = _window_sum(fam.entries, 1, n)
     coords = _class_polynomials(g, corner)
     base_value = value_class_of(g, corner.get((), Form.zero(g)))
 
@@ -832,13 +828,10 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
     if witness is not None:
         return _witness_result(witness, base_value, {"kind": "grid-witness"})
 
-    shape = _main_shape(g, classes)
-    if shape is not None:
-        cert = leading_coefficient_certificate(g, classes, samples=samples, seed=seed)
-        if cert is not None:
-            return MasseyResult(NONTRIVIAL_CERTIFIED, value=base_value,
-                                certificate=cert,
-                                notes=tuple(notes))
+    cert = leading_coefficient_certificate(g, classes, samples=samples, seed=seed)
+    if cert is not None:
+        return MasseyResult(NONTRIVIAL_CERTIFIED, value=base_value, certificate=cert,
+                            notes=tuple(notes))
     status = VALUE_SET if fam.complete else UNDECIDED
     notes.append("value coordinates are polynomial in "
                  f"{len(fam.params)} parameters; no decision reached")

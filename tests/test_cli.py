@@ -108,6 +108,17 @@ def test_massey_eval_not_defined(capsys):
     assert json.loads(out)["status"] == "NotDefined"
 
 
+def test_massey_eval_triple_with_an_even_degree_first_class(capsys):
+    # the witness needs a generator at a(2,3), where bar(e3^e4 - e2^e5) = -(e3^e4 - e2^e5)
+    code, out, _ = run(capsys, "massey", "eval",
+                       "e3^e4 - e2^e5; e1; e2^e3^e7 - e2^e4^e6 + e3^e4^e5", "--algebra", "m0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "TrivialWitness"
+    assert data["certificate"] == {"kind": "exact-affine-triple"}
+    assert [e["coeff"] for e in data["value"]["entries"]] == ["4"]
+
+
 def test_massey_classify(capsys):
     code, out, _ = run(capsys, "massey", "classify", "e1; e2+1*e1; e1; e1")
     assert code == 0

@@ -311,3 +311,15 @@ def test_bianchi_route_shares_no_code_with_the_residual():
                 defined[name] = sorted(names)
     assert private == []
     assert defined == {"checks.py": sorted(MATRIX_OPERATIONS)}
+
+
+def test_massey_products_go_through_the_window_sum():
+    # massey.py neither imports nor calls wedge, so every product of
+    # connection entries is a window sum of _window_sum
+    with open(os.path.join(SRC, "massey.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and any(a.name == "wedge" for a in node.names)
+            or isinstance(node, ast.Name) and node.id == "wedge"
+            or isinstance(node, ast.Attribute) and node.attr == "wedge"]
+    assert uses == []

@@ -806,6 +806,105 @@ def test_golden_nilpotent_triple_digest():
     assert digest.hexdigest() == GOLDEN_NILPOTENT_TRIPLE_DIGEST
 
 
+def _family_triple_status(g, classes):
+    """The n = 3 decision of the complete graded family: NotDefined at its
+    obstruction, otherwise trivial iff the class polynomials of the corner
+    window have a common zero.  It shares no cup-product table, slot sign or
+    Echelon with triple_product."""
+    fam = ms.solve_defining_system(g, classes, graded=True)
+    assert fam.complete
+    if not fam.ok:
+        return "NotDefined", fam.obstruction.position
+    coords = fam.value_polynomial()
+    assert all(poly.is_affine() for poly in coords.values())
+    if not coords or ms._affine_zeros(list(coords.values())) is not None:
+        return ms.TRIVIAL_WITNESS, None
+    return ms.NONTRIVIAL_CERTIFIED, None
+
+
+def test_triple_agrees_with_the_family_decision():
+    # every ordered triple of representatives of H^q_k (q <= 3, k <= 19) over
+    # m0/20 with total weight <= 20; three of them have deg a = 2 and a
+    # witness that needs a generator at a(2,3), where bar(a) = -a
+    g = load_preset("m0", 20)
+    reps = [(k, rep) for q in (1, 2, 3) for k in range(1, 20) for rep in representatives(g, q, k)]
+    triples = [[rep for _, rep in t] for t in iter_product(reps, repeat=3)
+               if sum(k for k, _ in t) <= 20]
+    seen = {}
+    for classes in triples:
+        try:
+            res = ms.triple_product(g, *classes)
+        except MasseyNotDefined as exc:
+            status = "NotDefined", exc.window
+        else:
+            status = res.status, None
+        assert status == _family_triple_status(g, classes), [render_form(c) for c in classes]
+        seen[status[0]] = seen.get(status[0], 0) + 1
+    assert len(triples) == 414
+    assert seen == {ms.TRIVIAL_WITNESS: 221, ms.NONTRIVIAL_CERTIFIED: 37, "NotDefined": 156}
+
+
+@pytest.mark.parametrize("text, slot", [
+    ("e3^e4 - e2^e5; e1; e2^e3^e7 - e2^e4^e6 + e3^e4^e5", (2, 3)),   # bar sign -1: deg a = 2
+    ("e2^e3^e4^e8 - e2^e3^e5^e7 + e2^e4^e5^e6; e1; e2", (1, 2))],   # deg a + deg b = 5
+    ids=["a(2,3)", "a(1,2)"])
+def test_triple_witness_generators_keep_the_bar_sign_of_their_slot(text, slot):
+    # the value is a nonzero class of the indeterminacy, and the witness
+    # reaches it by a generator added at slot, off the particular preimage
+    # of that slot's window
+    g = load_preset("m0", 20)
+    classes = ms.parse_product(g, text)
+    res = ms.triple_product(g, *classes)
+    assert res.status == ms.TRIVIAL_WITNESS and not res.value.is_zero()
+    a = res.witness.matrix
+    i, j = slot
+    window = wedge(bar(classes[i - 1]), classes[j - 1])
+    assert a.entry(i, j) != linalg.coboundary_preimage(g, window)
+    route = msub(mdiff(a), mmul(mbar(a), a))
+    assert route.entries.keys() <= {(1, 3)}
+    assert linalg.coboundary_preimage(g, -route.corner()) is not None
+
+
+@pytest.fixture(scope="module")
+def triple_pools():
+    """Per algebra, (weight, representatives) of its nonzero slices of degree
+    1-3 whose weight leaves room for two more classes."""
+    return {name: (g, [(k, reps) for q in (1, 2, 3) for k in range(1, g.cutoff - 1)
+                       if (reps := representatives(g, q, k))])
+            for name, g in (("m0", load_preset("m0", 20)), ("n", NILPOTENT))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["m0", "n"]), data=st.data())
+def test_triple_witnesses_pass_the_matrix_route(triple_pools, name, data):
+    # a class is a small integer combination of the representatives of one
+    # slice; every witness of a triple product must satisfy the defining
+    # equations by checks.py's matrix route, which shares no code with
+    # _window_sum
+    g, pool = triple_pools[name]
+    classes, weight = [], 0
+    for left in (2, 1, 0):          # each class left to draw has weight >= 1
+        k, reps = data.draw(st.sampled_from([s for s in pool
+                                             if weight + s[0] + left <= g.cutoff]))
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(reps), max_size=len(reps))
+                           .filter(any))
+        form = Form.zero(g)
+        for c, rep in zip(coeffs, reps):
+            form = form + c * rep
+        classes.append(form)
+        weight += k
+    try:
+        res = ms.triple_product(g, *classes)
+    except MasseyNotDefined:
+        return
+    if res.status == ms.TRIVIAL_WITNESS:
+        a = res.witness.matrix
+        route = msub(mdiff(a), mmul(mbar(a), a))
+        assert route.entries.keys() <= {(1, 3)}
+        assert a.second_diagonal() == classes
+        assert linalg.coboundary_preimage(g, -route.corner()) is not None
+
+
 # -- one-class products over m0 ------------------------------------------------
 
 def test_one_class_D_type(m0):
@@ -1551,12 +1650,12 @@ def test_window_sum_is_the_form_sum_of_bar_products(substitute_families, text):
         for j in range(i + 1, fam.n + 1):          # (1, n) is the corner
             ref = {}
             for r in range(i, j):
-                for pl, left in fam.entry(i, r).items():
-                    for pr, right in fam.entry(r + 1, j).items():
+                for pl, left in fam.entries.get((i, r), {}).items():
+                    for pr, right in fam.entries.get((r + 1, j), {}).items():
                         pm = tuple(sorted(pl + pr))
                         ref[pm] = ref.get(pm, Form.zero(fam.alg)) + wedge(bar(left), right)
             ref = {pm: form for pm, form in ref.items() if not form.is_zero()}
-            assert list(ms._window_sum(fam.entry, i, j).items()) == list(ref.items()), (i, j)
+            assert list(ms._window_sum(fam.entries, i, j).items()) == list(ref.items()), (i, j)
 
 
 NARROWED_FAMILIES = [row[:3] for row in SUBSTITUTE_FAMILIES if row[3]]
