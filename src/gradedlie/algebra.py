@@ -151,7 +151,7 @@ class GradedLieAlgebra:
                     for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
                         for c1, t in self.bracket_terms(x, y):
                             for c2, u in self.bracket_terms(t, z):
-                                acc[u] = acc.get(u, Fraction(0)) + c1 * c2
+                                acc[u] = acc.get(u, 0) + c1 * c2
                     if any(v != 0 for v in acc.values()):
                         raise JacobiViolation((i, j, k))
 

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .errors import CutoffTooSmall, NotACocycle, internal_check
-from .forms import Form, slice_basis, wedge, weight_parts
+from .forms import Form, _exact, slice_basis, wedge, weight_parts
 from .algebra import is_m0_like, load_preset
 from .mzero import omega, omega_index_lists
 
@@ -82,7 +82,8 @@ class CohomologySlice:
     @cached_property
     def cocycle_forms(self):
         """The cocycles as Forms, built on first use and kept."""
-        return tuple(Form(self.algebra, dict(zip(self.basis, vec))) for vec in self.cocycles)
+        return tuple(Form(self.algebra, {m: _exact(c) for m, c in zip(self.basis, vec)})
+                     for vec in self.cocycles)
 
     @cached_property
     def reduction(self):
@@ -108,8 +109,9 @@ class CohomologySlice:
         homotopy-transfer contraction read off one E v of the reduction: p
         the class coordinates (a tuple), h the echelon d-preimage of
         z - i p(z) as a tuple of (monomial of the (q-1, k) slice, nonzero
-        coefficient); both None when the component is not closed.  Kept per
-        component, keyed on plain ints; raises NotACocycle for a monomial
+        coefficient), both normalised by _exact; both None when the component
+        is not closed.  Kept per component, keyed on plain ints (an int and
+        the equal Fraction share an entry); raises NotACocycle for a monomial
         outside the slice."""
         key = tuple([(m, c.numerator, c.denominator) for m, c in terms.items()])
         hp = self.contractions.get(key)
@@ -125,8 +127,9 @@ class CohomologySlice:
                 hp = None, None
             else:
                 labels = _slice_basis_cached(self.algebra, self.q - 1, self.k)
-                hp = (tuple((labels[pc], v) for pc, v in zip(red.pivots, image[:exact]) if v),
-                      tuple(image[exact:red.rank]))
+                hp = (tuple((labels[pc], _exact(v))
+                            for pc, v in zip(red.pivots, image[:exact]) if v),
+                      tuple(map(_exact, image[exact:red.rank])))
             self.contractions[key] = hp
         return hp
 
@@ -187,7 +190,7 @@ def _choose_representatives(g, q, k, basis, dmat, cocycles, coboundaries, dim):
         unit = [0] * len(basis)
         unit[i] = 1
         if span.add(unit):
-            chosen.append(Form(g, {mono: Fraction(1)}))
+            chosen.append(Form(g, {mono: 1}))
     # completion: cocycles reduced modulo the coboundaries (zero on
     # coboundary pivot columns), re-echelonized, leading coefficient 1
     if len(chosen) < dim:
@@ -198,7 +201,7 @@ def _choose_representatives(g, q, k, basis, dmat, cocycles, coboundaries, dim):
             if len(chosen) == dim:
                 break
             if span.add(vec):
-                chosen.append(Form(g, {basis[i]: v for i, v in enumerate(vec) if v}))
+                chosen.append(Form(g, {basis[i]: _exact(v) for i, v in enumerate(vec) if v}))
     return chosen
 
 

@@ -3,6 +3,9 @@
 Monomials are strictly increasing index tuples e^{i1}^...^e^{iq}; forms are
 sparse maps monomial -> exact coefficient with the sign of each term absorbed
 into the coefficient (canonical term maps make equality testing trivial).
+A coefficient is an int when integral and a Fraction otherwise (both exact
+numbers.Rational); _exact is the one normaliser, so the integral constants
+of m0 and L1 keep their arithmetic on ints.
 
 The differential is the antiderivation with d e^k = sum c_ij^k e^i^e^j over
 the structure constants, which on 1-forms gives (df)(X,Y) = +f([X,Y]); this
@@ -37,16 +40,18 @@ def sort_with_sign(indices):
 
 
 def _exact(value):
-    """value as a Fraction; TypeError for anything but an int or a Fraction,
-    so no float enters a form."""
+    """value as an int when integral, else as a Fraction; TypeError for
+    anything but an int or a Fraction, so no float enters a form."""
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"form coefficients are int or Fraction, not {type(value).__name__}")
-    return Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class Form:
-    """Sparse exterior form over an ambient algebra, with rational (Fraction)
-    coefficients."""
+    """Sparse exterior form over an ambient algebra, with int or Fraction
+    coefficients.  The constructor keeps them as given (a sum such as
+    1/2 + 1/2 may stay Fraction(1)); equality, hashing and rendering do not
+    tell an int from the equal Fraction."""
 
     __slots__ = ("alg", "terms")
 
@@ -60,7 +65,7 @@ class Form:
         return cls(alg, {})
 
     @classmethod
-    def monomial(cls, alg, indices, coeff=Fraction(1)):
+    def monomial(cls, alg, indices, coeff=1):
         norm = sort_with_sign(indices)
         if norm is None:
             return cls.zero(alg)
@@ -70,7 +75,7 @@ class Form:
         return cls(alg, {mono: sign * coeff})
 
     @classmethod
-    def generator(cls, alg, index, coeff=Fraction(1)):
+    def generator(cls, alg, index, coeff=1):
         return cls.monomial(alg, (index,), coeff)
 
     @classmethod
@@ -313,14 +318,13 @@ def parse_form(g, text):
             except (ValueError, ZeroDivisionError):
                 raise AlgebraFormatError(0, f"bad coefficient {c_s!r}") from None
         elif term.startswith("e"):
-            coeff, mono_s = Fraction(1), term
+            coeff, mono_s = 1, term
         else:
             try:
                 coeff, mono_s = Fraction(term), ""
             except (ValueError, ZeroDivisionError):
                 raise AlgebraFormatError(0, f"bad term {term!r}") from None
-        if neg:
-            coeff = -coeff
+        coeff = _exact(-coeff if neg else coeff)
         if mono_s:
             indices = []
             for piece in mono_s.split("^"):

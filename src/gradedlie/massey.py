@@ -31,13 +31,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product as iter_product
+from math import prod
 
 from . import linalg
 from .algebra import is_m0_like
 from .cohomology import class_coordinates_form, class_terms, cohomology_slice, representatives
 from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined, NotACocycle,
                      NotApplicable, UnverifiedInput, UsageError, internal_check)
-from .forms import Form, differential, parse_form, render_form, sort_with_sign
+from .forms import Form, _exact, differential, parse_form, render_form, sort_with_sign
 from .mzero import Dm1, omega, omega_index_lists, omega_weight
 from .params import ParamPoly
 
@@ -393,11 +394,19 @@ class FamilyResult:
         return [pid for pid, _ in self.params]
 
     def substitute(self, assignment):
-        """Numeric substitution -> a concrete, verified DefiningSystem."""
-        entries = self._substituted({pid: ParamPoly.const(assignment.get(pid, 0))
-                                     for pid, _ in self.params})
+        """Numeric substitution -> a concrete, verified DefiningSystem: each
+        piece scaled by the value of its parameter monomial, the product of
+        the assigned values (a parameter missing from the assignment is 0)."""
+        values = {pid: _exact(assignment.get(pid, 0)) for pid, _ in self.params}
+        entries = {}
+        for key, pieces in self.entries.items():
+            terms = entries[key] = {}
+            for pm, form in pieces.items():
+                if c := prod(map(values.__getitem__, pm)):
+                    for m, v in form.terms.items():
+                        terms[m] = terms.get(m, 0) + c * v
         return DefiningSystem(ConnectionMatrix.from_entries(self.alg, self.n, {
-            key: pieces[()] for key, pieces in entries.items() if pieces}))
+            key: Form(self.alg, terms) for key, terms in entries.items()}))
 
     def _substituted(self, values):
         """The entries with each parameter pid in values replaced by the
@@ -858,7 +867,7 @@ def _grid_search(fam, coords, budget):
 def _paper_entries(g, n):
     """Entries of an n-fold paper system before its last column: e^{s+1} with
     sign (-1)^{s+1} at a(1, s) and e^1 at a(i, i) for 1 < i < n."""
-    entries = {(1, s): Form.generator(g, s + 1, Fraction(1) if s % 2 else Fraction(-1))
+    entries = {(1, s): Form.generator(g, s + 1, 1 if s % 2 else -1)
                for s in range(1, n)}
     return entries | {(i, i): Form.generator(g, 1) for i in range(2, n)}
 
@@ -1020,11 +1029,11 @@ def _match_table(pairs):
     n = len(pairs)
     first = pairs[0]
     if all(_projectively_equal(first, p) for p in pairs[1:]):
-        lam = (Fraction(first[0] / first[1]), Fraction(1)) if first[1] != 0 \
+        lam = (Fraction(*first), Fraction(1)) if first[1] != 0 \
             else (Fraction(1), Fraction(0))
         return ClassificationTag("A", lam)
     if all(b != 0 for _, b in pairs):
-        lam = [a / b for a, b in pairs]
+        lam = [Fraction(a, b) for a, b in pairs]
         diffs = {lam[i + 1] - lam[i] for i in range(n - 1)}
         if len(diffs) == 1:
             alpha = diffs.pop()
@@ -1036,11 +1045,11 @@ def _match_table(pairs):
     special = [i for i in range(n) if i not in e1_positions]
     if len(special) == 1:
         s = special[0]
-        alpha = pairs[s][0] / pairs[s][1]
+        alpha = Fraction(*pairs[s])
         return ClassificationTag("C", (s, alpha))
     if (len(special) == 2 and special == [0, n - 1] and n >= 4 and n % 2 == 0):
-        alpha = pairs[0][0] / pairs[0][1]
-        beta = pairs[-1][0] / pairs[-1][1]
+        alpha = Fraction(*pairs[0])
+        beta = Fraction(*pairs[-1])
         return ClassificationTag("D", (alpha, beta))
     return None
 

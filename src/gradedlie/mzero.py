@@ -11,8 +11,6 @@ They satisfy d xi = e^1 ^ D_1 xi,  e^1 ^ xi = d D_{-1} xi,  D_1 D_{-1} = id.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import is_m0_like
 from .errors import AmbientMismatch, CutoffTooSmall, NotApplicable
 from .forms import Form, sort_with_sign, wedge
@@ -89,7 +87,7 @@ def omega(alg, indices):
     weight = omega_weight(idx)
     if weight > alg.cutoff:
         raise CutoffTooSmall(weight, alg.cutoff, f"omega({idx})")
-    return _expand(Form(alg, {tuple(idx): Fraction(1)}), idx[-1])
+    return _expand(Form(alg, {tuple(idx): 1}), idx[-1])
 
 
 def omega_weight(indices):
@@ -132,7 +130,7 @@ def sum_identity_check(alg, i1, tail_indices):
     total = Form.zero(alg)
     power = om
     for k in range(0, i1 - 1):
-        e_part = Form.generator(alg, i1 - k, Fraction(1) if k % 2 == 0 else Fraction(-1))
+        e_part = Form.generator(alg, i1 - k, 1 if k % 2 == 0 else -1)
         total = total + wedge(e_part, power)
         if k < i1 - 2:
             power = Dm1(power)

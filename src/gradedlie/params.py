@@ -5,6 +5,9 @@ each solvable slot).  Their entries are stored as one rational form per
 parameter monomial, so the class coordinates of the related cocycle are
 polynomials in the parameters with rational coefficients.  A monomial is a
 sorted tuple of parameter ids (with repetition); () is the constant term.
+Unlike Form coefficients, which are ints where integral, ParamPoly keeps
+every coefficient a Fraction: its polynomials are few and small, int
+coefficients there measured no gain, and one type keeps its terms uniform.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class ParamPoly:
         clean = {}
         if terms:
             for mono, c in terms.items():
-                c = c if isinstance(c, Fraction) else _exact(c)
+                c = c if isinstance(c, Fraction) else Fraction(_exact(c))
                 if c != 0:
                     clean[tuple(mono)] = c
         self.terms = clean

@@ -263,8 +263,11 @@ def test_float_coefficients_are_refused(m0, site):
         FLOAT_SITES[site](m0)
 
 
-def test_int_and_fraction_coefficients_become_fractions(m0):
+def test_integral_coefficients_become_ints(m0):
     for a in (3 * mono(m0, 1, 2), mono(m0, 1, 2).scaled(Fraction(3)), Form.scalar(m0, 3),
               Form.scalar(m0, Fraction(3))):
-        assert [type(c) for c in a.terms.values()] == [Fraction] and set(a.terms.values()) == {3}
+        assert [type(c) for c in a.terms.values()] == [int] and set(a.terms.values()) == {3}
+    for a in (Fraction(3, 2) * mono(m0, 1, 2), Form.scalar(m0, Fraction(3, 2))):
+        assert [type(c) for c in a.terms.values()] == [Fraction]
+        assert set(a.terms.values()) == {Fraction(3, 2)}
     assert (0 * mono(m0, 1, 2)).is_zero()

@@ -323,3 +323,20 @@ def test_massey_products_go_through_the_window_sum():
             or isinstance(node, ast.Name) and node.id == "wedge"
             or isinstance(node, ast.Attribute) and node.attr == "wedge"]
     assert uses == []
+
+
+def _float_sources(path):
+    """Line numbers of every true division (/ or /=) and float constant."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                   or isinstance(node, ast.Constant) and isinstance(node.value, float)})
+
+
+def test_no_true_division_or_float_literal_in_src():
+    # integral coefficients are Python ints, and int / int is a float; exact
+    # quotients are written Fraction(a, b)
+    found = {name: _float_sources(os.path.join(SRC, name))
+             for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -563,7 +563,7 @@ def _in_class_span(vec, generators):
         row = reduce([_class_dict(gen).get(key, 0) for key in keys])
         p = next((i for i, x in enumerate(row) if x), None)
         if p is not None:
-            basis.append((p, [x / row[p] for x in row]))
+            basis.append((p, [Fraction(x, row[p]) for x in row]))
     return not any(reduce([vec.get(key, 0) for key in keys]))
 
 
@@ -1579,7 +1579,7 @@ def _merges(fam):
     """(entry key, pm, q, m, ratio) for each two pieces pm and (q,) of one
     entry, q not in pm, whose Forms share the monomial m; ratio is the
     quotient of their coefficients at m, so q -> -ratio * pm cancels m."""
-    return [(key, pm, q[0], m, form.terms[m] / other.terms[m])
+    return [(key, pm, q[0], m, Fraction(form.terms[m], other.terms[m]))
             for key, pieces in fam.entries.items()
             for pm, form in pieces.items() for q, other in pieces.items()
             if len(q) == 1 and q[0] not in pm
@@ -1873,3 +1873,120 @@ def test_family_products_reduce_each_queried_slice_once(monkeypatch):
     slices = [key for caller, key in built if caller == "reduction"]
     assert {caller for caller, _ in built} == {"reduction", "solve"}
     assert len(slices) == len(set(slices)) and set(slices) <= queried
+
+
+# -- coefficient types: an int and the equal Fraction are one scalar -----------
+
+TYPE_ALGEBRAS = {
+    "m0": load_preset("m0", 12), "L1": load_preset("L1", 12),
+    # [e1, ei] = e{i+1} and [e2, ej] = 1/2 e{j+2}: a constant with a denominator
+    "filiform-half": parse_algebra(
+        "generators: " + ", ".join(f"({i}:{i})" for i in range(1, 13)) + "\ncutoff: 12\n"
+        + "".join(f"[1,{i}] = 1*{i + 1}\n" for i in range(2, 12))
+        + "".join(f"[2,{j}] = 1/2*{j + 2}\n" for j in range(3, 11)))}
+TYPE_SLICES = [(q, k) for q in (1, 2, 3) for k in range(1, 11)]
+
+
+@st.composite
+def coefficient_pairs(draw):
+    """One drawn nonzero coefficient n, Fraction(n) or Fraction(n, d) as the
+    pair of ways to carry it: an integral value is an int on one side and the
+    equal Fraction on the other, in either order, and a proper fraction is
+    itself on both."""
+    value = Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.sampled_from((1, 1, 2, 3))))
+    if value.denominator != 1:
+        return value, value
+    pair = (value.numerator, value)
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@st.composite
+def form_pairs(draw, g, q=None, k=None):
+    """Two Forms over g with equal coefficients on up to four monomials of one
+    (q, k) slice, their integral coefficients carried as in coefficient_pairs;
+    built with the constructor, which keeps the types it is given."""
+    if q is None:
+        q, k = draw(st.sampled_from(TYPE_SLICES))
+    basis = slice_basis(g, q, k)
+    monos = draw(st.lists(st.sampled_from(basis), max_size=4, unique=True)) if basis else []
+    pairs = [draw(coefficient_pairs()) for _ in monos]
+    return tuple(Form(g, {m: pair[side] for m, pair in zip(monos, pairs)}) for side in (0, 1))
+
+
+@st.composite
+def cocycle_pairs(draw, g, q, k):
+    """Two closed (q, k) forms equal in value: d of a drawn (q - 1, k) pair
+    plus a drawn combination of the slice's representatives, each carried as
+    in coefficient_pairs."""
+    x = draw(form_pairs(g, q - 1, k)) if q > 1 else (Form.zero(g),) * 2
+    out = [differential(g, form) for form in x]
+    for rep in cohomology_slice(g, q, k).representatives:
+        pair = draw(coefficient_pairs())
+        for side in (0, 1):
+            out[side] = out[side] + Form(g, {m: pair[side] * c for m, c in rep.terms.items()})
+    return tuple(out)
+
+
+def _exact_types(*forms):
+    """Every coefficient of the forms is an int or a Fraction (a bool or a
+    float is neither)."""
+    return all(type(c) in (int, Fraction) for f in forms for c in f.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(TYPE_ALGEBRAS)), data=st.data())
+def test_form_operations_do_not_see_coefficient_types(name, data):
+    g = TYPE_ALGEBRAS[name]
+    (a, a_), (b, b_) = data.draw(form_pairs(g)), data.draw(form_pairs(g))
+    for out, out_ in ((wedge(a, b), wedge(a_, b_)), (bar(a), bar(a_)),
+                      (differential(g, a), differential(g, a_))):
+        assert out == out_ and _exact_types(out, out_)
+    entries = [{key: {(): f} for key, f in (((1, 1), x), ((2, 2), y)) if f.terms}
+               for x, y in ((a, b), (a_, b_))]
+    sums = [ms._window_sum(e, 1, 2) for e in entries]
+    assert sums[0] == sums[1] and _exact_types(*sums[0].values(), *sums[1].values())
+    q, k = data.draw(st.sampled_from([(q, k) for q, k in TYPE_SLICES if q > 1])
+                     .filter(lambda qk: slice_basis(g, *qk)))
+    c, c_ = data.draw(cocycle_pairs(g, q, k))
+    coords = class_coordinates_form(g, c)
+    assert coords == class_coordinates_form(g, c_)
+    assert all(type(v) in (int, Fraction) for p in coords.values() for v in p)
+    x, x_ = linalg.coboundary_preimage(g, c), linalg.coboundary_preimage(g, c_)
+    assert x == x_ and (x is None or _exact_types(x, x_))
+
+
+def _triple_outcome(g, classes):
+    try:
+        result = ms.triple_product(g, *classes)
+    except GradedLieError as exc:
+        return type(exc).__name__, str(exc)
+    values = [result.value, *result.indeterminacy]
+    assert all(type(e[2]) in (int, Fraction) for v in values for e in v.entries)
+    if result.witness is not None:
+        assert _exact_types(*result.witness.matrix.entries.values())
+    return "ok", result.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(TYPE_ALGEBRAS)), data=st.data())
+def test_triple_products_do_not_see_coefficient_types(name, data):
+    g = TYPE_ALGEBRAS[name]
+    # slices with classes, so that every drawn cocycle is nonzero
+    slices = [(q, k) for q in (1, 2) for k in range(1, 6) if betti(g, q, k)]
+    pairs = [data.draw(cocycle_pairs(g, *data.draw(st.sampled_from(slices)))) for _ in range(3)]
+    assert _triple_outcome(g, [p[0] for p in pairs]) == _triple_outcome(g, [p[1] for p in pairs])
+
+
+@pytest.mark.parametrize("name", sorted(TYPE_ALGEBRAS))
+def test_contraction_memo_keys_on_the_value(name):
+    g = TYPE_ALGEBRAS[name]
+    for q, k in ((2, 5), (2, 7), (3, 9)):
+        slc = cohomology_slice(g, q, k)
+        for m in slc.basis:
+            h, p = slc.contract({m: 3})
+            size = len(slc.contractions)
+            assert slc.contract({m: Fraction(3)}) == (h, p) and len(slc.contractions) == size
+            if p is not None:
+                # normalised once per entry: an integral value is an int
+                assert all(type(v) is int or v.denominator != 1 for v in p)
+                assert all(type(v) is int or v.denominator != 1 for _, v in h)
