@@ -93,9 +93,9 @@ class CohomologySlice:
         so its pivots are those of rref(d)), the next dimension rows its class
         coordinates; the rows past the rank vanish exactly on cocycles."""
         d = linalg.d_matrix(self.algebra, self.q - 1, self.k)
-        rows = d.dense_rows()
+        rows = d.rows()
         for r, row in enumerate(rows):
-            row.extend(vec[r] for vec in self.rep_vectors)
+            row.update((d.ncols + j, vec[r]) for j, vec in enumerate(self.rep_vectors) if vec[r])
         red = linalg.Reduction(rows, d.ncols + len(self.rep_vectors))
         internal_check(red.rank == len(self.coboundaries) + len(self.rep_vectors)
                        == len(self.cocycles)
@@ -148,7 +148,10 @@ def cohomology_slice(g, q, k):
     coboundaries = ()
     if prev is not None and prev.ncols:
         # image vectors = columns of the previous differential, reduced
-        red, _ = linalg.rref(list(zip(*prev.dense_rows())))
+        columns = [[0] * prev.nrows for _ in range(prev.ncols)]
+        for (r, c), v in prev.entries.items():
+            columns[c][r] = v
+        red, _ = linalg.rref(columns)
         coboundaries = tuple(tuple(r) for r in red)
     dim = len(cocycles) - len(coboundaries)
 
@@ -195,8 +198,8 @@ def _choose_representatives(g, q, k, basis, dmat, cocycles, coboundaries, dim):
     # coboundary pivot columns), re-echelonized, leading coefficient 1
     if len(chosen) < dim:
         cob_span = linalg.Echelon(coboundaries)
-        reduced = [vec for vec in map(cob_span.reduce, cocycles) if any(vec)]
-        red, _ = linalg.rref(reduced)
+        reduced = [vec for vec in map(cob_span.reduce, cocycles) if vec]
+        red, _ = linalg.rref(reduced, len(basis))
         for vec in red:
             if len(chosen) == dim:
                 break

@@ -1,111 +1,78 @@
 """Exact sparse rational linear algebra on (degree, weight) slices.
 
-Elimination runs on integer rows: fraction-free (Bareiss) forward steps,
-back-substitution on primitive rows, and Fractions only in the final
-normalisation by the pivots.  Span tests reduce against an incrementally
-grown integer echelon (``Echelon``).  A matrix that is queried many times is
-reduced once (``Reduction``) and keeps its transform as integer columns with
-one denominator per row: every later solve or coordinate query takes its
-vector as {index: nonzero value} and is one integer product over those
-columns and one Fraction per nonzero entry of the result.  ``solve`` is one
-such reduction.  A coboundary preimage is, weight by weight, the h of the
-(h, p) contraction of the target's cohomology slice, which reads E v off
-the one reduction the slice keeps, that of [d | representatives], and
-keeps it per component.  Solves and coboundary preimages return the echelon
-particular solution (free variables zero) or None when there is none; a
-null space comes only from ``kernel_basis``.  A coboundary preimage that
-solves at every weight certifies its target closed, since it is d x; only
-an unsolvable or past-cutoff target has its differential taken.  No floating
-point anywhere: triviality decisions downstream are exact yes/no questions.
+One kernel runs every elimination, on sparse primitive integer rows
+{column: int}: ``_eliminate`` clears a column of a row with a pivot row.  The
+batch pass takes columns in ascending order, pivots on the shortest row
+leading at each column and back-substitutes in integers; Fractions appear
+only in the final normalisation.  The pivot choice never reaches the output:
+columns in order give the same pivot columns whichever row pivots, and the
+reduced row echelon form is unique.  Span tests reduce against a growing
+``Echelon`` with the same step.  A matrix queried many times is reduced once
+(``Reduction``) and keeps its transform as integer columns with one
+denominator per row, so a solve or coordinate query of a {index: nonzero
+value} vector is one integer product; ``solve`` is one such reduction.  A
+coboundary preimage is, weight by weight, the h of the (h, p) contraction of
+the target's cohomology slice, read off the one reduction the slice keeps.
+Solves and preimages return the echelon particular solution (free variables
+zero) or None; a null space comes only from ``kernel_basis``.  A preimage that
+solves at every weight certifies its target closed, since it is d x; only an
+unsolvable or past-cutoff target has its differential taken.  No floats.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from . import cohomology   # cohomology imports linalg; read at call time only
 from .errors import CutoffTooSmall, NotACocycle
-from .forms import Form, differential, weight_parts
+from .forms import Form, _exact, differential, weight_parts
 
 
 class SliceMatrix:
-    """Sparse rational matrix whose rows/cols are indexed by monomial lists."""
+    """Sparse rational matrix whose rows/cols are indexed by monomial lists;
+    entries {(row, col): value} hold ints where integral (forms._exact)."""
 
     def __init__(self, nrows, ncols, entries=None, row_labels=None, col_labels=None):
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = {k: Fraction(v) for k, v in (entries or {}).items() if v != 0}
+        self.entries = {k: _exact(v) for k, v in (entries or {}).items() if v != 0}
         self.row_labels = row_labels
         self.col_labels = col_labels
 
-    def dense_rows(self):
-        rows = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
+    def rows(self):
+        """The rows as fresh {column: value} dicts."""
+        rows = [{} for _ in range(self.nrows)]
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
 
 
-def _integerize(row):
-    denom = 1
-    for v in row:
-        if v:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    return [int(v * denom) for v in row]
+def _integer_row(vec):
+    """(d times the nonzero entries of vec as {column: int}, d) for a dense or
+    {column: value} row of exact rationals, d their least common denominator."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    row = {c: v for c, v in items if v}
+    for v in row.values():
+        if type(v) is not int:
+            denom = lcm(*[v.denominator for v in row.values()])
+            return {c: v.numerator * (denom // v.denominator) for c, v in row.items()}, denom
+    return row, 1
 
 
-def _scaled_to_integers(vec):
-    """(integer vector, d) with vec = integer vector / d, d the least common
-    denominator of the entries (ints or Fractions)."""
-    denom = 1
-    for v in vec:
-        if v:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    return [v.numerator * (denom // v.denominator) for v in vec], denom
-
-
-def _forward_eliminate(rows):
-    """Fraction-free (Bareiss) forward elimination.
-
-    Returns (echelon integer rows, pivot column list).  Row order of the
-    output follows pivot discovery; zero rows are dropped.
-    """
-    work = [_integerize(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    prev_pivot = 1
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for rr in range(r, nrows):
-            if work[rr][c] != 0:
-                sel = rr
-                break
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        piv = work[r][c]
-        for rr in range(r + 1, nrows):
-            if all(x == 0 for x in work[rr]):
-                continue
-            factor = work[rr][c]
-            for cc in range(ncols):
-                work[rr][cc] = (piv * work[rr][cc] - factor * work[r][cc]) // prev_pivot
-        pivots.append(c)
-        prev_pivot = piv
-        r += 1
-        if r == nrows:
-            break
-    return work[:r], pivots
+def _integer_rows(m):
+    """({column: int} rows, ncols) of a SliceMatrix or a list of dense rows."""
+    rows, ncols = (m.rows(), m.ncols) if isinstance(m, SliceMatrix) else (m, len(m[0]) if m else 0)
+    return [_integer_row(row)[0] for row in rows], ncols
 
 
 def _primitive(row):
-    """An integer row divided by its content (the gcd of its entries)."""
-    content = gcd(*row)
-    return [v // content for v in row] if content > 1 else row
+    """A {column: int} row divided by its content (the gcd of its entries)."""
+    content = gcd(*row.values())
+    return {c: v // content for c, v in row.items()} if content > 1 else row
 
 
 def _eliminate(row, pivot_row, col):
@@ -113,105 +80,133 @@ def _eliminate(row, pivot_row, col):
     piv, f = pivot_row[col], row[col]
     h = gcd(piv, f)
     a, b = piv // h, f // h
-    return _primitive([a * x - b * y for x, y in zip(row, pivot_row)])
+    out = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
+    for c, v in pivot_row.items():
+        x = out.get(c, 0) - b * v
+        if x:
+            out[c] = x
+        else:
+            out.pop(c, None)
+    return _primitive(out)
+
+
+def _echelon(rows):
+    """Forward elimination of {column: int} rows: (primitive rows leading at
+    the ascending pivots, pivots).  Of the rows leading at the next column the
+    shortest pivots; the others are cleared there and filed anew."""
+    leading = {}
+    for row in rows:
+        if row:
+            leading.setdefault(min(row), []).append(row)
+    heap = list(leading)
+    heapify(heap)
+    out, pivots = [], []
+    while heap:
+        col = heappop(heap)
+        bucket = leading.pop(col)
+        pivot = min(bucket, key=len)
+        for row in bucket:
+            if row is not pivot:
+                row = _eliminate(row, pivot, col)
+                if row:
+                    lead = min(row)
+                    if lead not in leading:
+                        heappush(heap, lead)
+                    leading.setdefault(lead, []).append(row)
+        out.append(_primitive(pivot))
+        pivots.append(col)
+    return out, pivots
 
 
 def _integer_rref(rows):
-    """(primitive integer rows, pivot columns): row i divided by its entry at
-    pivots[i] is row i of the reduced row echelon form."""
-    if not rows:
-        return [], []
-    echelon, pivots = _forward_eliminate(rows)
-    work = [_primitive(row) for row in echelon]
+    """(primitive {column: int} rows, pivot columns): row i divided by its
+    entry at pivots[i] is row i of the reduced row echelon form."""
+    work, pivots = _echelon(rows)
     # integer back-substitution: clear each pivot column above its pivot row
     for i in reversed(range(len(pivots))):
-        piv_col = pivots[i]
+        pc, pivot = pivots[i], work[i]
         for j in range(i):
-            if work[j][piv_col]:
-                work[j] = _eliminate(work[j], work[i], piv_col)
+            if pc in work[j]:
+                work[j] = _eliminate(work[j], pivot, pc)
     return work, pivots
 
 
-def rref(rows):
-    """Reduced row echelon form over the rationals.
-
-    Returns (list of Fraction rows, pivot columns).  Input rows may be any
-    exact rationals; zero rows are dropped.
-    """
-    work, pivots = _integer_rref(rows)
-    return [[Fraction(v, row[pc]) for v in row] for row, pc in zip(work, pivots)], pivots
+_ZERO = Fraction(0)
 
 
-def _dense(m):
-    """(rows, ncols) of a SliceMatrix or of a list of rows."""
-    if isinstance(m, SliceMatrix):
-        return m.dense_rows(), m.ncols
-    return m, len(m[0]) if m else 0
+def rref(rows, ncols=None):
+    """(Fraction rows, pivot columns) of the reduced row echelon form, zero
+    rows dropped.  Rows are dense or {column: value}, of exact rationals;
+    ncols defaults to the length of the first row."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    work, pivots = _integer_rref([_integer_row(row)[0] for row in rows])
+    out = []
+    for row, pc in zip(work, pivots):
+        dense, p = [_ZERO] * ncols, row[pc]
+        for c, v in row.items():
+            dense[c] = Fraction(v, p)
+        out.append(dense)
+    return out, pivots
 
 
 def rank(m):
-    return len(_forward_eliminate(_dense(m)[0])[1])
+    return len(_echelon(_integer_rows(m)[0])[1])
 
 
 def kernel_basis(m):
     """Basis of the null space, one vector per free column, in reduced
     echelon form (vector j has 1 at its free column, 0 at other free columns)."""
-    rows, ncols = _dense(m)
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
+    rows, ncols = _integer_rows(m)
+    work, pivots = _integer_rref(rows)
+    basis = {fc: [_ZERO] * ncols for fc in sorted(set(range(ncols)).difference(pivots))}
+    for fc, vec in basis.items():
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][fc]
-        basis.append(vec)
-    return basis
+    # a reduced row's entries off its pivot sit at free columns
+    for row, pc in zip(work, pivots):
+        p = row[pc]
+        for c, v in row.items():
+            if c != pc:
+                basis[c][pc] = Fraction(-v, p)
+    return list(basis.values())
 
 
 class Echelon:
-    """Row echelon form over primitive integer rows, grown one vector at a time.
-
-    A vector lies in the span of the added vectors iff reducing it against
-    the stored rows leaves zero, so membership costs one reduction and no
-    new elimination.  Input vectors may hold any exact rationals.
-    """
+    """Row echelon form over the kernel's primitive {column: int} rows keyed
+    by pivot column, grown one vector (dense or {column: value}) at a time.
+    Membership is one reduction by ``_eliminate``; a span test, it does not
+    depend on which multiple of a row the elimination kept."""
 
     __slots__ = ("pivots", "rows")
 
     def __init__(self, vectors=()):
-        self.pivots = []    # ascending; rows[i] has its leading entry at pivots[i]
-        self.rows = []
+        self.pivots = []    # ascending
+        self.rows = {}      # {pivot column: row with its leading entry there}
         for vec in vectors:
             self.add(vec)
 
     def reduce(self, vec):
-        """Integer multiple of vec minus a combination of the stored rows that
-        is zero at every pivot column; zero iff vec is in the span."""
-        row = _scaled_to_integers(vec)[0]
-        for pc, pivot_row in zip(self.pivots, self.rows):
-            if row[pc]:
-                row = _eliminate(row, pivot_row, pc)
+        """{column: int}, an integer multiple of vec minus a combination of
+        the stored rows that is zero at every pivot column; empty iff vec is
+        in the span (test it with ``not``: column 0 is a key like any other)."""
+        row = _integer_row(vec)[0]
+        for pc in self.pivots:
+            if pc in row:
+                row = _eliminate(row, self.rows[pc], pc)
         return row
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
 
     def add(self, vec):
         """Extend the span by vec; returns False when vec already lies in it."""
         row = self.reduce(vec)
-        lead = next((c for c, v in enumerate(row) if v), None)
-        if lead is None:
+        if not row:
             return False
-        i = bisect_left(self.pivots, lead)
-        self.pivots.insert(i, lead)
-        self.rows.insert(i, _primitive(row))
+        lead = min(row)
+        insort(self.pivots, lead)
+        self.rows[lead] = _primitive(row)
         return True
-
-
-_ZERO = Fraction(0)
 
 
 class Reduction:
@@ -222,25 +217,28 @@ class Reduction:
     E M = R.  So a vector v lies in the column span of M iff the rows of E v
     past the rank vanish, and M x = t is solved by reading E t.
 
-    E is kept as it leaves the integer elimination: row i of [R | E] is a
-    primitive integer row divided by its pivot entry, so E is stored as
-    sparse integer columns plus that one denominator per row, and E v is
-    an integer product followed by one Fraction per nonzero row.
+    [M | I] goes through the sparse kernel (columns in order, shortest-row
+    pivots), each row (dense or {column: value}) scaled to integers whole,
+    its identity entry with it; E is unique, so the pivot choice does not
+    reach it.  Row i of [R | E] leaves the kernel primitive, to be divided by
+    its pivot entry, so E is kept as sparse integer columns plus that one
+    denominator per row: E v is an integer product and one Fraction per row.
     """
 
     __slots__ = ("ncols", "rank", "pivots", "columns", "denominators")
 
     def __init__(self, rows, ncols):
-        n = len(rows)
-        work, pivots = _integer_rref([list(row) + [int(i == r) for i in range(n)]
-                                      for r, row in enumerate(rows)])
+        augmented = list(map(_integer_row, rows))
+        for r, (row, denom) in enumerate(augmented):
+            row[ncols + r] = denom
+        work, pivots = _integer_rref([row for row, _ in augmented])
         self.ncols = ncols
         self.rank = bisect_left(pivots, ncols)
         self.pivots = pivots[:self.rank]
         self.denominators = [row[pc] for row, pc in zip(work, pivots)]
         # E by sparse columns: E v touches only the columns where v is nonzero
-        self.columns = [[(i, row[ncols + j]) for i, row in enumerate(work) if row[ncols + j]]
-                        for j in range(n)]
+        self.columns = [[(i, row[c]) for i, row in enumerate(work) if c in row]
+                        for c in range(ncols, ncols + len(rows))]
 
     def image(self, vec):
         """E v, for v given as {column: nonzero value}."""
@@ -270,10 +268,9 @@ def solve(m, target):
     """The echelon particular solution of m x = target (free variables set
     to zero, pivot variables read off the reduced form of [m | target]), or
     None when the system is inconsistent."""
-    rows, ncols = _dense(m)
-    if len(target) != len(rows):
-        raise ValueError(f"target length {len(target)} != {len(rows)} rows")
-    return Reduction(rows, ncols).solve({r: v for r, v in enumerate(target) if v})
+    if len(target) != len(m):
+        raise ValueError(f"target length {len(target)} != {len(m)} rows")
+    return Reduction(m, len(m[0]) if m else 0).solve({r: v for r, v in enumerate(target) if v})
 
 
 # -- slice-level operations ---------------------------------------------------

@@ -20,6 +20,14 @@ def F(x):
     return Fraction(x)
 
 
+def _dense_rows(mat):
+    """A SliceMatrix as dense Fraction rows, for the textbook oracles."""
+    rows = [[F(0)] * mat.ncols for _ in range(mat.nrows)]
+    for (r, c), v in mat.entries.items():
+        rows[r][c] = F(v)
+    return rows
+
+
 def test_rank_zero_and_identity():
     assert rank([[F(0), F(0)], [F(0), F(0)]]) == 0
     assert rank([[F(1), F(0)], [F(0), F(1)]]) == 2
@@ -166,7 +174,7 @@ def test_coboundary_preimage_matches_solve(name):
                 if target.is_zero():
                     continue
                 sol = coboundary_preimage(g, target)
-                ref = _oracle_solution(mat.dense_rows(),
+                ref = _oracle_solution(_dense_rows(mat),
                                        [target.terms.get(m, F(0)) for m in mat.row_labels])
                 assert (sol is None) == (ref is None), (q, k)
                 if ref is None:
@@ -295,6 +303,16 @@ def test_echelon_membership_matches_rank(vectors):
     assert span.contains(probe)
 
 
+def test_echelon_vector_nonzero_only_at_column_zero():
+    # a reduced vector is {column: int}; one whose only entry sits at column 0
+    # is nonzero, though any() of its keys is False
+    span = Echelon([[0, 1]])
+    assert span.reduce([3, 0]) and not span.contains([3, 0])
+    assert span.add([5, 0, 0])
+    assert span.contains([3, 0])
+    assert not span.reduce([-1, 7])
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices(), st.data())
 def test_solve_matches_textbook_particular_solution(rows, data):
@@ -363,7 +381,7 @@ def test_d_squared_vanishes_on_the_matrices(make):
     nonzero = 0
     for k in range(1, min(14, g.cutoff) + 1):
         for q in range(1, 5):
-            after, before = d_matrix(g, q, k).dense_rows(), d_matrix(g, q - 1, k).dense_rows()
+            after, before = _dense_rows(d_matrix(g, q, k)), _dense_rows(d_matrix(g, q - 1, k))
             columns = list(zip(*before))
             assert all(sum(a * b for a, b in zip(row, col)) == 0
                        for row in after for col in columns), (q, k)
@@ -391,7 +409,7 @@ def _reference_preimage(g, c):
     particular = {}
     for k, terms in parts.items():
         mat = d_matrix(g, c.degree() - 1, k)
-        ref = _oracle_solution(mat.dense_rows(), [terms.get(m, F(0)) for m in mat.row_labels])
+        ref = _oracle_solution(_dense_rows(mat), [terms.get(m, F(0)) for m in mat.row_labels])
         if ref is None:
             return None
         particular.update(zip(mat.col_labels, ref))
