@@ -4,6 +4,12 @@ H^q_k = ker(d on the (q,k) slice) / im(d from the (q-1,k) slice), all over
 exact rationals.  A (q, k) query needs algebra cutoff >= k; results for
 k <= cutoff are truncation-stable.
 
+Dimensions alone come from ranks: betti is ncols(d_q) - rank(d_q) -
+rank(d_{q-1}) by rank-nullity, and builds no slice.  Each d-matrix is
+eliminated once, forward only, and keeps its rank, so neighbouring degrees
+share it.  The full slice below computes its own dimension from its cocycle
+and coboundary bases.
+
 Canonical representatives: closed single monomials are preferred (greedily,
 in lexicographic order), the remainder is completed by reduced-echelon
 vectors; for m0 the omega cocycles are returned verbatim whenever they span
@@ -134,11 +140,17 @@ class CohomologySlice:
         return hp
 
 
+def _require_cutoff(g, q, k):
+    """The refusal of a (q, k) query past the algebra's cutoff, shared by
+    the full slice and the rank-only betti."""
+    if k > g.cutoff:
+        raise CutoffTooSmall(k, g.cutoff, f"cohomology slice (q={q}, k={k})")
+
+
 @lru_cache(maxsize=None)
 def cohomology_slice(g, q, k):
     """Compute the full (q, k) slice data with canonical representatives."""
-    if k > g.cutoff:
-        raise CutoffTooSmall(k, g.cutoff, f"cohomology slice (q={q}, k={k})")
+    _require_cutoff(g, q, k)
     basis = _slice_basis_cached(g, q, k)
     dmat = linalg.d_matrix(g, q, k)
     cocycles = tuple(tuple(v) for v in linalg.kernel_basis(dmat))
@@ -209,8 +221,14 @@ def _choose_representatives(g, q, k, basis, dmat, cocycles, coboundaries, dim):
 
 
 def betti(g, q, k):
-    """dim H^q_k as a kernel/image dimension difference on slices."""
-    return cohomology_slice(g, q, k).dimension
+    """dim H^q_k = ncols(d_q) - rank(d_q) - rank(d_{q-1}) by rank-nullity,
+    d_q the differential out of the (q, k) slice.  Builds no slice: each
+    d-matrix is eliminated once, forward only, and keeps its rank, so the
+    queries (q, k) and (q+1, k) share the elimination of d_q."""
+    _require_cutoff(g, q, k)
+    dmat = linalg.d_matrix(g, q, k)
+    exact = linalg.rank(linalg.d_matrix(g, q - 1, k)) if q >= 1 else 0
+    return dmat.ncols - linalg.rank(dmat) - exact
 
 
 def representatives(g, q, k):

@@ -231,12 +231,18 @@ def evaluate(a, vectors):
 
 def slice_basis(g, q, k):
     """All strictly increasing q-tuples of generator indices with weight sum k,
-    in lexicographic order."""
+    in lexicographic order.  A level stops at the first position from which
+    remaining_q times the least weight still ahead exceeds the weight left,
+    which bounds every completion for any positive weights."""
     if k > g.cutoff:
         raise CutoffTooSmall(k, g.cutoff, f"slice basis (q={q}, k={k})")
-    if q == 0:
-        return [()] if k == 0 else []
+    if q <= 0:
+        return [()] if q == 0 and k == 0 else []
     idx = g.indices
+    weights = [g.weight(i) for i in idx]
+    least = weights[:]      # least[pos]: the least weight at positions >= pos
+    for pos in reversed(range(len(least) - 1)):
+        least[pos] = min(least[pos], least[pos + 1])
     out = []
 
     def rec(start, remaining_q, remaining_k, acc):
@@ -244,8 +250,10 @@ def slice_basis(g, q, k):
             if remaining_k == 0:
                 out.append(tuple(acc))
             return
-        for pos in range(start, len(idx)):
-            w = g.weight(idx[pos])
+        for pos in range(start, len(idx) - remaining_q + 1):
+            if remaining_q * least[pos] > remaining_k:
+                break
+            w = weights[pos]
             if w > remaining_k:
                 continue
             acc.append(idx[pos])

@@ -7,16 +7,18 @@ leading at each column and back-substitutes in integers; Fractions appear
 only in the final normalisation.  The pivot choice never reaches the output:
 columns in order give the same pivot columns whichever row pivots, and the
 reduced row echelon form is unique.  Span tests reduce against a growing
-``Echelon`` with the same step.  A matrix queried many times is reduced once
-(``Reduction``) and keeps its transform as integer columns with one
-denominator per row, so a solve or coordinate query of a {index: nonzero
-value} vector is one integer product; ``solve`` is one such reduction.  A
-coboundary preimage is, weight by weight, the h of the (h, p) contraction of
-the target's cohomology slice, read off the one reduction the slice keeps.
-Solves and preimages return the echelon particular solution (free variables
-zero) or None; a null space comes only from ``kernel_basis``.  A preimage that
-solves at every weight certifies its target closed, since it is d x; only an
-unsolvable or past-cutoff target has its differential taken.  No floats.
+``Echelon`` with the same step.  A rank is the forward pass alone, kept on
+its ``SliceMatrix``, so a cached d-matrix is eliminated once.  A matrix
+queried many times is reduced once (``Reduction``) and keeps its transform
+as integer columns with one denominator per row, so a solve or coordinate
+query of a {index: nonzero value} vector is one integer product; ``solve``
+is one such reduction.  A coboundary preimage is, weight by weight, the h of
+the (h, p) contraction of the target's cohomology slice, read off the one
+reduction the slice keeps.  Solves and preimages return the echelon
+particular solution (free variables zero) or None; a null space comes only
+from ``kernel_basis``.  A preimage that solves at every weight certifies its
+target closed, since it is d x; only an unsolvable or past-cutoff target has
+its differential taken.  No floats.
 """
 
 from __future__ import annotations
@@ -34,7 +36,11 @@ from .forms import Form, _exact, differential, weight_parts
 
 class SliceMatrix:
     """Sparse rational matrix whose rows/cols are indexed by monomial lists;
-    entries {(row, col): value} hold ints where integral (forms._exact)."""
+    entries {(row, col): value} hold ints where integral (forms._exact).
+    Its rank is kept in a slot once ``rank`` has eliminated it; a slot, not
+    a late instance __dict__ entry, so attribute reads stay fast."""
+
+    __slots__ = ("nrows", "ncols", "entries", "row_labels", "col_labels", "_rank")
 
     def __init__(self, nrows, ncols, entries=None, row_labels=None, col_labels=None):
         self.nrows = nrows
@@ -42,6 +48,7 @@ class SliceMatrix:
         self.entries = {k: _exact(v) for k, v in (entries or {}).items() if v != 0}
         self.row_labels = row_labels
         self.col_labels = col_labels
+        self._rank = None
 
     def rows(self):
         """The rows as fresh {column: value} dicts."""
@@ -151,7 +158,14 @@ def rref(rows, ncols=None):
 
 
 def rank(m):
-    return len(_echelon(_integer_rows(m)[0])[1])
+    """The rank, from one forward elimination (no back-substitution, no
+    Fractions).  A SliceMatrix keeps its rank, so a cached d-matrix is
+    eliminated once however many slices read it."""
+    if not isinstance(m, SliceMatrix):
+        return len(_echelon(_integer_rows(m)[0])[1])
+    if m._rank is None:
+        m._rank = len(_echelon(_integer_rows(m)[0])[1])
+    return m._rank
 
 
 def kernel_basis(m):

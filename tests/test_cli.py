@@ -303,6 +303,17 @@ def test_betti_file_cutoff_below_two_exit2(tmp_path, capsys):
     assert err == "error: cutoff must be >= 2, got 1\n"
 
 
+def test_betti_file_weight_past_cutoff_exit2(tmp_path, capsys):
+    # the file's cutoff admits the --cutoff asked for, but not the weights:
+    # betti refuses the first (q, k) past it and prints no partial table
+    path = tmp_path / "alg.txt"
+    path.write_text("generators: (1:1), (2:2), (3:3)\n[1,2] = 1*3\n")
+    code, out, err = run(capsys, "betti", "--algebra", str(path), "--cutoff", "3",
+                         "--q", "1..2", "--k", "2..5")
+    assert code == 2 and out == ""
+    assert err == "error: cutoff 3 too small, need at least 4 for cohomology slice (q=1, k=4)\n"
+
+
 @pytest.mark.parametrize("cutoff", ["0", "-4"])
 def test_massey_eval_file_cutoff_below_two_exit2(tmp_path, capsys, cutoff):
     # --cutoff 0 used to run a file algebra at cutoff 2

@@ -269,20 +269,97 @@ def test_m0_dim_weight18_degree3(m0_big):
     assert coh.betti(m0_big, 3, 18) == 2
 
 
-def test_betti_builds_nothing_of_the_massey_path():
-    # betti reads dimensions only; the cocycle Forms and the slice's reduction
-    # serve the Massey path, and building them here would slow the cold betti
-    # sweep
+def test_betti_builds_no_slice_and_eliminates_each_d_matrix_once(monkeypatch):
+    # betti is rank-only: no cohomology slice, no back-substitution, and one
+    # forward elimination per d-matrix, kept on the cached SliceMatrix, so
+    # the queries (q, k) and (q+1, k) share the elimination of d_q
+    echelon, eliminated = linalg._echelon, []
+
+    def counted(rows):
+        eliminated.append(1)
+        return echelon(rows)
+
+    def refused(rows):
+        raise AssertionError("betti back-substituted")
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    monkeypatch.setattr(linalg, "_integer_rref", refused)
+    linalg.d_matrix.cache_clear()
     for name in ("m0", "L1"):
         g = load_preset(name, 15)
+        slices = coh.cohomology_slice.cache_info()
+        eliminated.clear()
         for q in range(1, 5):
             for k in range(1, 16):
-                misses = coh.cohomology_slice.cache_info().misses
                 coh.betti(g, q, k)
-                assert coh.cohomology_slice.cache_info().misses == misses + 1, "not fresh"
+        assert coh.cohomology_slice.cache_info() == slices, name
+        assert len(eliminated) == 5 * 15, name     # d_0 .. d_4 at each weight
+        for q in range(1, 5):
+            coh.betti(g, q, 15)
+        assert len(eliminated) == 5 * 15, name
+
+
+def _relabelled(g, perm):
+    """g read from a file with generator i renamed perm[i]; each generator
+    keeps its weight, so the weights are no longer monotone in index order."""
+    lines = ["generators: " + ", ".join(f"({perm[s.index]}:{s.weight})"
+                                         for s in g.generators), f"cutoff: {g.cutoff}"]
+    for (i, j), terms in g.brackets.items():
+        sign = 1 if perm[i] < perm[j] else -1
+        rhs = " + ".join(f"{sign * c}*{perm[t]}" for c, t in terms)
+        lines.append(f"[{min(perm[i], perm[j])},{max(perm[i], perm[j])}] = {rhs}")
+    return parse_algebra("\n".join(lines) + "\n")
+
+
+def _shuffled_labels(g, seed):
+    labels = list(g.indices)
+    random.Random(seed).shuffle(labels)
+    return dict(zip(g.indices, labels))
+
+
+def test_betti_agrees_with_the_full_slice():
+    # the rank-only betti and the full slice's kernel/image count are two
+    # routes to one dimension; the dimension oracles read the first, the
+    # Massey path the second
+    L1_12, m2 = load_preset("L1", 12), parse_algebra(M2_FILE)
+    shuffled = _relabelled(L1_12, _shuffled_labels(L1_12, 5))
+    weights = [shuffled.weight(i) for i in shuffled.indices]
+    assert weights != sorted(weights)
+    cases = [(load_preset("L1", 26), 4), (load_preset("m0", 24), 5),
+             (associated_graded(L1_12), 4), (shuffled, 4),
+             (_relabelled(m2, _shuffled_labels(m2, 8)), 4)]
+    for g, qmax in cases:
+        for q in range(0, qmax + 1):
+            for k in range(0, g.cutoff + 1):
                 slc = coh.cohomology_slice(g, q, k)
-                assert not {"cocycle_forms", "reduction"} & vars(slc).keys(), (q, k)
-                assert slc.contractions == {}, (q, k)
+                assert coh.betti(g, q, k) == slc.dimension == \
+                    len(slc.cocycles) - len(slc.coboundaries), (g, q, k)
+    for q in range(0, 5):
+        for k in range(0, 13):
+            assert coh.betti(shuffled, q, k) == coh.betti(L1_12, q, k), (q, k)
+
+
+def test_betti_edges():
+    g = parse_algebra("generators: (1:1), (2:2), (3:3)\n[1,2] = 1*3\n")
+    for k in range(0, 4):
+        assert coh.betti(g, 0, k) == (1 if k == 0 else 0)
+        assert coh.betti(g, -1, k) == coh.betti(g, -3, k) == 0
+        assert coh.betti(g, 4, k) == coh.betti(g, 7, k) == 0
+    assert [coh.betti(g, q, 0) for q in range(-1, 5)] == [0, 1, 0, 0, 0, 0]
+    # e^1 and e^2 are closed, d e^3 = e^1^e^2 kills H^2_3, and q = 3 needs weight 6
+    assert [coh.betti(g, 1, k) for k in (1, 2, 3)] == [1, 1, 0]
+    assert [coh.betti(g, q, 3) for q in (2, 3)] == [0, 0]
+    # past the cutoff both routes refuse at the one shared site, before any
+    # d-matrix is built
+    for q in (-1, 0, 2, 4):
+        built = linalg.d_matrix.cache_info().misses
+        with pytest.raises(CutoffTooSmall) as betti_info:
+            coh.betti(g, q, 4)
+        assert linalg.d_matrix.cache_info().misses == built
+        with pytest.raises(CutoffTooSmall) as slice_info:
+            coh.cohomology_slice(g, q, 4)
+        assert str(betti_info.value) == str(slice_info.value) == \
+            f"cutoff 3 too small, need at least 4 for cohomology slice (q={q}, k=4)"
 
 
 def test_truncation_stability():

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie.algebra import bracket, load_preset
+from gradedlie.algebra import GeneratorSpec, GradedLieAlgebra, bracket, load_preset
 from gradedlie.errors import AlgebraFormatError, AmbientMismatch, ArityMismatch, CutoffTooSmall
 from gradedlie.forms import (Form, bar, differential, evaluate, parse_form, render_form,
                              slice_all_degree, slice_basis, wedge, weight_parts)
@@ -173,6 +173,30 @@ def test_slice_basis_examples(L1):
 def test_slice_basis_cutoff(L1):
     with pytest.raises(CutoffTooSmall):
         slice_basis(L1, 2, 17)
+
+
+@st.composite
+def weighted_algebras(draw):
+    """Abelian algebras with random positive weights, non-monotone in the
+    index order as often as not: slice_basis reads only the weights."""
+    weights = draw(st.lists(st.integers(1, 6), min_size=1, max_size=9))
+    cutoff = draw(st.integers(max(2, *weights), 16))
+    return GradedLieAlgebra([GeneratorSpec(i, w) for i, w in enumerate(weights, 1)], {}, cutoff)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_algebras(), st.integers(0, 5), st.data())
+def test_slice_basis_is_the_weight_filtered_combinations(g, q, data):
+    # the pruned recursion keeps exactly the q-subsets of weight k, in
+    # lexicographic order, and still refuses a weight past the cutoff
+    k = data.draw(st.integers(0, g.cutoff))
+    assert slice_basis(g, q, k) == [m for m in combinations(g.indices, q)
+                                    if sum(map(g.weight, m)) == k]
+    past = g.cutoff + 1
+    with pytest.raises(CutoffTooSmall) as info:
+        slice_basis(g, q, past)
+    assert str(info.value) == (f"cutoff {g.cutoff} too small, need at least {past} "
+                               f"for slice basis (q={q}, k={past})")
 
 
 def test_render_parse_roundtrip(m0):
