@@ -84,12 +84,15 @@ class GradedLieAlgebra:
         self._hash = hash(self._key)    # every cache lookup hashes the algebra
         self._check_weights(lines)
         self._check_jacobi()
-        # is_m0_like, set here: a cached_property would write the instance
-        # __dict__ later, and that slows every attribute read of the algebra.
-        # Every bracket target is a generator, so a missing e{i+1} fails it.
+        # is_m0_like and is_m0, set here: a cached_property would write the
+        # instance __dict__ later, and that slows every attribute read of the
+        # algebra.  Every bracket target is a generator, so a missing e{i+1}
+        # fails is_m0_like; an m0 tail (e1 and e_a..e_cutoff, a > 2) passes
+        # it, so is_m0 also asks for e1..e{cutoff} with weight(ei) = i.
         self._m0_like = self.has_index(1) and norm == {
             (1, i): ((Fraction(1), i + 1),) for i in self.indices
             if i >= 2 and self.weight(1) + self.weight(i) <= cutoff}
+        self._m0 = self._m0_like and self._weights == {i: i for i in range(1, cutoff + 1)}
 
     # -- identity ---------------------------------------------------------
     def __eq__(self, other):
@@ -185,6 +188,12 @@ def is_m0_like(g):
     """True when g has exactly the m0 bracket relations [e1,ei]=e{i+1}, one for
     every i >= 2 with weight(1) + weight(i) <= cutoff."""
     return g._m0_like
+
+
+def is_m0(g):
+    """True exactly for the m0 truncation: generators e1..e{cutoff} with
+    weight(ei) = i and the m0 brackets, the algebras omega is defined on."""
+    return g._m0
 
 
 # -- bracket of coefficient vectors ----------------------------------------

@@ -8,12 +8,14 @@ Dimensions alone come from ranks: betti is ncols(d_q) - rank(d_q) -
 rank(d_{q-1}) by rank-nullity, and builds no slice.  Each d-matrix is
 eliminated once, forward only, and keeps its rank, so neighbouring degrees
 share it.  The full slice below computes its own dimension from its cocycle
-and coboundary bases.
+and coboundary bases; every degree, 0 included, takes that one path, since
+the (-1, k) slice is empty.
 
 Canonical representatives: closed single monomials are preferred (greedily,
 in lexicographic order), the remainder is completed by reduced-echelon
-vectors; for m0 the omega cocycles are returned verbatim whenever they span
-the slice, since the explicit constructions downstream quote omega classes.
+vectors; on the m0 truncation (algebra.is_m0, the one owner of that test)
+the omega cocycles are returned verbatim whenever they span the slice, since
+the explicit constructions downstream quote omega classes.
 
 Each slice has one homotopy-transfer contraction (h, p), read off the one
 reduction of [d | representatives] it builds on first use: for a component
@@ -29,21 +31,20 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 
 from . import linalg
 from .errors import CutoffTooSmall, NotACocycle, internal_check
 from .forms import Form, _exact, slice_basis, wedge, weight_parts
-from .algebra import is_m0_like, load_preset
+from .algebra import is_m0, load_preset
 from .mzero import omega, omega_index_lists
 
 
 @lru_cache(maxsize=None)
 def _slice_basis_cached(g, q, k):
+    """The (q, k) slice monomials as a tuple, the one copy that slices and
+    d-matrices share."""
     return tuple(slice_basis(g, q, k))
-
-
-def weight_slice_basis(g, q, k):
-    return list(_slice_basis_cached(g, q, k))
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,7 @@ class CohomologySlice:
     q: int
     k: int
     basis: tuple                 # slice monomials, lexicographic
+    index: dict = field(compare=False, repr=False)   # {monomial: position in basis}
     cocycles: tuple              # coordinate vectors over basis
     coboundaries: tuple
     representatives: tuple       # Forms, one per cohomology class
@@ -61,11 +63,6 @@ class CohomologySlice:
     products: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # {component key: (h, p)}, see contract
     contractions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    @cached_property
-    def index(self):
-        """{monomial: position in basis}."""
-        return {m: i for i, m in enumerate(self.basis)}
 
     def product_terms(self, right):
         """The cup-product table with a right slice of the same algebra:
@@ -152,72 +149,59 @@ def cohomology_slice(g, q, k):
     """Compute the full (q, k) slice data with canonical representatives."""
     _require_cutoff(g, q, k)
     basis = _slice_basis_cached(g, q, k)
+    index = {m: i for i, m in enumerate(basis)}
     dmat = linalg.d_matrix(g, q, k)
     cocycles = tuple(tuple(v) for v in linalg.kernel_basis(dmat))
-    if q == 0:
-        cocycles = tuple(tuple(v) for v in ([[Fraction(1)]] if k == 0 else []))
-    prev = linalg.d_matrix(g, q - 1, k) if q >= 1 else None
-    coboundaries = ()
-    if prev is not None and prev.ncols:
-        # image vectors = columns of the previous differential, reduced
-        columns = [[0] * prev.nrows for _ in range(prev.ncols)]
-        for (r, c), v in prev.entries.items():
-            columns[c][r] = v
-        red, _ = linalg.rref(columns)
-        coboundaries = tuple(tuple(r) for r in red)
+    # image vectors = columns of the previous differential, reduced
+    prev = linalg.d_matrix(g, q - 1, k)
+    columns = [{} for _ in range(prev.ncols)]
+    for (r, c), v in prev.entries.items():
+        columns[c][r] = v
+    coboundaries = tuple(tuple(r) for r in linalg.rref(columns, prev.nrows)[0])
     dim = len(cocycles) - len(coboundaries)
 
-    reps = _choose_representatives(g, q, k, basis, dmat, cocycles, coboundaries, dim)
-    rep_vectors = tuple(tuple(_vec(basis, f)) for f in reps)
-    return CohomologySlice(g, q, k, basis, cocycles, coboundaries,
+    reps = _choose_representatives(g, q, k, basis, index, dmat, cocycles, coboundaries, dim)
+    rep_vectors = tuple(tuple(_vec(index, f)) for f in reps)
+    return CohomologySlice(g, q, k, basis, index, cocycles, coboundaries,
                            tuple(reps), rep_vectors, dim)
 
 
-def _vec(basis, form):
-    index = {m: i for i, m in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
+def _vec(index, form):
+    vec = [Fraction(0)] * len(index)
     for m, c in form.terms.items():
         vec[index[m]] = c
     return vec
 
 
-def _choose_representatives(g, q, k, basis, dmat, cocycles, coboundaries, dim):
+def _choose_representatives(g, q, k, basis, index, dmat, cocycles, coboundaries, dim):
     if dim <= 0:
         return []
     # m0 preference: omega cocycles verbatim when they span the slice
-    if is_m0_like(g) and all(g.weight(i) == i for i in g.indices) and q >= 2:
+    if is_m0(g) and q >= 2:
         lists = omega_index_lists(q - 1, k)
         if len(lists) == dim:
             forms = [omega(g, idx) for idx in lists]
-            span = linalg.Echelon(coboundaries)
-            if all(span.add(_vec(basis, f)) for f in forms):
+            vectors = [*coboundaries, *(_vec(index, f) for f in forms)]
+            if linalg.rank(vectors) == len(vectors):
                 return forms
-    # greedy pass: closed single monomials, lexicographic order; a monomial
-    # is closed iff its column of the differential is zero
-    chosen = []
     span = linalg.Echelon(coboundaries)
+    chosen = islice(filter(span.add, _candidates(basis, dmat, cocycles, coboundaries)), dim)
+    return [Form(g, {basis[i]: _exact(v) for i, v in vec.items()}) for vec in chosen]
+
+
+def _candidates(basis, dmat, cocycles, coboundaries):
+    """Representative candidates as {position: value} rows, in order: the
+    closed single monomials, lexicographic (a monomial is closed iff its
+    column of the differential is zero), then the completion, the cocycles
+    reduced modulo the coboundaries (zero on coboundary pivot columns) and
+    re-echelonized with leading coefficient 1.  The completion's reduction
+    runs only when the caller reads past the monomials."""
     nonclosed = {c for _, c in dmat.entries}
-    for i, mono in enumerate(basis):
-        if len(chosen) == dim:
-            break
-        if i in nonclosed:
-            continue
-        unit = [0] * len(basis)
-        unit[i] = 1
-        if span.add(unit):
-            chosen.append(Form(g, {mono: 1}))
-    # completion: cocycles reduced modulo the coboundaries (zero on
-    # coboundary pivot columns), re-echelonized, leading coefficient 1
-    if len(chosen) < dim:
-        cob_span = linalg.Echelon(coboundaries)
-        reduced = [vec for vec in map(cob_span.reduce, cocycles) if vec]
-        red, _ = linalg.rref(reduced, len(basis))
-        for vec in red:
-            if len(chosen) == dim:
-                break
-            if span.add(vec):
-                chosen.append(Form(g, {basis[i]: _exact(v) for i, v in enumerate(vec) if v}))
-    return chosen
+    yield from ({i: 1} for i in range(len(basis)) if i not in nonclosed)
+    cob_span = linalg.Echelon(coboundaries)
+    reduced = [vec for vec in map(cob_span.reduce, cocycles) if vec]
+    for vec in linalg.rref(reduced, len(basis))[0]:
+        yield {i: v for i, v in enumerate(vec) if v}
 
 
 def betti(g, q, k):
@@ -227,8 +211,7 @@ def betti(g, q, k):
     queries (q, k) and (q+1, k) share the elimination of d_q."""
     _require_cutoff(g, q, k)
     dmat = linalg.d_matrix(g, q, k)
-    exact = linalg.rank(linalg.d_matrix(g, q - 1, k)) if q >= 1 else 0
-    return dmat.ncols - linalg.rank(dmat) - exact
+    return dmat.ncols - linalg.rank(dmat) - linalg.rank(linalg.d_matrix(g, q - 1, k))
 
 
 def representatives(g, q, k):

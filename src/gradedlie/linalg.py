@@ -294,11 +294,12 @@ def solve(m, target):
 def d_matrix(g, q, k):
     """Matrix of the differential from the (q, k) slice to the (q+1, k) slice.
 
-    Rows are indexed by the target slice basis, columns by the source basis.
-    Cached per (algebra, degree, weight) and never changed.
+    Rows are indexed by the target slice basis, columns by the source basis;
+    the labels are the cached basis tuples themselves.  Cached per (algebra,
+    degree, weight) and never changed.
     """
-    src = cohomology.weight_slice_basis(g, q, k)
-    dst = cohomology.weight_slice_basis(g, q + 1, k)
+    src = cohomology._slice_basis_cached(g, q, k)
+    dst = cohomology._slice_basis_cached(g, q + 1, k)
     dst_index = {m: r for r, m in enumerate(dst)}
     entries = {}
     for c, mono in enumerate(src):

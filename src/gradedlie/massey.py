@@ -34,7 +34,7 @@ from itertools import islice, product as iter_product
 from math import prod
 
 from . import linalg
-from .algebra import is_m0_like
+from .algebra import is_m0, is_m0_like
 from .cohomology import class_coordinates_form, class_terms, cohomology_slice, representatives
 from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined, NotACocycle,
                      NotApplicable, UnverifiedInput, UsageError, internal_check)
@@ -912,8 +912,9 @@ def paper_connection_main(g, i1, tail):
 
 
 def _main_shape(g, classes):
-    """Detect <e^2, e^1, ..., e^1, omega(tail)>; returns (i1, tail) or None."""
-    if not is_m0_like(g) or len(classes) < 2:
+    """Detect <e^2, e^1, ..., e^1, omega(tail)>; returns (i1, tail) or None,
+    always None off the m0 truncation, where omega is not defined."""
+    if not is_m0(g) or len(classes) < 2:
         return None
     e2 = Form.generator(g, 2)
     e1 = Form.generator(g, 1)

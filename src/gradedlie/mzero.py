@@ -11,13 +11,13 @@ They satisfy d xi = e^1 ^ D_1 xi,  e^1 ^ xi = d D_{-1} xi,  D_1 D_{-1} = id.
 
 from __future__ import annotations
 
-from .algebra import is_m0_like
-from .errors import AmbientMismatch, CutoffTooSmall, NotApplicable
+from .algebra import is_m0
+from .errors import AmbientMismatch, CutoffTooSmall, NotApplicable, internal_check
 from .forms import Form, sort_with_sign, wedge
 
 
 def _require_m0(alg):
-    if not is_m0_like(alg) or any(alg.weight(i) != i for i in alg.indices):
+    if not is_m0(alg):
         raise AmbientMismatch("operator requires an m0 algebra with canonical weights")
 
 
@@ -121,8 +121,8 @@ def omega_index_lists(q_indices, weight):
 
 
 def sum_identity_check(alg, i1, tail_indices):
-    """Return sum_k (-1)^k D1^k e^{i1} ^ D_{-1}^k omega(tail) and assert it
-    equals omega([i1] + tail)."""
+    """Return sum_k (-1)^k D1^k e^{i1} ^ D_{-1}^k omega(tail), re-checked
+    against omega([i1] + tail) (InternalCheckFailed when they differ)."""
     tail = list(tail_indices)
     if not tail or i1 >= tail[0]:
         raise NotApplicable("need i1 < first tail index")
@@ -134,8 +134,6 @@ def sum_identity_check(alg, i1, tail_indices):
         total = total + wedge(e_part, power)
         if k < i1 - 2:
             power = Dm1(power)
-    expected = omega(alg, [i1] + tail)
-    if total != expected:
-        raise AssertionError("summation identity failed: "
-                             f"i1={i1}, tail={tail}")
+    internal_check(total == omega(alg, [i1] + tail),
+                   f"summation identity failed: i1={i1}, tail={tail}")
     return total

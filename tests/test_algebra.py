@@ -4,7 +4,7 @@ import pytest
 
 from gradedlie.algebra import (Filtration, GeneratorSpec, GradedLieAlgebra,
                                associated_graded, bracket, central_series,
-                               is_m0_like, load_preset, m0_normal_form,
+                               is_m0, is_m0_like, load_preset, m0_normal_form,
                                parse_algebra, write_algebra)
 from gradedlie.errors import (AlgebraFormatError, InvalidCutoff,
                               JacobiViolation, NotApplicable, WeightViolation)
@@ -250,6 +250,22 @@ def test_is_m0_like_is_stored_and_matches_the_brackets(make, known):
     # the answer is computed once, when the algebra is built, and kept on it
     g = make()
     assert g._m0_like is is_m0_like(g) is _bracket_comparison(g) is known
+
+
+@pytest.mark.parametrize("make, known", [
+    (lambda: load_preset("m0", 11), True), (lambda: parse_algebra(M0_TYPE_FILE), True),
+    (lambda: associated_graded(load_preset("m0", 11)), False),
+    # e2 missing: the m0 brackets hold and the weights are canonical
+    (lambda: parse_algebra("generators: (1:1), (3:3), (4:4), (5:5)\ncutoff: 5\n"
+                           "[1,3] = 1*4\n[1,4] = 1*5\n"), False),
+    (lambda: parse_algebra("generators: (1:1)\ncutoff: 2\n"), False)],
+    ids=["m0", "m0-file", "gr-m0", "m0-tail", "e1-only"])
+def test_is_m0_is_the_m0_truncation_only(make, known):
+    # all of them are m0-like; the m0 truncation also has e1..e{cutoff}
+    # with weight(ei) = i, and the answer is stored when the algebra is built
+    g = make()
+    assert is_m0_like(g)
+    assert g._m0 is is_m0(g) is known
 
 
 def test_repeated_bracket_targets_are_summed():

@@ -204,6 +204,7 @@ CLI_INPUT_ERRORS = [
     (["massey", "classify", "e1; e3"], "line 0: classification needs classes in span(e1, e2)"),
     # a zero class used to end in a traceback while the cutoff was sized
     (["massey", "eval", "0; e1"], "all product classes must be nonzero cocycles"),
+    (["massey", "eval", "e1^ex; e1"], "line 0: bad monomial factor 'ex'"),
 ]
 
 
@@ -214,6 +215,16 @@ def test_cli_input_errors_exit2(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *[str(path) if a == "ALG" else a for a in argv])
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_massey_eval_over_an_m0_tail(tmp_path, capsys, m0_tail_text):
+    # the slices of the triple used to pick omega representatives over e2,
+    # which the tail lacks, and the command ended in a KeyError traceback
+    path = tmp_path / "tail.txt"
+    path.write_text(m0_tail_text)
+    code, out, err = run(capsys, "massey", "eval", "e3; e1; e3", "--algebra", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out)["status"] == "NonTrivialCertified"
 
 
 def test_algebra_file_loading(tmp_path, capsys):

@@ -12,7 +12,7 @@ from gradedlie import cohomology as coh
 from gradedlie import linalg
 from gradedlie.algebra import associated_graded, load_preset, parse_algebra
 from gradedlie.errors import CutoffTooSmall, InternalCheckFailed, NotACocycle
-from gradedlie.forms import Form, differential, wedge
+from gradedlie.forms import Form, differential, slice_basis, wedge
 from gradedlie.mzero import omega, omega_index_lists, omega_weight
 
 
@@ -50,6 +50,30 @@ def test_representatives_are_omegas_on_m0(m0):
             lists = omega_index_lists(q - 1, k)
             assert len(reps) == len(lists)
             assert reps == [omega(m0, idx) for idx in lists]
+
+
+def test_representatives_on_an_m0_tail(m0_tail):
+    # omega needs e2, so a tail's slices take the greedy and completion
+    # path; the omega preference used to raise KeyError: (2, 5) here
+    assert coh.representatives(m0_tail, 2, 7) == [mono(m0_tail, 3, 4)]
+    for q in range(1, 5):
+        for k in range(1, 9):
+            slc = coh.cohomology_slice(m0_tail, q, k)
+            assert slc.dimension == coh.betti(m0_tail, q, k) == len(slc.representatives)
+            assert all(differential(m0_tail, rep).is_zero() for rep in slc.representatives)
+
+
+def test_degree_zero_slices_take_the_common_path(m0, L1, m0_tail):
+    # the (-1, k) slice is empty, so d_{-1} has no columns and H^0_k is
+    # the kernel of d_0 alone: the scalars at k = 0, nothing above
+    for g in (m0, L1, m0_tail):
+        slc = coh.cohomology_slice(g, 0, 0)
+        assert slc.representatives == (Form.scalar(g, 1),)
+        assert slc.cocycles == ((1,),) and slc.coboundaries == ()
+        for k in range(1, 5):
+            slc = coh.cohomology_slice(g, 0, k)
+            assert slc.basis == slc.cocycles == slc.coboundaries == slc.representatives == ()
+            assert slc.dimension == 0
 
 
 def test_class_coordinates_examples(L1):
@@ -151,7 +175,7 @@ def test_contraction_identities(name, q, k, data):
     assert slc.contract(dict(z.terms)) == (h, p)
     red, exact = slc.reduction, len(slc.coboundaries)
     image = red.image({slc.index[m]: c for m, c in z.terms.items()})
-    labels = coh.weight_slice_basis(g, q - 1, k)
+    labels = slice_basis(g, q - 1, k)
     assert p == tuple(image[exact:red.rank])
     assert h == tuple((labels[pc], v) for pc, v in zip(red.pivots, image[:exact]) if v)
     for j, rep in enumerate(slc.representatives):
@@ -174,7 +198,7 @@ def test_contraction_refusals_repeat(name, q, k, data):
     slc = coh.cohomology_slice(g, q, k)
     z = _combination(data, g, slc.basis, slc.cocycles)
     nonclosed = [m for m in slc.basis if not differential(g, Form.monomial(g, m)).is_zero()]
-    strays = [m for w in range(1, g.cutoff + 1) if w != k for m in coh.weight_slice_basis(g, q, w)]
+    strays = [m for w in range(1, g.cutoff + 1) if w != k for m in slice_basis(g, q, w)]
     if nonclosed:
         bad = z + Form.monomial(g, data.draw(st.sampled_from(nonclosed)))
         for _ in range(2):

@@ -50,6 +50,16 @@ def test_wedge_ambient_mismatch(m0, L1):
         wedge(mono(m0, 2), mono(L1, 2))
 
 
+def test_differential_ambient_mismatch(m0, L1):
+    with pytest.raises(AmbientMismatch, match="form ambient does not match the algebra"):
+        differential(L1, mono(m0, 2))
+
+
+def test_degree_of_a_mixed_form(m0):
+    with pytest.raises(ArityMismatch, match=r"not degree-homogeneous: degrees \[1, 2\]"):
+        (mono(m0, 1) + mono(m0, 2, 3)).degree()
+
+
 def test_bar_signs(m0):
     assert bar(mono(m0, 1)) == mono(m0, 1)
     assert bar(mono(m0, 2, 3)) == -mono(m0, 2, 3)
@@ -230,6 +240,14 @@ def test_parse_form_signs_without_spaces(m0):
 def test_parse_form_dangling_star(m0, text, term):
     # "2*" used to parse as the scalar 2
     message = f"line 0: bad term {term!r}" if term else "line 0: bad monomial factor ''"
+    with pytest.raises(AlgebraFormatError) as info:
+        parse_form(m0, text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x", "line 0: bad term 'x'"), ("e1^ex", "line 0: bad monomial factor 'ex'")])
+def test_parse_form_bad_term_and_factor(m0, text, message):
     with pytest.raises(AlgebraFormatError) as info:
         parse_form(m0, text)
     assert str(info.value) == message

@@ -217,6 +217,22 @@ def _name_of(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
+def test_the_m0_truncation_test_has_one_owner():
+    # algebra.is_m0 decides where omega is defined; the slice build and the
+    # m0 operators read it instead of rebuilding it from is_m0_like
+    found = {}
+    for name in ("cohomology.py", "mzero.py"):
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and any(alias.name == "is_m0_like" for alias in node.names)
+                 or isinstance(node, ast.Attribute) and node.attr in ("is_m0_like", "_m0_like")]
+        if lines:
+            found[name] = lines
+    assert found == {}
+
+
 def _module_caches(path):
     """Names that hold state shared by every caller: functions (methods
     included) under an lru_cache or cache decorator, and module-level names

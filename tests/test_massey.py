@@ -1100,6 +1100,13 @@ def test_leading_certificate_inapplicable(m0):
     assert cert is None
 
 
+def test_leading_certificate_off_the_m0_truncation(m0_tail):
+    # an m0 tail has no e2 and no omega; the shape test used to build e^2
+    # over it and raise AlgebraFormatError
+    e1, e3 = Form.generator(m0_tail, 1), Form.generator(m0_tail, 3)
+    assert ms.leading_coefficient_certificate(m0_tail, [e1, e3, e3]) is None
+
+
 # (i1, tail) of <e2, e1, ..., e1, omega(tail)>: the four main-theorem shapes of
 # criterion 11, each certified over m0/18 with the seeds below
 CERTIFICATE_SHAPES = ((2, (3,)), (3, (4,)), (3, (4, 5)), (4, (5,)))

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from gradedlie import mzero
 from gradedlie.checks import random_tail_form
-from gradedlie.errors import NotApplicable
+from gradedlie.errors import AmbientMismatch, InternalCheckFailed, NotApplicable
 from gradedlie.forms import Form, differential, wedge
 from gradedlie.mzero import (D1, Dm1, omega, omega_index_lists, omega_weight,
                              sum_identity_check)
@@ -125,6 +126,23 @@ def test_sum_identity(m0_big):
     assert sum_identity_check(m0_big, 3, [4]) == omega(m0_big, [3, 4])
     assert sum_identity_check(m0_big, 2, [3]) == omega(m0_big, [2, 3])
     assert sum_identity_check(m0_big, 5, [6]) == omega(m0_big, [5, 6])
+
+
+def test_sum_identity_failure_is_an_internal_check(m0, monkeypatch):
+    # a wrong D_{-1} breaks the identity; the re-check is not an assert,
+    # so it survives python -O
+    monkeypatch.setattr(mzero, "Dm1", lambda x: Form.zero(x.alg))
+    with pytest.raises(InternalCheckFailed, match=r"summation identity failed: i1=3, tail=\[4\]"):
+        sum_identity_check(m0, 3, [4])
+
+
+def test_omega_requires_the_m0_truncation(L1, m0_tail):
+    # an m0 tail passes is_m0_like with canonical weights, yet has no e2:
+    # omega([3]) = -e2^e5 + e3^e4 used to be built over it
+    for g in (L1, m0_tail):
+        with pytest.raises(AmbientMismatch,
+                           match="operator requires an m0 algebra with canonical weights"):
+            omega(g, [3])
 
 
 def test_sum_identity_ordering(m0):
