@@ -93,6 +93,13 @@ class GradedLieAlgebra:
             (1, i): ((Fraction(1), i + 1),) for i in self.indices
             if i >= 2 and self.weight(1) + self.weight(i) <= cutoff}
         self._m0 = self._m0_like and self._weights == {i: i for i in range(1, cutoff + 1)}
+        # e1_chain, set here for the same reason: x_w the generator of weight
+        # w, one for each w = 1..cutoff, and [x1, xi] reaching x{i+1}
+        by_weight = {w: i for i, w in self._weights.items()}
+        chain = tuple(by_weight.get(w) for w in range(1, cutoff + 1))
+        self._e1_chain = chain if len(gens) == cutoff and None not in chain and all(
+            any(t == chain[i] for _, t in self.bracket_terms(chain[0], chain[i - 1]))
+            for i in range(2, cutoff)) else None
 
     # -- identity ---------------------------------------------------------
     def __eq__(self, other):
@@ -194,6 +201,15 @@ def is_m0(g):
     """True exactly for the m0 truncation: generators e1..e{cutoff} with
     weight(ei) = i and the m0 brackets, the algebras omega is defined on."""
     return g._m0
+
+
+def e1_chain(g):
+    """(x_1, ..., x_cutoff), x_w the generator of weight w, when g has one
+    generator of each weight 1..cutoff and [x_1, x_i] has a nonzero x_{i+1}
+    coefficient for 2 <= i < cutoff (m0, L1, m2 and relabelled copies of
+    them); None otherwise.  Then the e^1 part of d has m0's support, and
+    every other bracket lowers the central-series filtration of cochains."""
+    return g._e1_chain
 
 
 # -- bracket of coefficient vectors ----------------------------------------

@@ -4,12 +4,18 @@ H^q_k = ker(d on the (q,k) slice) / im(d from the (q-1,k) slice), all over
 exact rationals.  A (q, k) query needs algebra cutoff >= k; results for
 k <= cutoff are truncation-stable.
 
-Dimensions alone come from ranks: betti is ncols(d_q) - rank(d_q) -
-rank(d_{q-1}) by rank-nullity, and builds no slice.  Each d-matrix is
-eliminated once, forward only, and keeps its rank, so neighbouring degrees
-share it.  The full slice below computes its own dimension from its cocycle
-and coboundary bases; every degree, 0 included, takes that one path, since
-the (-1, k) slice is empty.
+Dimensions alone come from an algebraic Morse complex (Forman; Skoldberg,
+Trans. AMS 358, 2006), and betti builds no slice and no d-matrix.  When the
+algebra has an e1 chain (algebra.e1_chain: m0, L1, m2 and their
+relabellings), the e^1 part of d has m0's support and every other bracket
+lowers the central-series filtration of cochains, so a greedy matching M_q
+of m0's cochains is acyclic for the whole d as well.  H^q_k is then the
+cohomology of the critical cells alone, about dim H^q_k(m0) of them, and
+its rank is read off D_q, d_q restricted to the matched and critical
+cells, eliminated once, forward only, and kept on M_q.  Every other algebra
+has the empty matching, and D_q is the whole d_q.  The full slice below
+computes its own dimension from its cocycle and coboundary bases; every
+degree, 0 included, takes that one path, since the (-1, k) slice is empty.
 
 Canonical representatives: closed single monomials are preferred (greedily,
 in lexicographic order), the remainder is completed by reduced-echelon
@@ -35,8 +41,8 @@ from itertools import islice
 
 from . import linalg
 from .errors import CutoffTooSmall, NotACocycle, internal_check
-from .forms import Form, _exact, slice_basis, wedge, weight_parts
-from .algebra import is_m0, load_preset
+from .forms import Form, _exact, differential, slice_basis, wedge, weight_parts
+from .algebra import e1_chain, is_m0, load_preset
 from .mzero import omega, omega_index_lists
 
 
@@ -205,13 +211,122 @@ def _candidates(basis, dmat, cocycles, coboundaries):
 
 
 def betti(g, q, k):
-    """dim H^q_k = ncols(d_q) - rank(d_q) - rank(d_{q-1}) by rank-nullity,
-    d_q the differential out of the (q, k) slice.  Builds no slice: each
-    d-matrix is eliminated once, forward only, and keeps its rank, so the
-    queries (q, k) and (q+1, k) share the elimination of d_q."""
+    """dim H^q_k = |crit_q| - r(q) - r(q-1), the Morse complex's count, with
+    r(q) = rank(D_q) - |M_q| (see morse_matching and _morse_rank).  As
+    |crit_q| = |C^q_k| - |M_q| - |M_{q-1}|, that is |C^q_k| - rank(D_q) -
+    rank(D_{q-1}): rank-nullity, since rank(D_q) = rank(d_q).  Along a
+    certified pairing, d^2 = 0 puts each column D_q drops (an upper of
+    M_{q-1}) in the span of the kept columns, and each row it drops (a lower
+    of M_{q+1}) in the span of the kept rows.  Builds no slice and no
+    d-matrix; each D_q is eliminated once, forward only, so the queries
+    (q, k) and (q+1, k) share it."""
     _require_cutoff(g, q, k)
-    dmat = linalg.d_matrix(g, q, k)
-    return dmat.ncols - linalg.rank(dmat) - linalg.rank(linalg.d_matrix(g, q - 1, k))
+    return (len(_slice_basis_cached(g, q, k))
+            - _morse_rank(g, q, k) - _morse_rank(g, q - 1, k))
+
+
+class Matching:
+    """M_q of one (q, k) slice, {lower cell: its partner}, monomials of the
+    (q, k) and (q+1, k) slices, in Kahn's order (see _morse_order, which
+    certified the pairing when it was built).  images holds the lower
+    cells' differentials until D_q has read them; rank is that of D_q, set
+    once betti has eliminated it."""
+
+    __slots__ = ("pairs", "images", "rank")
+
+    def __init__(self, pairs, images):
+        self.pairs = pairs
+        self.images = images
+        self.rank = None
+
+
+@lru_cache(maxsize=None)
+def morse_matching(g, q, k):
+    """The greedy matching M_q of the (q, k) slice, in weight coordinates
+    x_w (algebra.e1_chain).  A lower cell σ has no x_1; its candidates
+    lower one x_i, i >= 3, with x_{i-1} not in σ, to x_{i-1}, in order of
+    position; σ, taken in lexicographic order of weights, pairs with
+    x_1^σ' for the first candidate σ' not yet used.  Empty unless g has an
+    e1 chain, so D_q is then the whole d_q.  The lower cells are
+    differentiated here, and the pairing is certified before any block
+    reads it."""
+    chain = e1_chain(g)
+    cells = _slice_basis_cached(g, q, k) if chain is not None and q >= 1 else ()
+    if not cells:
+        return Matching({}, {})
+    # the basis is lexicographic, so it is in weight coordinates when x_w = e_w
+    relabelled = chain != tuple(range(1, len(chain) + 1))
+    if relabelled:
+        cells = sorted(tuple(sorted(map(g.weight, m))) for m in cells)
+    pairs, used = {}, set()
+    for s in cells:
+        if 1 in s:
+            continue
+        below = 1       # i - 1 > below: i >= 3 and weight i - 1 is absent
+        for p, i in enumerate(s):
+            if i - 1 > below:
+                t = (1, *s[:p], i - 1, *s[p + 1:])
+                if t not in used:
+                    used.add(t)
+                    pairs[s] = t
+                    break
+            below = i
+    if relabelled:
+        pairs = {tuple(sorted(chain[w - 1] for w in s)): tuple(sorted(chain[w - 1] for w in t))
+                 for s, t in pairs.items()}
+    images = {s: differential(g, Form(g, {s: 1})).terms for s in pairs}
+    return Matching({s: pairs[s] for s in _morse_order(images, pairs)}, images)
+
+
+def _morse_rank(g, q, k):
+    """rank(D_q), D_q the differential d_q restricted to the columns
+    lowers(M_q) + crit_q (the cells that are not uppers of M_{q-1}) and the
+    rows uppers(M_q) + crit_{q+1} (the cells that are not lowers of
+    M_{q+1}).  Only those columns are differentiated.  The elimination runs
+    on the transpose, one row per column of D_q: the critical targets keep
+    their place in the basis, and the matched ones follow in Kahn's order,
+    so each lower cell's row leads at its partner once the critical columns
+    are cleared.  Eliminated once and kept on M_q."""
+    matching = morse_matching(g, q, k)
+    if matching.rank is None:
+        images = matching.images
+        uppers = set(morse_matching(g, q - 1, k).pairs.values())
+        for mono in _slice_basis_cached(g, q, k):
+            if mono not in uppers and mono not in images:
+                images[mono] = differential(g, Form(g, {mono: 1})).terms
+        targets = _slice_basis_cached(g, q + 1, k)
+        column = {t: c for c, t in enumerate(targets)}
+        column.update((t, len(targets) + i) for i, t in enumerate(matching.pairs.values()))
+        lowers = morse_matching(g, q + 1, k).pairs
+        matching.rank = linalg.rank([{column[t]: c for t, c in img.items() if t not in lowers}
+                                     for img in images.values()])
+        matching.images = None
+    return matching.rank
+
+
+def _morse_order(images, pairs):
+    """The lower cells of pairs in Kahn's order over the edges σ -> σ' with
+    partner(σ') in images[σ], σ' != σ, after the checks that make pairs a
+    Morse matching of the matrix whose columns are images: every matched
+    incidence is nonzero, and the order exists (the matched block is
+    acyclic).  With partner(σ) numbered by the place of σ, the matched block
+    is triangular with a nonzero diagonal."""
+    internal_check(all(images.get(s, {}).get(t) for s, t in pairs.items()),
+                   "every matched incidence must be nonzero")
+    lower = {t: s for s, t in pairs.items()}
+    successors, indegree = {}, dict.fromkeys(pairs, 0)
+    for s, t in pairs.items():
+        successors[s] = succ = [lower[u] for u in images[s] if u in lower and u != t]
+        for u in succ:
+            indegree[u] += 1
+    order = [s for s, n in indegree.items() if not n]
+    for s in order:     # the loop reads what it appends
+        for u in successors[s]:
+            indegree[u] -= 1
+            if not indegree[u]:
+                order.append(u)
+    internal_check(len(order) == len(pairs), "the matched block must be acyclic")
+    return order
 
 
 def representatives(g, q, k):

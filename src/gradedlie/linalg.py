@@ -7,8 +7,7 @@ leading at each column and back-substitutes in integers; Fractions appear
 only in the final normalisation.  The pivot choice never reaches the output:
 columns in order give the same pivot columns whichever row pivots, and the
 reduced row echelon form is unique.  Span tests reduce against a growing
-``Echelon`` with the same step.  A rank is the forward pass alone, kept on
-its ``SliceMatrix``, so a cached d-matrix is eliminated once.  A matrix
+``Echelon`` with the same step.  A rank is the forward pass alone.  A matrix
 queried many times is reduced once (``Reduction``) and keeps its transform
 as integer columns with one denominator per row, so a solve or coordinate
 query of a {index: nonzero value} vector is one integer product; ``solve``
@@ -36,11 +35,9 @@ from .forms import Form, _exact, differential, weight_parts
 
 class SliceMatrix:
     """Sparse rational matrix whose rows/cols are indexed by monomial lists;
-    entries {(row, col): value} hold ints where integral (forms._exact).
-    Its rank is kept in a slot once ``rank`` has eliminated it; a slot, not
-    a late instance __dict__ entry, so attribute reads stay fast."""
+    entries {(row, col): value} hold ints where integral (forms._exact)."""
 
-    __slots__ = ("nrows", "ncols", "entries", "row_labels", "col_labels", "_rank")
+    __slots__ = ("nrows", "ncols", "entries", "row_labels", "col_labels")
 
     def __init__(self, nrows, ncols, entries=None, row_labels=None, col_labels=None):
         self.nrows = nrows
@@ -48,7 +45,6 @@ class SliceMatrix:
         self.entries = {k: _exact(v) for k, v in (entries or {}).items() if v != 0}
         self.row_labels = row_labels
         self.col_labels = col_labels
-        self._rank = None
 
     def rows(self):
         """The rows as fresh {column: value} dicts."""
@@ -71,7 +67,8 @@ def _integer_row(vec):
 
 
 def _integer_rows(m):
-    """({column: int} rows, ncols) of a SliceMatrix or a list of dense rows."""
+    """({column: int} rows, ncols) of a SliceMatrix or a list of dense rows;
+    {column: value} rows convert too, but their ncols means nothing."""
     rows, ncols = (m.rows(), m.ncols) if isinstance(m, SliceMatrix) else (m, len(m[0]) if m else 0)
     return [_integer_row(row)[0] for row in rows], ncols
 
@@ -158,14 +155,9 @@ def rref(rows, ncols=None):
 
 
 def rank(m):
-    """The rank, from one forward elimination (no back-substitution, no
-    Fractions).  A SliceMatrix keeps its rank, so a cached d-matrix is
-    eliminated once however many slices read it."""
-    if not isinstance(m, SliceMatrix):
-        return len(_echelon(_integer_rows(m)[0])[1])
-    if m._rank is None:
-        m._rank = len(_echelon(_integer_rows(m)[0])[1])
-    return m._rank
+    """The rank of a SliceMatrix or a list of dense or {column: value} rows,
+    from one forward elimination (no back-substitution, no Fractions)."""
+    return len(_echelon(_integer_rows(m)[0])[1])
 
 
 def kernel_basis(m):

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from gradedlie import cohomology as coh
 from gradedlie import linalg
-from gradedlie.algebra import associated_graded, load_preset, parse_algebra
+from gradedlie.algebra import associated_graded, e1_chain, load_preset, parse_algebra
 from gradedlie.errors import CutoffTooSmall, InternalCheckFailed, NotACocycle
 from gradedlie.forms import Form, differential, slice_basis, wedge
 from gradedlie.mzero import omega, omega_index_lists, omega_weight
@@ -294,9 +297,10 @@ def test_m0_dim_weight18_degree3(m0_big):
 
 
 def test_betti_builds_no_slice_and_eliminates_each_d_matrix_once(monkeypatch):
-    # betti is rank-only: no cohomology slice, no back-substitution, and one
-    # forward elimination per d-matrix, kept on the cached SliceMatrix, so
-    # the queries (q, k) and (q+1, k) share the elimination of d_q
+    # betti is rank-only: no cohomology slice, no d-matrix, no
+    # back-substitution, and one forward elimination per Morse block D_q,
+    # kept on the cached matching M_q, so the queries (q, k) and (q+1, k)
+    # share the elimination of D_q
     echelon, eliminated = linalg._echelon, []
 
     def counted(rows):
@@ -309,15 +313,17 @@ def test_betti_builds_no_slice_and_eliminates_each_d_matrix_once(monkeypatch):
     monkeypatch.setattr(linalg, "_echelon", counted)
     monkeypatch.setattr(linalg, "_integer_rref", refused)
     linalg.d_matrix.cache_clear()
+    coh.morse_matching.cache_clear()
     for name in ("m0", "L1"):
         g = load_preset(name, 15)
-        slices = coh.cohomology_slice.cache_info()
+        slices, dmats = coh.cohomology_slice.cache_info(), linalg.d_matrix.cache_info()
         eliminated.clear()
         for q in range(1, 5):
             for k in range(1, 16):
                 coh.betti(g, q, k)
         assert coh.cohomology_slice.cache_info() == slices, name
-        assert len(eliminated) == 5 * 15, name     # d_0 .. d_4 at each weight
+        assert linalg.d_matrix.cache_info() == dmats, name
+        assert len(eliminated) == 5 * 15, name     # D_0 .. D_4 at each weight
         for q in range(1, 5):
             coh.betti(g, q, 15)
         assert len(eliminated) == 5 * 15, name
@@ -341,17 +347,43 @@ def _shuffled_labels(g, seed):
     return dict(zip(g.indices, labels))
 
 
-def test_betti_agrees_with_the_full_slice():
-    # the rank-only betti and the full slice's kernel/image count are two
+def _morse_graph_is_acyclic(g, q, k):
+    """Whether M_q leaves no directed cycle σ -> σ' (d σ meets partner(σ'),
+    σ' != σ) among its lower cells, by depth-first search over the full
+    d-matrix: a route that shares no code with the certificate."""
+    pairs = coh.morse_matching(g, q, k).pairs
+    d = linalg.d_matrix(g, q, k)
+    lower = {d.row_labels.index(t): s for s, t in pairs.items()}
+    succ = {s: [] for s in pairs}
+    for (r, c), v in d.entries.items():
+        s = d.col_labels[c]
+        if s in pairs and r in lower and lower[r] != s:
+            succ[s].append(lower[r])
+    state = dict.fromkeys(pairs, 0)     # 0 new, 1 on the path, 2 done
+
+    def cyclic(s):
+        state[s] = 1
+        if any(state[t] == 1 or state[t] == 0 and cyclic(t) for t in succ[s]):
+            return True
+        state[s] = 2
+        return False
+    return not any(state[s] == 0 and cyclic(s) for s in pairs)
+
+
+def test_betti_agrees_with_the_full_slice(m0_tail):
+    # betti's Morse route and the full slice's kernel/image count are two
     # routes to one dimension; the dimension oracles read the first, the
-    # Massey path the second
-    L1_12, m2 = load_preset("L1", 12), parse_algebra(M2_FILE)
+    # Massey path the second.  The matching applies to L1, m0 and the m2
+    # file, shuffled or not, and not to gr L1 (two generators of weight 1)
+    # or to the m0 tail (no e2), where D_q is the whole d_q
+    L1_12, m2, m0_24 = load_preset("L1", 12), parse_algebra(M2_FILE), load_preset("m0", 24)
     shuffled = _relabelled(L1_12, _shuffled_labels(L1_12, 5))
     weights = [shuffled.weight(i) for i in shuffled.indices]
     assert weights != sorted(weights)
-    cases = [(load_preset("L1", 26), 4), (load_preset("m0", 24), 5),
-             (associated_graded(L1_12), 4), (shuffled, 4),
-             (_relabelled(m2, _shuffled_labels(m2, 8)), 4)]
+    cases = [(load_preset("L1", 26), 4), (load_preset("L1", 30), 6), (m0_24, 6),
+             (associated_graded(L1_12), 4), (shuffled, 4), (m2, 4),
+             (_relabelled(m2, _shuffled_labels(m2, 8)), 4), (m0_tail, 4)]
+    assert [e1_chain(g) is not None for g, _ in cases] == [True] * 3 + [False] + [True] * 3 + [False]
     for g, qmax in cases:
         for q in range(0, qmax + 1):
             for k in range(0, g.cutoff + 1):
@@ -361,6 +393,51 @@ def test_betti_agrees_with_the_full_slice():
     for q in range(0, 5):
         for k in range(0, 13):
             assert coh.betti(shuffled, q, k) == coh.betti(L1_12, q, k), (q, k)
+    # on m0 the matching is perfect, its critical cells are a basis of the
+    # cohomology, and it is acyclic
+    for q in range(0, 7):
+        for k in range(0, 25):
+            cells = len(coh._slice_basis_cached(m0_24, q, k))
+            critical = cells - sum(len(coh.morse_matching(m0_24, p, k).pairs) for p in (q - 1, q))
+            assert critical == coh.betti(m0_24, q, k), (q, k)
+            assert _morse_graph_is_acyclic(m0_24, q, k), (q, k)
+
+
+CYCLIC_PAIRING = ("images = {'a': {'A': 1, 'B': 1}, 'b': {'A': 2, 'B': 1}}\n"
+                  "pairs = {'a': 'A', 'b': 'B'}\n")
+
+
+def test_morse_certificate_refuses_a_cycle_and_a_zero_incidence():
+    # a and b each meet the other's partner, a cycle a -> b -> a; then a
+    # pairing whose matched incidence is zero; then a -> b alone, acyclic
+    scope = {}
+    exec(CYCLIC_PAIRING, scope)
+    with pytest.raises(InternalCheckFailed, match="^the matched block must be acyclic$"):
+        coh._morse_order(scope["images"], scope["pairs"])
+    with pytest.raises(InternalCheckFailed, match="^every matched incidence must be nonzero$"):
+        coh._morse_order({"a": {"A": 0, "B": 1}, "b": {"B": 1}}, scope["pairs"])
+    assert coh._morse_order({"a": {"A": 1, "B": 1}, "b": {"B": 3}}, scope["pairs"]) == ["a", "b"]
+
+
+def test_morse_certificate_survives_python_O():
+    script = ("assert False, 'python -O strips this assert'\n"
+              "from gradedlie.cohomology import _morse_order\n" + CYCLIC_PAIRING
+              + "_morse_order(images, pairs)\n")
+    src = os.path.dirname(os.path.dirname(coh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.rstrip().endswith(
+        "InternalCheckFailed: the matched block must be acyclic")
+
+
+def test_goncharova_frontier():
+    # past weight 40 the whole d_q fills in under elimination; the Morse
+    # blocks D_q keep these cheap
+    assert coh.check_goncharova(5, 40).ok
+    assert coh.betti(load_preset("L1", 51), 6, 51) == 1
 
 
 def test_betti_edges():

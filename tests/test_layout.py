@@ -259,7 +259,8 @@ def test_module_level_caches_are_the_known_ones():
     found = {name: _module_caches(os.path.join(SRC, name))
              for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
     assert {name: caches for name, caches in found.items() if caches} == {
-        "cohomology.py": ["_slice_basis_cached", "cohomology_slice", "partition_count"],
+        "cohomology.py": ["_slice_basis_cached", "cohomology_slice", "morse_matching",
+                          "partition_count"],
         "linalg.py": ["d_matrix"]}
 
 
