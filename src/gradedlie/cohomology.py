@@ -69,6 +69,9 @@ class CohomologySlice:
     products: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # {component key: (h, p)}, see contract
     contractions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # {(a, c): indeterminacy entry} of the triple products with this target
+    # slice, filled by massey.triple_product
+    indeterminacies: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def product_terms(self, right):
         """The cup-product table with a right slice of the same algebra:

@@ -90,14 +90,13 @@ class Form:
         return sorted({len(m) for m in self.terms})
 
     def weights(self):
-        w = self.alg.weight
-        return sorted({sum(w(i) for i in m) for m in self.terms})
+        return list(weight_parts(self))
 
     def degree(self):
-        degs = self.degrees()
+        degs = {len(m) for m in self.terms}
         if len(degs) != 1:
-            raise ArityMismatch(f"form is not degree-homogeneous: degrees {degs}")
-        return degs[0]
+            raise ArityMismatch(f"form is not degree-homogeneous: degrees {sorted(degs)}")
+        return degs.pop()
 
     # -- arithmetic -----------------------------------------------------------
     def _check_ambient(self, other):
@@ -157,11 +156,16 @@ def wedge(a, b):
 
 def weight_parts(a):
     """{weight: {monomial: coefficient}} of a form, weights ascending, from one
-    pass over its terms; the parts partition the terms."""
-    w = a.alg.weight
+    pass over its terms; the parts partition the terms.  An index outside the
+    algebra raises AlgebraFormatError, through alg.weight."""
+    table = a.alg._weights
     parts = {}
-    for m, c in a.terms.items():
-        parts.setdefault(sum(map(w, m)), {})[m] = c
+    try:
+        for m, c in a.terms.items():
+            parts.setdefault(sum(map(table.__getitem__, m)), {})[m] = c
+    except KeyError as missing:
+        a.alg.weight(missing.args[0])
+        raise
     return {k: parts[k] for k in sorted(parts)}
 
 

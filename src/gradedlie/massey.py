@@ -287,9 +287,11 @@ VALUE_SET = "ValueSet"
 UNDECIDED = "Undecided"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValueClass:
-    """Class coordinates of one value, weight slice by weight slice."""
+    """Class coordinates of one value, weight slice by weight slice; frozen,
+    since the indeterminacy classes of one outer pair are shared by every
+    result that reads them."""
 
     degree: int
     entries: tuple  # ((weight, rep_index, coeff, rep_form_text), ...)
@@ -573,13 +575,12 @@ def triple_product(g, a, b, c):
     bar(a) a(2,3) + bar(a(1,2)) c.  Returns a MasseyResult carrying that
     value class, the indeterminacy subspace basis, and the exact decision
     whether 0 lies in the affine set.  Raises MasseyNotDefined when [a][b]
-    or [b][c] is nonzero.
+    or [b][c] is nonzero.  The indeterminacy depends only on a, c and the
+    target slice (see _indeterminacy), so each triple solves once against it.
     """
     _require_cocycles(g, (a, b, c), "triple product needs nonzero cocycles")
     p, q, r = a.degree(), b.degree(), c.degree()
-    a_weights, c_weights = a.weights(), c.weights()   # ascending
-    wa, wb, wc = a_weights[-1], max(b.weights()), c_weights[-1]
-    total_weight = wa + wb + wc
+    total_weight = max(a.weights()) + max(b.weights()) + max(c.weights())
     if total_weight > g.cutoff:
         raise CutoffTooSmall(total_weight, g.cutoff, "triple product")
     entries = {(1, 1): {(): a}, (2, 2): {(): b}, (3, 3): {(): c}}
@@ -592,60 +593,17 @@ def triple_product(g, a, b, c):
     corner = _window_sum(entries, 1, 3)
     value_form = corner[()] if corner else Form.zero(g)
     target_degree = p + q + r - 1
-
-    # indeterminacy generators: [a ^ h'] for closed h' (deg q+r-1) at a(2,3)
-    # and [h ^ c] for closed h (deg p+q-1) at a(1,2); classes depend only on
-    # [h], [h'].  In c(A) they enter as bar(a) h' and bar(h) c, so each keeps
-    # the bar sign of its slot in the witness.
-    # Mixed-weight outer classes widen the search: a generator of weight up
-    # to wb + wc + (wa - min_wt(a)) can still land inside the value weights
-    # through the low-weight part of a (and symmetrically for c).  Each
-    # generator's class is read off the cup-product tables of the slices of
-    # [a] or [c], since the class of a ^ h' is bilinear in [a] and [h'].
-    spread_a = wa - a_weights[0]
-    spread_c = wc - c_weights[0]
-    gen_forms, gen_terms = [], []
-    for slot, sign, degree, bound, outer, outer_degree in (
-            ((2, 3), (-1) ** (p + 1), q + r - 1,
-             min(g.cutoff - a_weights[0], wb + wc + spread_a), a, p),
-            ((1, 2), (-1) ** (p + q), p + q - 1,
-             min(g.cutoff - c_weights[0], wa + wb + spread_c), c, r)):
-        # a weight where the class of outer vanishes adds nothing, and its
-        # table may lie past the cutoff
-        outer_slices = [(cohomology_slice(g, outer_degree, k), coords)
-                        for k, coords in class_coordinates_form(g, outer).items() if any(coords)]
-        for weight in range(1, bound + 1):
-            reps = representatives(g, degree, weight)
-            if reps:
-                gen_forms += [(slot, sign, h) for h in reps]
-                gen_terms += _generator_terms(outer_slices, cohomology_slice(g, degree, weight),
-                                              slot == (2, 3))
+    # the refusal above keeps the target slice within the cutoff
+    gen_forms, rows, span, indet_classes = _indeterminacy(
+        g, cohomology_slice(g, target_degree, total_weight), a, c)
     value_terms = class_terms(g, value_form)
-
-    # coordinates on the classes that occur, (weight, index) ascending; a
-    # class that no vector touches would be a zero column
-    keys = sorted({key for terms in gen_terms + [value_terms] for key in terms})
-    zero = Fraction(0)
-    gens = [[terms.get(key, zero) for key in keys] for terms in gen_terms]
-    value_vec = [value_terms.get(key, zero) for key in keys]
-
-    span = linalg.Echelon()
-    # a generator without class terms is zero and never extends the span
-    indet = [vec for vec, terms in zip(gens, gen_terms) if terms and span.add(vec)]
-    solvable = span.contains(value_vec)
-    if solvable and any(value_vec):
-        # the echelon particular solution; a zero value takes all-zero coefficients
-        matrix = [[col[r_] for col in gens] for r_ in range(len(keys))]
-        coeffs = linalg.solve(matrix, [-v for v in value_vec])
-    else:
-        coeffs = [zero] * len(gens)
-
-    indet_classes = tuple(
-        _value_class(g, target_degree, {key: x for key, x in zip(keys, vec) if x})
-        for vec in indet)
+    # a class that no generator touches lies outside the span; otherwise the
+    # echelon particular solution, all zero for a zero value
+    coeffs = (span.solve({rows[key]: -v for key, v in value_terms.items()})
+              if value_terms.keys() <= rows.keys() else None)
     value_cls = _value_class(g, target_degree, value_terms)
 
-    if solvable:
+    if coeffs is not None:
         for coeff, (slot, sign, h) in zip(coeffs, gen_forms):
             if coeff:
                 _add_piece(entries.setdefault(slot, {}), (), (coeff if sign > 0 else -coeff) * h)
@@ -657,6 +615,56 @@ def triple_product(g, a, b, c):
                         indeterminacy=indet_classes,
                         certificate={"kind": "exact-affine-triple",
                                      "detail": "0 is not in the affine value set"})
+
+
+def _indeterminacy(g, target, a, c):
+    """(generators, rows, span, classes): the indeterminacy
+    [a] H^{q+r-1} + H^{p+q-1} [c] of <[a], [b], [c]> in its target slice
+    (degree p+q+r-1, weight wa+wb+wc), which fixes q and wb given a and c;
+    built on the first query of the outer pair and kept in
+    target.indeterminacies, keyed by Form equality.
+
+    The generators (slot, sign, h) are [a ^ h'] for representatives h' of
+    degree q+r-1 at a(2,3) and [h ^ c] for h of degree p+q-1 at a(1,2).  In
+    c(A) they enter as bar(a) h' and bar(h) c, so each keeps the bar sign of
+    its slot in the witness.  A generator of weight up to wa+wb+wc - min_wt(a)
+    can still land inside the value weights through the low-weight part of a
+    (and symmetrically for c).  Its class is read off the cup-product tables
+    of the slices of [a] or [c], since the class of a ^ h' is bilinear in [a]
+    and [h'].  span is the Reduction of the matrix with a column per
+    generator and a row per class that occurs ((weight, index) ascending,
+    rows maps each to its row); its pivots are the generators a greedy span
+    test keeps, and classes are their ValueClasses.
+    """
+    entry = target.indeterminacies.get((a, c))
+    if entry is not None:
+        return entry
+    p, r = a.degree(), c.degree()
+    q = target.q - p - r + 1
+    gen_forms, gen_terms = [], []
+    # target.k is within the cutoff, so every generator slice below is too
+    for slot, sign, degree, outer, outer_degree in (((2, 3), (-1) ** (p + 1), q + r - 1, a, p),
+                                                    ((1, 2), (-1) ** (p + q), p + q - 1, c, r)):
+        # a weight where the class of outer vanishes adds nothing, and its
+        # table may lie past the cutoff
+        outer_slices = [(cohomology_slice(g, outer_degree, k), coords)
+                        for k, coords in class_coordinates_form(g, outer).items() if any(coords)]
+        for weight in range(1, target.k - min(outer.weights()) + 1):
+            reps = representatives(g, degree, weight)
+            if reps:
+                gen_forms += [(slot, sign, h) for h in reps]
+                gen_terms += _generator_terms(outer_slices, cohomology_slice(g, degree, weight),
+                                              slot == (2, 3))
+    rows = {key: i for i, key in enumerate(sorted({key for terms in gen_terms for key in terms}))}
+    matrix = [{} for _ in rows]
+    for j, terms in enumerate(gen_terms):
+        for key, v in terms.items():
+            matrix[rows[key]][j] = v
+    span = linalg.Reduction(matrix, len(gen_terms))
+    classes = tuple(_value_class(g, target.q, dict(sorted(gen_terms[j].items())))
+                    for j in span.pivots)
+    entry = target.indeterminacies[(a, c)] = gen_forms, rows, span, classes
+    return entry
 
 
 def _generator_terms(outer_slices, h_slice, outer_left):

@@ -283,6 +283,14 @@ def test_weight_components_partition_the_form(a):
     assert total == a
 
 
+def test_weight_of_an_unknown_index_is_a_format_error(m0):
+    # the constructor keeps a term map as given, so no check ran on e99
+    stray = Form(m0, {(2,): 1, (1, 99): 1})
+    for read in (weight_parts, Form.weights):
+        with pytest.raises(AlgebraFormatError, match=r"^line 0: unknown generator index 99$"):
+            read(stray)
+
+
 @settings(max_examples=200, deadline=None)
 @given(ALGEBRAS, st.integers(0, 3), st.integers(0, 3), st.data())
 def test_wedge_graded_commutative(g, p, q, data):

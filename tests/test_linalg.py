@@ -363,6 +363,31 @@ def test_reduction_image_matches_transform(rows, data):
         assert all(type(x) is Fraction for x in image)
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_greedy_span_is_one_reduction(rows, data):
+    # the triple rung's indeterminacy: the columns a greedy Echelon keeps (a
+    # zero column never extends it) are the pivots of one Reduction, and a
+    # target lies in their span iff that Reduction solves it, as solve does
+    ncols = len(rows[0])
+    for j in data.draw(st.sets(st.integers(0, ncols - 1))):
+        for row in rows:
+            row[j] = Fraction(0)
+    span = Echelon()
+    kept = [j for j in range(ncols) if any(row[j] for row in rows)
+            and span.add([row[j] for row in rows])]
+    red = linalg.Reduction(rows, ncols)
+    assert kept == red.pivots
+    for _ in range(3):
+        target = data.draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(ENTRY, min_size=ncols, max_size=ncols))
+            target = _times(rows, x)
+        sol = red.solve(_sparse(target))
+        assert span.contains(target) == (sol is not None)
+        assert sol == solve(rows, target)
+
+
 # -- d^2 = 0, checked on the matrices -----------------------------------------
 
 # m2: [e1, ei] = e{i+1} and [e2, ej] = 1/2 e{j+2}, a filiform algebra read

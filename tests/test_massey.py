@@ -780,6 +780,43 @@ def test_triple_refuses_when_a_needed_table_passes_the_cutoff():
         ms.triple_product(g, F(g, "e2^e3+e2^e5-e3^e4"), F(g, "e1"), F(g, "e2^e3"))
 
 
+def _target_slice(g, classes):
+    return cohomology_slice(g, sum(c.degree() for c in classes) - 1,
+                            sum(max(c.weights()) for c in classes))
+
+
+def test_triple_indeterminacy_memo_hits_change_nothing(m0, L1):
+    # a triple's indeterminacy is built once per outer pair and kept on its
+    # target slice; a second pass reads every entry back and answers (the
+    # JSON carries the witness), or raises, exactly as the first
+    coh.cohomology_slice.cache_clear()
+    texts = ["e1", "e2", "e1+e2", *(render_form(omega(m0, [i])) for i in (2, 3)),
+             "e1^e4", "e2^e5-3*e3^e4"]
+    raised = set()
+    for g in (m0, L1):
+        triples = list(iter_product([F(g, t) for t in texts], repeat=3))
+        first = [_triple_outcome(g, t) for t in triples]
+        solved = [t for t, (kind, _) in zip(triples, first) if kind == "ok"]
+        entries = [len(_target_slice(g, t).indeterminacies) for t in solved]
+        assert [_triple_outcome(g, t) for t in triples] == first
+        assert [len(_target_slice(g, t).indeterminacies) for t in solved] == entries
+        assert 0 not in entries
+        raised |= {kind for kind, _ in first}
+    assert {"NotACocycle", "CutoffTooSmall", "MasseyNotDefined"} <= raised
+
+
+def test_equal_outer_forms_share_one_indeterminacy_entry(m0):
+    coh.cohomology_slice.cache_clear()
+    a, c = F(m0, "2*e1+e2"), F(m0, "e1-e2")
+    # equal but distinct: a Fraction coefficient, and the terms in reverse order
+    a2, c2 = Form(m0, {(1,): Fraction(2, 1), (2,): 1}), Form(m0, {(2,): -1, (1,): 1})
+    assert (a2, c2) == (a, c) and list(c2.terms) != list(c.terms)
+    assert type(a2.terms[(1,)]) is Fraction and type(a.terms[(1,)]) is int
+    outcomes = {_triple_outcome(m0, (x, b, z))
+                for x, z in ((a, c), (a2, c2)) for b in (F(m0, "e1"), F(m0, "3*e1"))}
+    # the middle class changes the value, not the indeterminacy
+    assert len(outcomes) == 2
+    assert len(_target_slice(m0, (a, F(m0, "e1"), c)).indeterminacies) == 1
 NILPOTENT_CLASSES = ["e1", "e2", "e3", "e1+2*e2-e3", "e1^e4", "e1^e5", "e2^e4", "e2^e6"]
 
 # sha256 over the JSON result, or the exception, of every ordered triple of
