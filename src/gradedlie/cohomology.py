@@ -92,12 +92,6 @@ class CohomologySlice:
         return table
 
     @cached_property
-    def cocycle_forms(self):
-        """The cocycles as Forms, built on first use and kept."""
-        return tuple(Form(self.algebra, {m: _exact(c) for m, c in zip(self.basis, vec)})
-                     for vec in self.cocycles)
-
-    @cached_property
     def reduction(self):
         """Reduction of the columns [d | representatives], d the differential
         into this slice.  Of E v (see linalg.Reduction), the first

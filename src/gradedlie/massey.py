@@ -16,12 +16,13 @@ Triviality decisions are exact for n = 2 (the class of the related cocycle),
 for n = 3 (affine geometry of the triple value set) and for products of
 1-classes over an m0-type algebra (the residual of the unique graded
 thread-module candidate: off the corner it decides definedness, at the
-corner triviality).  Otherwise the parametrized defining-system family is
-solved diagonal by diagonal; the related-cocycle class is a polynomial in
-the free parameters and the decision hierarchy is: exact linear solve when
-the dependence is affine, bounded grid search for witnesses, sampling
-certificates for the explicit omega-tail shapes, and an honest Undecided
-otherwise.
+corner triviality).  Otherwise the gauge-fixed defining-system family
+(parameters on cohomology representatives) is solved diagonal by diagonal;
+the related-cocycle class is a polynomial in the free parameters and the
+decision hierarchy is: exact linear solve when the dependence is affine,
+bounded grid search for witnesses, sampling certificates for the explicit
+omega-tail shapes, and an honest Undecided otherwise.  NotDefined needs an
+obstruction whose affine class coordinates have no common zero.
 """
 
 from __future__ import annotations
@@ -371,6 +372,7 @@ def _require_cocycles(g, classes, message):
 class Obstruction:
     position: tuple                  # (i, j) a-coordinates
     coordinates: dict                # {(weight, rep_index): ParamPoly}
+    certified: bool                  # its affine members have no common zero
 
 
 class FamilyResult:
@@ -486,14 +488,24 @@ def _affine_zeros(polys):
 
 
 def solve_defining_system(g, classes, graded=None):
-    """Diagonal-by-diagonal construction of the parametrized family.
+    """The gauge-fixed parametrized family, built diagonal by diagonal.
 
-    Free parameters are attached to every closed form that may be added at a
-    solvable slot.  When the class coordinates of an obstruction that are
-    affine in the parameters have a common zero, the substitution of
-    _affine_zeros narrows the family and the window is summed again;
-    otherwise the first obstructed (i, j) is reported with its class
-    coordinates as ParamPolys.
+    The entry at (i, j) is the coboundary preimage of each window piece plus
+    one parameter per representative of the slot's slices.  An obstruction
+    narrows the family to the common zeros of its affine class coordinates
+    (_affine_zeros), and the window is summed again; with no such zero the
+    first obstructed (i, j) is reported, with its coordinates as ParamPolys,
+    certified when affine ones (a nonzero constant counts) are among them.
+
+    Gauge lemma, in the bar convention of _residual: for B with one entry b
+    above the second diagonal, off the corner, and U = 1 + B, the transform
+    A^U = A + dB - bar(B).A - A.B has mu(A^U) = mu(A) + B.mu(A) - mu(A).B,
+    which is mu(A) when mu(A) lives at the corner.  A^U adds db at b's slot
+    and changes only higher diagonals otherwise; dropping its corner entry
+    adds an exact form to the related cocycle.  So, slot by slot, a free
+    part sum c.rep + db becomes sum c.rep: the family reaches every
+    related-cocycle class the full-cocycle family reaches, and complete
+    means what it meant there.
     """
     classes = list(classes)
     n = len(classes)
@@ -524,23 +536,16 @@ def solve_defining_system(g, classes, graded=None):
         for i in range(1, n - s + 1):
             j = i + s
             entry_degree = sum(degrees[r - 1] - 1 for r in range(i, j + 1)) + 1
-            before = {}              # pm -> (window piece, preimage or None) of the last pass
             while True:
-                pieces, bad, solved = {}, {}, {}
+                pieces, bad = {}, {}
                 for pm, comp in sorted(_window_sum(fam.entries, i, j).items()):
-                    # after a narrowing, a window piece equal to that of the
-                    # pass before has the same preimage
-                    known = before.get(pm)
-                    preimage = (known[1] if known is not None and known[0] == comp
-                                else linalg.coboundary_preimage(g, comp))
-                    solved[pm] = comp, preimage
+                    preimage = linalg.coboundary_preimage(g, comp)
                     if preimage is None:
                         bad[pm] = comp
                     else:
                         pieces[pm] = preimage
                 if not bad:
                     break
-                before = solved
                 coords = _class_polynomials(g, bad)
                 # the substitution covers every common zero of the affine
                 # members and removes at least one parameter
@@ -548,16 +553,14 @@ def solve_defining_system(g, classes, graded=None):
                 zeros = _affine_zeros(affine) if affine else None
                 if not zeros:
                     fam.ok = False
-                    fam.obstruction = Obstruction((i, j), coords)
+                    fam.obstruction = Obstruction((i, j), coords, bool(affine) and zeros is None)
                     return fam
                 fam.entries = fam._substituted(zeros)
-            if graded:
-                kernel_weights = [sum(weights_max[r - 1] for r in range(i, j + 1))]
-            else:
-                kernel_weights = range(1, min(g.cutoff, total_weight) + 1)
+            kernel_weights = ([sum(weights_max[i - 1:j])] if graded
+                              else range(1, min(g.cutoff, total_weight) + 1))
             for k in kernel_weights:
-                for kf in cohomology_slice(g, entry_degree, k).cocycle_forms:
-                    pieces[(len(fam.params),)] = kf
+                for rep in cohomology_slice(g, entry_degree, k).representatives:
+                    pieces[(len(fam.params),)] = rep
                     fam.params.append((len(fam.params), (i, j)))
             fam.entries[(i, j)] = pieces
     return fam
@@ -768,11 +771,13 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
     """Evaluate the n-fold Massey product of the given cocycles.
 
     Exact for n = 2, n = 3 and for products of 1-classes over an m0-type
-    algebra; otherwise works through the parametrized family (exact affine
+    algebra; otherwise works through the gauge-fixed family (exact affine
     solve, bounded grid search, sampling certificate, honest Undecided).
-    Raises MasseyNotDefined when the product is not defined, and UsageError
-    for budget < 0 (the number of grid systems tried) or samples < 1, whether
-    or not the grid or the sampling rung is reached.
+    Raises MasseyNotDefined when the product is not defined, on the family
+    path only for a certified obstruction of a complete family; any other
+    obstruction is Undecided, its notes naming the position.  Raises
+    UsageError for budget < 0 (the number of grid systems tried) or
+    samples < 1, whether or not the grid or the sampling rung is reached.
     """
     if budget < 0:
         raise UsageError(f"a grid search needs budget >= 0, got {budget}")
@@ -802,13 +807,12 @@ def evaluate_product(g, classes, budget=2000, samples=100, seed=0):
     fam = solve_defining_system(g, classes, graded=graded)
     notes = []
     if not fam.ok:
-        if fam.complete:
-            raise MasseyNotDefined(fam.obstruction.position,
-                                   "defining system obstructed at "
-                                   f"{fam.obstruction.position}")
-        return MasseyResult(UNDECIDED, notes=(
-            "family obstructed at " + str(fam.obstruction.position),
-            "family not known complete; product may still be defined"))
+        position = fam.obstruction.position
+        if fam.complete and fam.obstruction.certified:
+            raise MasseyNotDefined(position, f"defining system obstructed at {position}")
+        return MasseyResult(UNDECIDED, notes=(f"family obstructed at {position}", (
+            "nonlinear obstruction; the product may be defined" if fam.complete
+            else "family not known complete; product may still be defined")))
 
     corner = _window_sum(fam.entries, 1, n)
     coords = _class_polynomials(g, corner)

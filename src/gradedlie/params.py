@@ -1,6 +1,6 @@
 """Exact multivariate polynomials in solver parameters.
 
-Defining-system families carry free parameters (one per closed form added at
+Defining-system families carry free parameters (one per representative at
 each solvable slot).  Their entries are stored as one rational form per
 parameter monomial, so the class coordinates of the related cocycle are
 polynomials in the parameters with rational coefficients.  A monomial is a
