@@ -17,11 +17,12 @@ has the empty matching, and D_q is the whole d_q.  The full slice below
 computes its own dimension from its cocycle and coboundary bases; every
 degree, 0 included, takes that one path, since the (-1, k) slice is empty.
 
-Canonical representatives: closed single monomials are preferred (greedily,
-in lexicographic order), the remainder is completed by reduced-echelon
-vectors; on the m0 truncation (algebra.is_m0, the one owner of that test)
-the omega cocycles are returned verbatim whenever they span the slice, since
-the explicit constructions downstream quote omega classes.
+Canonical representatives are pivots: of one elimination of [d | candidates],
+d the differential into the slice, the candidates whose columns are pivots.
+The candidates are the closed single monomials in lexicographic order, then
+reduced-echelon vectors; on the m0 truncation (algebra.is_m0, the one owner
+of that test) the omega cocycles are taken verbatim whenever they span the
+slice, since the explicit constructions downstream quote omega classes.
 
 Each slice has one homotopy-transfer contraction (h, p), read off the one
 reduction of [d | representatives] it builds on first use: for a component
@@ -37,7 +38,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice
 
 from . import linalg
 from .errors import CutoffTooSmall, NotACocycle, internal_check
@@ -99,10 +99,7 @@ class CohomologySlice:
         so its pivots are those of rref(d)), the next dimension rows its class
         coordinates; the rows past the rank vanish exactly on cocycles."""
         d = linalg.d_matrix(self.algebra, self.q - 1, self.k)
-        rows = d.rows()
-        for r, row in enumerate(rows):
-            row.update((d.ncols + j, vec[r]) for j, vec in enumerate(self.rep_vectors) if vec[r])
-        red = linalg.Reduction(rows, d.ncols + len(self.rep_vectors))
+        red = linalg.Reduction(_bordered(d, self.rep_vectors), d.ncols + len(self.rep_vectors))
         internal_check(red.rank == len(self.coboundaries) + len(self.rep_vectors)
                        == len(self.cocycles)
                        and not any(any(red.image({i: v for i, v in enumerate(c) if v})[red.rank:])
@@ -160,10 +157,11 @@ def cohomology_slice(g, q, k):
     columns = [{} for _ in range(prev.ncols)]
     for (r, c), v in prev.entries.items():
         columns[c][r] = v
-    coboundaries = tuple(tuple(r) for r in linalg.rref(columns, prev.nrows)[0])
+    image, exact = linalg.rref(columns, prev.nrows)
+    coboundaries = tuple(tuple(r) for r in image)
     dim = len(cocycles) - len(coboundaries)
 
-    reps = _choose_representatives(g, q, k, basis, index, dmat, cocycles, coboundaries, dim)
+    reps = _choose_representatives(g, q, k, basis, index, prev, dmat, cocycles, exact, dim)
     rep_vectors = tuple(tuple(_vec(index, f)) for f in reps)
     return CohomologySlice(g, q, k, basis, index, cocycles, coboundaries,
                            tuple(reps), rep_vectors, dim)
@@ -176,35 +174,48 @@ def _vec(index, form):
     return vec
 
 
-def _choose_representatives(g, q, k, basis, index, dmat, cocycles, coboundaries, dim):
+def _bordered(d, columns):
+    """The rows of [d | columns]: d the differential into a slice, each
+    column a dense or {position: value} vector over that slice's basis."""
+    rows = d.rows()
+    for j, col in enumerate(columns, d.ncols):
+        for r, v in col.items() if isinstance(col, dict) else enumerate(col):
+            if v:
+                rows[r][j] = v
+    return rows
+
+
+def _kept(d, columns):
+    """The positions of the columns that leave the span of d's columns and
+    of the columns before them: the pivots past d of rref([d | columns])."""
+    pivots = linalg.rref(_bordered(d, columns), d.ncols + len(columns))[1]
+    return [pc - d.ncols for pc in pivots if pc >= d.ncols]
+
+
+def _choose_representatives(g, q, k, basis, index, prev, dmat, cocycles, exact, dim):
+    """The candidates kept by _kept against prev, the differential into the
+    slice: the omega cocycles when all are kept, else the closed monomials
+    (their columns of dmat are zero) and, only when those fall short, the
+    completion, the rows of rref(cocycles) whose pivot is not in exact (the
+    coboundary pivots).  As B lies in Z, pivots(B) lie in pivots(Z), so
+    these rows are the reduced echelon form of Z reduced modulo B."""
     if dim <= 0:
         return []
-    # m0 preference: omega cocycles verbatim when they span the slice
     if is_m0(g) and q >= 2:
         lists = omega_index_lists(q - 1, k)
         if len(lists) == dim:
             forms = [omega(g, idx) for idx in lists]
-            vectors = [*coboundaries, *(_vec(index, f) for f in forms)]
-            if linalg.rank(vectors) == len(vectors):
+            if len(_kept(prev, [{index[m]: c for m, c in f.terms.items()} for f in forms])) == dim:
                 return forms
-    span = linalg.Echelon(coboundaries)
-    chosen = islice(filter(span.add, _candidates(basis, dmat, cocycles, coboundaries)), dim)
-    return [Form(g, {basis[i]: _exact(v) for i, v in vec.items()}) for vec in chosen]
-
-
-def _candidates(basis, dmat, cocycles, coboundaries):
-    """Representative candidates as {position: value} rows, in order: the
-    closed single monomials, lexicographic (a monomial is closed iff its
-    column of the differential is zero), then the completion, the cocycles
-    reduced modulo the coboundaries (zero on coboundary pivot columns) and
-    re-echelonized with leading coefficient 1.  The completion's reduction
-    runs only when the caller reads past the monomials."""
     nonclosed = {c for _, c in dmat.entries}
-    yield from ({i: 1} for i in range(len(basis)) if i not in nonclosed)
-    cob_span = linalg.Echelon(coboundaries)
-    reduced = [vec for vec in map(cob_span.reduce, cocycles) if vec]
-    for vec in linalg.rref(reduced, len(basis))[0]:
-        yield {i: v for i, v in enumerate(vec) if v}
+    candidates = [{i: 1} for i in range(len(basis)) if i not in nonclosed]
+    kept = _kept(prev, candidates)
+    if len(kept) < dim:
+        rows, pivots = linalg.rref(cocycles, len(basis))
+        candidates += [{i: v for i, v in enumerate(row) if v}
+                       for row, pc in zip(rows, pivots) if pc not in exact]
+        kept = _kept(prev, candidates)
+    return [Form(g, {basis[i]: _exact(v) for i, v in candidates[j].items()}) for j in kept]
 
 
 def betti(g, q, k):

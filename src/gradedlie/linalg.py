@@ -6,8 +6,7 @@ batch pass takes columns in ascending order, pivots on the shortest row
 leading at each column and back-substitutes in integers; Fractions appear
 only in the final normalisation.  The pivot choice never reaches the output:
 columns in order give the same pivot columns whichever row pivots, and the
-reduced row echelon form is unique.  Span tests reduce against a growing
-``Echelon`` with the same step.  A rank is the forward pass alone.  A matrix
+reduced row echelon form is unique.  A rank is the forward pass alone.  A matrix
 queried many times is reduced once (``Reduction``) and keeps its transform
 as integer columns with one denominator per row, so a solve or coordinate
 query of a {index: nonzero value} vector is one integer product; ``solve``
@@ -22,7 +21,7 @@ its differential taken.  No floats.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -175,44 +174,6 @@ def kernel_basis(m):
             if c != pc:
                 basis[c][pc] = Fraction(-v, p)
     return list(basis.values())
-
-
-class Echelon:
-    """Row echelon form over the kernel's primitive {column: int} rows keyed
-    by pivot column, grown one vector (dense or {column: value}) at a time.
-    Membership is one reduction by ``_eliminate``; a span test, it does not
-    depend on which multiple of a row the elimination kept."""
-
-    __slots__ = ("pivots", "rows")
-
-    def __init__(self, vectors=()):
-        self.pivots = []    # ascending
-        self.rows = {}      # {pivot column: row with its leading entry there}
-        for vec in vectors:
-            self.add(vec)
-
-    def reduce(self, vec):
-        """{column: int}, an integer multiple of vec minus a combination of
-        the stored rows that is zero at every pivot column; empty iff vec is
-        in the span (test it with ``not``: column 0 is a key like any other)."""
-        row = _integer_row(vec)[0]
-        for pc in self.pivots:
-            if pc in row:
-                row = _eliminate(row, self.rows[pc], pc)
-        return row
-
-    def contains(self, vec):
-        return not self.reduce(vec)
-
-    def add(self, vec):
-        """Extend the span by vec; returns False when vec already lies in it."""
-        row = self.reduce(vec)
-        if not row:
-            return False
-        lead = min(row)
-        insort(self.pivots, lead)
-        self.rows[lead] = _primitive(row)
-        return True
 
 
 class Reduction:

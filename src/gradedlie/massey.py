@@ -506,6 +506,14 @@ def solve_defining_system(g, classes, graded=None):
     part sum c.rep + db becomes sum c.rep: the family reaches every
     related-cocycle class the full-cocycle family reaches, and complete
     means what it meant there.
+
+    The n = 3 completeness lemma, for weight-homogeneous classes over any
+    N-graded algebra: the windows at (1, 2) and (2, 3) are homogeneous, and
+    the corner bar(a1).A(2,3) + bar(A(1,2)).a3 is linear in the off-diagonal
+    entries, so projecting each entry to its own weight turns any defining
+    system into a graded one.  Its corner is the weight-W part of the old
+    corner, and a trivial system stays trivial: the graded n = 3 family is
+    complete on every graded algebra.
     """
     classes = list(classes)
     n = len(classes)
@@ -526,7 +534,7 @@ def solve_defining_system(g, classes, graded=None):
         raise CutoffTooSmall(total_weight, g.cutoff, "defining system")
 
     all_degree_one = all(d == 1 for d in degrees)
-    complete = (all_degree_one and not graded) or (graded and is_m0_like(g))
+    complete = (all_degree_one and not graded) or (graded and (n == 3 or is_m0_like(g)))
     fam = FamilyResult(g, classes, complete)
 
     for i in range(1, n + 1):

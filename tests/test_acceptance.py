@@ -174,7 +174,17 @@ def test_criterion_07_triple_criterion_grid(m0_10, triple_grid):
     mismatches = sum(
         1 for (p1, p2, p3), trivial in triple_grid.items()
         if trivial != (ms._triple_criterion(p1, p2, p3) == 0))
-    grid_ok = mismatches == 0
+    # the ungraded family, which evaluate_product picks for 1-classes, over
+    # the same grid: trivial iff its affine corner coordinates have a zero
+    family_mismatches = 0
+    for pairs, trivial in triple_grid.items():
+        classes = [a * Form.generator(m0_10, 1) + b * Form.generator(m0_10, 2) for a, b in pairs]
+        fam = ms.solve_defining_system(m0_10, classes, graded=False)
+        coords = list(fam.value_polynomial().values()) if fam.ok else None
+        family_mismatches += not (coords is not None and fam.complete
+                                  and all(poly.is_affine() for poly in coords)
+                                  and trivial == (not coords or ms._affine_zeros(coords) is not None))
+    grid_ok = mismatches == 0 and family_mismatches == 0
     # <e2, e2, e1> over L1 ([e_i, e_j] = (j - i) e_{i+j}) by hand.
     # d a(1,2) = bar(e2) ^ e2 = 0, so a(1,2) = 0.
     # d a(2,3) = bar(e2) ^ e1 = -e1 ^ e2 = -d e3, so a(2,3) = -e3.  The
@@ -196,11 +206,16 @@ def test_criterion_07_triple_criterion_grid(m0_10, triple_grid):
                and not ms.is_formal_connection(matrix.with_entry(2, 3, e[3]))[0])
     res = ms.triple_product(L1, F(L1, "e2"), F(L1, "e2"), F(L1, "e1"))
     coeff = _coefficient(res.value, 5, 0)
+    # the graded family is complete at n = 3 on L1 too, and its value is
+    # the constant +3 [e1 ^ e4]
+    fam = ms.solve_defining_system(L1, [F(L1, "e2"), F(L1, "e2"), F(L1, "e1")])
     value_ok = (res.indeterminacy == () and
                 res.value.entries == ((5, 0, Fraction(3), "1*e1^e4"),) and
-                coeff == -published)
+                coeff == -published and
+                fam.ok and fam.complete and fam.value_polynomial() == {(5, 0): 3})
     detail = (f"triple criterion {len(triple_grid) - mismatches}/"
-              f"{len(triple_grid)} grid agreement; <e2,e2,e1> over L1 = "
+              f"{len(triple_grid)} grid agreement, ungraded family "
+              f"{len(triple_grid) - family_mismatches}/{len(triple_grid)}; <e2,e2,e1> over L1 = "
               f"{coeff}*g2- (published {published}), hand-built "
               f"system: {'ok' if hand_ok else 'FAIL'}, triple product: "
               f"{'ok' if value_ok else 'FAIL'}")

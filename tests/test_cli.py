@@ -502,12 +502,13 @@ def test_report_failure_exit1(capsys):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
+    src = os.path.dirname(os.path.dirname(gradedlie.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, "-m", "gradedlie.cli", "check", "goncharova",
          "--qmax", "1", "--kmax", "2", "--format", "csv"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "q,k,computed,expected,match"
 

@@ -342,18 +342,6 @@ def test_massey_products_go_through_the_window_sum():
     assert uses == []
 
 
-def test_massey_builds_no_echelon():
-    # the triple rung's span test and its solve are one Reduction, kept with
-    # the indeterminacy of its outer pair
-    with open(os.path.join(SRC, "massey.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    uses = [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and any(a.name == "Echelon" for a in node.names)
-            or isinstance(node, ast.Name) and node.id == "Echelon"
-            or isinstance(node, ast.Attribute) and node.attr == "Echelon"]
-    assert uses == []
-
-
 def _float_sources(path):
     """Line numbers of every true division (/ or /=) and float constant."""
     with open(path, encoding="utf-8") as fh:

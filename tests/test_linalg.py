@@ -12,8 +12,7 @@ from gradedlie.algebra import load_preset, parse_algebra
 from gradedlie.cohomology import cohomology_slice
 from gradedlie.errors import CutoffTooSmall, NotACocycle
 from gradedlie.forms import Form, differential, slice_all_degree, slice_basis, weight_parts
-from gradedlie.linalg import (Echelon, coboundary_preimage, d_matrix, kernel_basis, rank,
-                              rref, solve)
+from gradedlie.linalg import coboundary_preimage, d_matrix, kernel_basis, rank, rref, solve
 
 
 def F(x):
@@ -292,28 +291,6 @@ def test_solve_particular_and_kernel(rows, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 6).flatmap(
-    lambda n: st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=1, max_size=7)))
-def test_echelon_membership_matches_rank(vectors):
-    *spanning, probe = vectors
-    span = Echelon(spanning)
-    expected = _oracle_rank(spanning + [probe]) == _oracle_rank(spanning)
-    assert span.contains(probe) == expected
-    assert span.add(probe) == (not expected)
-    assert span.contains(probe)
-
-
-def test_echelon_vector_nonzero_only_at_column_zero():
-    # a reduced vector is {column: int}; one whose only entry sits at column 0
-    # is nonzero, though any() of its keys is False
-    span = Echelon([[0, 1]])
-    assert span.reduce([3, 0]) and not span.contains([3, 0])
-    assert span.add([5, 0, 0])
-    assert span.contains([3, 0])
-    assert not span.reduce([-1, 7])
-
-
-@settings(max_examples=150, deadline=None)
 @given(matrices(), st.data())
 def test_solve_matches_textbook_particular_solution(rows, data):
     # one Reduction answers several targets, each as a fresh solve would
@@ -366,16 +343,18 @@ def test_reduction_image_matches_transform(rows, data):
 @settings(max_examples=150, deadline=None)
 @given(matrices(), st.data())
 def test_greedy_span_is_one_reduction(rows, data):
-    # the triple rung's indeterminacy: the columns a greedy Echelon keeps (a
-    # zero column never extends it) are the pivots of one Reduction, and a
-    # target lies in their span iff that Reduction solves it, as solve does
+    # the triple rung's indeterminacy and the slice representatives: the
+    # columns a greedy span test keeps (a zero column never extends it) are
+    # the pivots of one Reduction, and a target lies in their span iff that
+    # Reduction solves it, as solve does
     ncols = len(rows[0])
     for j in data.draw(st.sets(st.integers(0, ncols - 1))):
         for row in rows:
             row[j] = Fraction(0)
-    span = Echelon()
-    kept = [j for j in range(ncols) if any(row[j] for row in rows)
-            and span.add([row[j] for row in rows])]
+    kept = []
+    for j in range(ncols):
+        if _oracle_rank([[row[c] for c in kept + [j]] for row in rows]) > len(kept):
+            kept.append(j)
     red = linalg.Reduction(rows, ncols)
     assert kept == red.pivots
     for _ in range(3):
@@ -384,8 +363,32 @@ def test_greedy_span_is_one_reduction(rows, data):
             x = data.draw(st.lists(ENTRY, min_size=ncols, max_size=ncols))
             target = _times(rows, x)
         sol = red.solve(_sparse(target))
-        assert span.contains(target) == (sol is not None)
+        spanned = _oracle_rank([[row[c] for c in kept] + [t]
+                                for row, t in zip(rows, target)]) == len(kept)
+        assert spanned == (sol is not None)
         assert sol == solve(rows, target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_completion_is_the_rref_rows_off_the_subspace_pivots(cocycles, data):
+    # the slice completion: for B in the span of Z, the rows of rref(Z)
+    # whose pivot is not a pivot of B are the Gauss-Jordan reduced form of
+    # Z reduced modulo B (zero at B's pivots)
+    combos = data.draw(st.lists(st.lists(ENTRY, min_size=len(cocycles), max_size=len(cocycles)),
+                                max_size=4))
+    ncols = len(cocycles[0])
+    b_rows, b_pivots = _gauss_jordan([[sum(c * z[i] for c, z in zip(combo, cocycles))
+                                       for i in range(ncols)] for combo in combos])
+    z_rows, z_pivots = rref(cocycles)
+    assert set(b_pivots) <= set(z_pivots)
+    reduced = []
+    for z in cocycles:
+        for row, pc in zip(b_rows, b_pivots):
+            z = [a - z[pc] * b for a, b in zip(z, row)]
+        reduced.append(z)
+    completion = [row for row, pc in zip(z_rows, z_pivots) if pc not in b_pivots]
+    assert completion == _gauss_jordan(reduced)[0]
 
 
 # -- d^2 = 0, checked on the matrices -----------------------------------------

@@ -1036,7 +1036,7 @@ def _family_triple_status(g, classes):
     """The n = 3 decision of the complete graded family: NotDefined at its
     obstruction, otherwise trivial iff the class polynomials of the corner
     window have a common zero.  It shares no cup-product table, slot sign or
-    Echelon with triple_product."""
+    indeterminacy span with triple_product."""
     fam = ms.solve_defining_system(g, classes, graded=True)
     assert fam.complete
     if not fam.ok:
@@ -1049,25 +1049,31 @@ def _family_triple_status(g, classes):
 
 
 def test_triple_agrees_with_the_family_decision():
-    # every ordered triple of representatives of H^q_k (q <= 3, k <= 19) over
-    # m0/20 with total weight <= 20; three of them have deg a = 2 and a
-    # witness that needs a generator at a(2,3), where bar(a) = -a
-    g = load_preset("m0", 20)
-    reps = [(k, rep) for q in (1, 2, 3) for k in range(1, 20) for rep in representatives(g, q, k)]
-    triples = [[rep for _, rep in t] for t in iter_product(reps, repeat=3)
-               if sum(k for k, _ in t) <= 20]
-    seen = {}
-    for classes in triples:
-        try:
-            res = ms.triple_product(g, *classes)
-        except MasseyNotDefined as exc:
-            status = "NotDefined", exc.window
-        else:
-            status = res.status, None
-        assert status == _family_triple_status(g, classes), [render_form(c) for c in classes]
-        seen[status[0]] = seen.get(status[0], 0) + 1
-    assert len(triples) == 414
-    assert seen == {ms.TRIVIAL_WITNESS: 221, ms.NONTRIVIAL_CERTIFIED: 37, "NotDefined": 156}
+    # every ordered triple of representatives of H^q_k (q <= 3, k <= 19) with
+    # total weight <= 20, over m0/20 and over L1/20, where the graded family
+    # is complete by the n = 3 lemma alone; three m0 triples have deg a = 2
+    # and a witness that needs a generator at a(2,3), where bar(a) = -a
+    expected = {"m0": (414, {ms.TRIVIAL_WITNESS: 221, ms.NONTRIVIAL_CERTIFIED: 37,
+                             "NotDefined": 156}),
+                "L1": (105, {ms.TRIVIAL_WITNESS: 102, ms.NONTRIVIAL_CERTIFIED: 3})}
+    for name, (count, statuses) in expected.items():
+        g = load_preset(name, 20)
+        reps = [(k, rep) for q in (1, 2, 3) for k in range(1, 20)
+                for rep in representatives(g, q, k)]
+        triples = [[rep for _, rep in t] for t in iter_product(reps, repeat=3)
+                   if sum(k for k, _ in t) <= 20]
+        seen = {}
+        for classes in triples:
+            try:
+                res = ms.triple_product(g, *classes)
+            except MasseyNotDefined as exc:
+                status = "NotDefined", exc.window
+            else:
+                status = res.status, None
+            assert status == _family_triple_status(g, classes), \
+                (name, [render_form(c) for c in classes])
+            seen[status[0]] = seen.get(status[0], 0) + 1
+        assert (len(triples), seen) == (count, statuses), name
 
 
 @pytest.mark.parametrize("text, slot", [
