@@ -24,10 +24,10 @@ reduced-echelon vectors; on the m0 truncation (algebra.is_m0, the one owner
 of that test) the omega cocycles are taken verbatim whenever they span the
 slice, since the explicit constructions downstream quote omega classes.
 
-Each slice has one homotopy-transfer contraction (h, p), read off the one
-reduction of [d | representatives] it builds on first use: for a component
-z, p(z) are its class coordinates and h(z) the echelon d-preimage of
-z - i p(z).  Class coordinates are p and coboundary preimages (linalg) are
+Each slice has one homotopy-transfer contraction (h, p), read off the
+reduction of [d | candidates] that picked its representatives: for a
+component z, p(z) are its class coordinates and h(z) the echelon d-preimage
+of z - i p(z).  Class coordinates are p and coboundary preimages (linalg) are
 h, both read through CohomologySlice.contract, which keeps each reading
 per component on the slice, unbounded like the cup-product tables.
 """
@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import linalg
 from .errors import CutoffTooSmall, NotACocycle, internal_check
@@ -64,6 +64,12 @@ class CohomologySlice:
     coboundaries: tuple
     representatives: tuple       # Forms, one per cohomology class
     rep_vectors: tuple
+    # Reduction of [d | the pick's candidates], d the differential into this
+    # slice.  Of E v (see linalg.Reduction), the first len(coboundaries) rows
+    # are the echelon d-preimage of v (d comes first, so its pivots are those
+    # of rref(d)), the next dimension rows its class coordinates (candidates
+    # not kept are free); the rows past the rank vanish exactly on cocycles.
+    reduction: object = field(compare=False, repr=False)
     dimension: int = field(default=0)
     # {(q, k) of a right slice: product table}, see product_terms
     products: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -90,22 +96,6 @@ class CohomologySlice:
                         table[i, j] = terms
             self.products[key] = table
         return table
-
-    @cached_property
-    def reduction(self):
-        """Reduction of the columns [d | representatives], d the differential
-        into this slice.  Of E v (see linalg.Reduction), the first
-        len(coboundaries) rows are the echelon d-preimage of v (d comes first,
-        so its pivots are those of rref(d)), the next dimension rows its class
-        coordinates; the rows past the rank vanish exactly on cocycles."""
-        d = linalg.d_matrix(self.algebra, self.q - 1, self.k)
-        red = linalg.Reduction(_bordered(d, self.rep_vectors), d.ncols + len(self.rep_vectors))
-        internal_check(red.rank == len(self.coboundaries) + len(self.rep_vectors)
-                       == len(self.cocycles)
-                       and not any(any(red.image({i: v for i, v in enumerate(c) if v})[red.rank:])
-                                   for c in self.cocycles),
-                       "coboundaries and representatives must be a basis of the cocycles")
-        return red
 
     def contract(self, terms):
         """(h, p) of a component {monomial: coefficient} of this slice, the
@@ -161,61 +151,60 @@ def cohomology_slice(g, q, k):
     coboundaries = tuple(tuple(r) for r in image)
     dim = len(cocycles) - len(coboundaries)
 
-    reps = _choose_representatives(g, q, k, basis, index, prev, dmat, cocycles, exact, dim)
-    rep_vectors = tuple(tuple(_vec(index, f)) for f in reps)
+    reps, red = _choose_representatives(g, q, k, basis, index, prev, dmat, cocycles, exact, dim)
+    # the representatives are closed, dim H of them, and the j-th reads class
+    # coordinates e_j off red, so they are independent modulo the coboundaries
+    b = len(coboundaries)
+    internal_check(red.rank == b + len(reps) == len(cocycles)
+                   and all(differential(g, f).is_zero() for f in reps)
+                   and all(red.image({index[m]: c for m, c in f.terms.items()})[b:]
+                           == [int(i == j) for i in range(len(basis) - b)]
+                           for j, f in enumerate(reps)),
+                   "coboundaries and representatives must be a basis of the cocycles")
+    rep_vectors = tuple(tuple(f.terms.get(m, Fraction(0)) for m in basis) for f in reps)
     return CohomologySlice(g, q, k, basis, index, cocycles, coboundaries,
-                           tuple(reps), rep_vectors, dim)
-
-
-def _vec(index, form):
-    vec = [Fraction(0)] * len(index)
-    for m, c in form.terms.items():
-        vec[index[m]] = c
-    return vec
-
-
-def _bordered(d, columns):
-    """The rows of [d | columns]: d the differential into a slice, each
-    column a dense or {position: value} vector over that slice's basis."""
-    rows = d.rows()
-    for j, col in enumerate(columns, d.ncols):
-        for r, v in col.items() if isinstance(col, dict) else enumerate(col):
-            if v:
-                rows[r][j] = v
-    return rows
+                           tuple(reps), rep_vectors, red, dim)
 
 
 def _kept(d, columns):
-    """The positions of the columns that leave the span of d's columns and
-    of the columns before them: the pivots past d of rref([d | columns])."""
-    pivots = linalg.rref(_bordered(d, columns), d.ncols + len(columns))[1]
-    return [pc - d.ncols for pc in pivots if pc >= d.ncols]
+    """(kept, the Reduction of [d | columns]): d the differential into a
+    slice, each column a {position: nonzero value} vector over its basis,
+    and kept the positions of the columns that leave the span of d's columns
+    and of the columns before them, the pivots past d."""
+    rows = d.rows()
+    for j, col in enumerate(columns, d.ncols):
+        for r, v in col.items():
+            rows[r][j] = v
+    red = linalg.Reduction(rows, d.ncols + len(columns))
+    return [pc - d.ncols for pc in red.pivots if pc >= d.ncols], red
 
 
 def _choose_representatives(g, q, k, basis, index, prev, dmat, cocycles, exact, dim):
-    """The candidates kept by _kept against prev, the differential into the
-    slice: the omega cocycles when all are kept, else the closed monomials
-    (their columns of dmat are zero) and, only when those fall short, the
+    """(Representatives, the Reduction that kept them): the candidates kept
+    by _kept against prev, the differential into the slice.  They are the
+    omega cocycles when all are kept, else the closed monomials (their
+    columns of dmat are zero) and, only when those fall short, the
     completion, the rows of rref(cocycles) whose pivot is not in exact (the
     coboundary pivots).  As B lies in Z, pivots(B) lie in pivots(Z), so
     these rows are the reduced echelon form of Z reduced modulo B."""
-    if dim <= 0:
-        return []
+    if not dim:
+        return [], _kept(prev, [])[1]
     if is_m0(g) and q >= 2:
         lists = omega_index_lists(q - 1, k)
         if len(lists) == dim:
             forms = [omega(g, idx) for idx in lists]
-            if len(_kept(prev, [{index[m]: c for m, c in f.terms.items()} for f in forms])) == dim:
-                return forms
+            kept, red = _kept(prev, [{index[m]: c for m, c in f.terms.items()} for f in forms])
+            if len(kept) == dim:
+                return forms, red
     nonclosed = {c for _, c in dmat.entries}
     candidates = [{i: 1} for i in range(len(basis)) if i not in nonclosed]
-    kept = _kept(prev, candidates)
+    kept, red = _kept(prev, candidates)
     if len(kept) < dim:
         rows, pivots = linalg.rref(cocycles, len(basis))
         candidates += [{i: v for i, v in enumerate(row) if v}
                        for row, pc in zip(rows, pivots) if pc not in exact]
-        kept = _kept(prev, candidates)
-    return [Form(g, {basis[i]: _exact(v) for i, v in candidates[j].items()}) for j in kept]
+        kept, red = _kept(prev, candidates)
+    return [Form(g, {basis[i]: _exact(v) for i, v in candidates[j].items()}) for j in kept], red
 
 
 def betti(g, q, k):

@@ -32,14 +32,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product as iter_product
-from math import prod
 
 from . import linalg
 from .algebra import is_m0, is_m0_like
 from .cohomology import class_coordinates_form, class_terms, cohomology_slice, representatives
 from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined, NotACocycle,
                      NotApplicable, UnverifiedInput, UsageError, internal_check)
-from .forms import Form, _exact, differential, parse_form, render_form, sort_with_sign
+from .forms import Form, differential, parse_form, render_form, sort_with_sign
 from .mzero import Dm1, omega, omega_index_lists, omega_weight
 from .params import ParamPoly
 
@@ -398,19 +397,13 @@ class FamilyResult:
         return [pid for pid, _ in self.params]
 
     def substitute(self, assignment):
-        """Numeric substitution -> a concrete, verified DefiningSystem: each
-        piece scaled by the value of its parameter monomial, the product of
-        the assigned values (a parameter missing from the assignment is 0)."""
-        values = {pid: _exact(assignment.get(pid, 0)) for pid, _ in self.params}
-        entries = {}
-        for key, pieces in self.entries.items():
-            terms = entries[key] = {}
-            for pm, form in pieces.items():
-                if c := prod(map(values.__getitem__, pm)):
-                    for m, v in form.terms.items():
-                        terms[m] = terms.get(m, 0) + c * v
+        """Numeric substitution -> a concrete, verified DefiningSystem: the
+        constant piece of each entry of _substituted with every parameter a
+        constant (a parameter missing from the assignment is 0)."""
+        values = {pid: ParamPoly.const(assignment.get(pid, 0)) for pid, _ in self.params}
+        zero = Form.zero(self.alg)
         return DefiningSystem(ConnectionMatrix.from_entries(self.alg, self.n, {
-            key: Form(self.alg, terms) for key, terms in entries.items()}))
+            key: pieces.get((), zero) for key, pieces in self._substituted(values).items()}))
 
     def _substituted(self, values):
         """The entries with each parameter pid in values replaced by the
@@ -1046,8 +1039,10 @@ def _projectively_equal(p, q):
 
 def _match_table(pairs):
     """Match the classification table up to per-class scaling; returns a tag
-    for rows A, B, C, D or None."""
+    for rows A, B, C, D, or None, as for a triple that fails the criterion."""
     n = len(pairs)
+    if n == 3 and _triple_criterion(*pairs) != 0:
+        return None
     first = pairs[0]
     if all(_projectively_equal(first, p) for p in pairs[1:]):
         lam = (Fraction(*first), Fraction(1)) if first[1] != 0 \
@@ -1087,17 +1082,12 @@ def classify_trivial_ones(pairs):
     for a, b in pairs:
         if a == 0 and b == 0:
             raise NotACocycle("zero class in product")
-    if n == 3:
-        if _triple_criterion(*pairs) != 0:
-            return ClassificationTag("NotTrivial")
-        tag = _match_table(pairs)
-        return tag if tag is not None else ClassificationTag("NotTrivial")
-    # proper windows must be trivial for the product to be defined
+    # proper windows must be trivial for the product to be defined; by
+    # induction on length, a window is trivial when the table matches every
+    # window in it, so each window is matched once, shortest first
     for length in range(3, n):
-        for start in range(0, n - length + 1):
-            sub = classify_trivial_ones(pairs[start:start + length])
-            if sub.kind in ("NotTrivial", "NotDefined"):
-                return ClassificationTag("NotDefined")
+        if any(_match_table(pairs[s:s + length]) is None for s in range(n - length + 1)):
+            return ClassificationTag("NotDefined")
     tag = _match_table(pairs)
     return tag if tag is not None else ClassificationTag("NotTrivial")
 

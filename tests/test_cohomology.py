@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -215,11 +214,54 @@ def test_contraction_refusals_repeat(name, q, k, data):
         assert _outcome(lambda: coh.class_coordinates(slc, off)) == message
 
 
-def test_class_coordinates_rejects_dependent_representatives(L1):
-    slc = coh.cohomology_slice(L1, 2, 7)
-    broken = dataclasses.replace(slc, rep_vectors=slc.coboundaries[:1])
-    with pytest.raises(InternalCheckFailed):
-        coh.class_coordinates(broken, mono(L1, 2, 5) - 3 * mono(L1, 3, 4))
+# _kept with its last kept position dropped, or with its first one repeated,
+# and an omega that gives the monomial e^3^e^4 (not closed on m0): picks that
+# publish too few representatives, dependent ones or one that is not closed
+BROKEN_PICKS = ("from gradedlie.forms import Form\n"
+                "kept = coh._kept\n"
+                "def dropped(d, columns):\n"
+                "    positions, red = kept(d, columns)\n"
+                "    return positions[:-1], red\n"
+                "def repeated(d, columns):\n"
+                "    positions, red = kept(d, columns)\n"
+                "    return positions[:1] * len(positions), red\n"
+                "def unclosed(g, indices):\n"
+                "    return Form(g, {(3, 4): 1})\n")
+# its (1, 1) slice has the two closed monomials e^1 and e^2
+HEISENBERG = "generators: (1:1), (2:1), (3:2)\ncutoff: 3\n[1,2] = 1*3\n"
+BASIS_CHECK = "coboundaries and representatives must be a basis of the cocycles"
+
+
+def test_slice_build_rejects_a_broken_pick(m0, L1, monkeypatch):
+    # every slice is checked at build, contracted or not
+    scope = {"coh": coh}
+    exec(BROKEN_PICKS, scope)
+    heisenberg = parse_algebra(HEISENBERG)
+    assert not differential(m0, Form(m0, {(3, 4): 1})).is_zero()
+    for name, broken, g, q, k in (("_kept", "dropped", L1, 2, 7),
+                                  ("_kept", "repeated", heisenberg, 1, 1),
+                                  ("omega", "unclosed", m0, 2, 7)):
+        monkeypatch.setattr(coh, name, scope[broken])
+        coh.cohomology_slice.cache_clear()
+        with pytest.raises(InternalCheckFailed, match=f"^{BASIS_CHECK}$"):
+            coh.cohomology_slice(g, q, k)
+        monkeypatch.undo()
+    coh.cohomology_slice.cache_clear()
+    assert coh.representatives(heisenberg, 1, 1) == [mono(heisenberg, 1), mono(heisenberg, 2)]
+
+
+def test_slice_basis_check_survives_python_O():
+    script = ("assert False, 'python -O strips this assert'\n"
+              "from gradedlie import cohomology as coh\n"
+              "from gradedlie.algebra import parse_algebra\n" + BROKEN_PICKS
+              + f"coh._kept = repeated\ncoh.cohomology_slice(parse_algebra({HEISENBERG!r}), 1, 1)\n")
+    src = os.path.dirname(os.path.dirname(coh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.rstrip().endswith(f"InternalCheckFailed: {BASIS_CHECK}")
 
 
 def test_product_table_entries_and_refusal():

@@ -198,6 +198,23 @@ def _truthy_solver_tests(path):
     return sorted(set(found))
 
 
+def test_no_cached_property():
+    # functools.cached_property writes the instance __dict__ after
+    # construction, and CPython then reads every field of that object more
+    # slowly; a part built later is a slot or a field set at construction
+    found = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                lines = [node.lineno for node in ast.walk(ast.parse(fh.read()))
+                         if isinstance(node, ast.alias) and node.name == "cached_property"
+                         or isinstance(node, (ast.Name, ast.Attribute))
+                         and _name_of(node) == "cached_property"]
+            if lines:
+                found[name] = lines
+    assert found == {}
+
+
 def test_solver_results_compared_with_none():
     # solve and coboundary_preimage return a particular solution or None, and
     # [] (no unknowns) is a falsy solution, so callers write `is None`

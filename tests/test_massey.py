@@ -1437,6 +1437,57 @@ def test_classify_table_rows():
     assert tag.kind == "C" and tag.params == (1, Fraction(1))
 
 
+def _classify_every_window(pairs):
+    """The classification as a recursion that classifies every proper window
+    anew, exponential in the length: the reference for short products."""
+    pairs = [(Fraction(a), Fraction(b)) for a, b in pairs]
+    n = len(pairs)
+    if n == 3 and ms._triple_criterion(*pairs) != 0:
+        return ms.ClassificationTag("NotTrivial")
+    for length in range(3, n):
+        for start in range(n - length + 1):
+            sub = _classify_every_window(pairs[start:start + length])
+            if sub.kind in ("NotTrivial", "NotDefined"):
+                return ms.ClassificationTag("NotDefined")
+    tag = ms._match_table(pairs)
+    return tag if tag is not None else ms.ClassificationTag("NotTrivial")
+
+
+def test_classify_matches_the_every_window_recursion():
+    # every product of e1, e2, e1+e2, e2-e1 of length 3-7, and 3,000 random
+    # ones up to length 9
+    pool = [list(word) for n in range(3, 8)
+            for word in iter_product([(1, 0), (0, 1), (1, 1), (-1, 1)], repeat=n)]
+    rng, drawn = random.Random(7), []
+    while len(drawn) < 3000:
+        pairs = [(rng.randint(-3, 3), rng.choice((0, 0, 1, 2, -1)))
+                 for _ in range(rng.randint(3, 9))]
+        if all(a or b for a, b in pairs):
+            drawn.append(pairs)
+    pool += drawn
+    kinds = set()
+    for pairs in pool:
+        tag = ms.classify_trivial_ones(pairs)
+        assert tag == _classify_every_window(pairs), pairs
+        kinds.add(tag.kind)
+    assert kinds == {"A", "B", "C", "D", "NotTrivial", "NotDefined"}
+
+
+def test_classify_matches_each_window_once(monkeypatch):
+    # at most n^2 table matches for n = 40, where every window is trivial;
+    # the count stops a recursion that matches windows anew
+    calls = []
+
+    def counting(pairs):
+        calls.append(len(pairs))
+        assert len(calls) <= 40 ** 2
+        return match_table(pairs)
+
+    match_table = ms._match_table
+    monkeypatch.setattr(ms, "_match_table", counting)
+    assert ms.classify_trivial_ones([(1, 0)] * 40).kind == "A"
+
+
 def test_classify_zero_class_rejected():
     with pytest.raises(NotACocycle):
         ms.classify_trivial_ones([(1, 0), (0, 0), (1, 0)])
@@ -2040,34 +2091,34 @@ def test_golden_family_digest():
     assert digest.hexdigest() == GOLDEN_FAMILY_DIGEST
 
 
-def test_family_products_reduce_each_queried_slice_once(monkeypatch):
-    # one reduction per slice answers both its class coordinates and the
-    # coboundary preimages of its forms; no d-matrix is reduced on its own,
-    # and the only other reductions are the solves of parameter systems
-    built, queried = [], set()
+def test_family_products_read_the_picks_reductions(monkeypatch):
+    # the representative pick (_kept) builds every reduction but the solves
+    # of parameter systems; a contraction builds none and reads the last one
+    # its own slice's pick built, the one that kept the representatives
+    picks, callers, contracts = {}, [], []
 
     class CountingReduction(linalg.Reduction):
         __slots__ = ()
 
         def __init__(self, rows, ncols):
             caller = sys._getframe(1)
-            slc = caller.f_locals.get("self")
-            key = (slc.algebra, slc.q, slc.k) if caller.f_code.co_name == "reduction" else None
-            built.append((caller.f_code.co_name, key))
+            callers.append((caller.f_code.co_name, caller.f_back.f_code.co_name))
             super().__init__(rows, ncols)
+            if caller.f_code.co_name == "_kept":
+                pick = caller.f_back.f_locals
+                picks.setdefault((pick["g"], pick["q"], pick["k"]), []).append(self)
 
-    def spy(function, keys):
-        def wrapper(*args):
-            queried.update(keys(*args))
-            return function(*args)
-        return wrapper
+    contract = coh.CohomologySlice.contract
+
+    def spy(slc, terms):
+        built = len(callers)
+        hp = contract(slc, terms)
+        own = slc.reduction is picks[slc.algebra, slc.q, slc.k][-1]
+        contracts.append((own, len(callers) - built))
+        return hp
 
     monkeypatch.setattr(linalg, "Reduction", CountingReduction)
-    monkeypatch.setattr(coh, "class_coordinates", spy(
-        coh.class_coordinates, lambda slc, form: [(slc.algebra, slc.q, slc.k)]))
-    monkeypatch.setattr(linalg, "coboundary_preimage", spy(
-        linalg.coboundary_preimage,
-        lambda g, form: [(g, len(m), sum(map(g.weight, m))) for m in form.terms]))
+    monkeypatch.setattr(coh.CohomologySlice, "contract", spy)
     coh.cohomology_slice.cache_clear()
     algebras = {name: load_preset(name, 12) for name in ("m0", "L1")}
     for name, text in GOLDEN_FAMILY_PRODUCTS:
@@ -2076,9 +2127,9 @@ def test_family_products_reduce_each_queried_slice_once(monkeypatch):
             ms.evaluate_product(g, ms.parse_product(g, text))
         except MasseyNotDefined:
             pass
-    slices = [key for caller, key in built if caller == "reduction"]
-    assert {caller for caller, _ in built} == {"reduction", "solve"}
-    assert len(slices) == len(set(slices)) and set(slices) <= queried
+    assert {caller for caller, _ in callers} == {"_kept", "solve"}
+    assert {pick for caller, pick in callers if caller == "_kept"} == {"_choose_representatives"}
+    assert contracts and all(own and not built for own, built in contracts)
 
 
 # -- coefficient types: an int and the equal Fraction are one scalar -----------
