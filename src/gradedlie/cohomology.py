@@ -30,6 +30,9 @@ component z, p(z) are its class coordinates and h(z) the echelon d-preimage
 of z - i p(z).  Class coordinates are p and coboundary preimages (linalg) are
 h, both read through CohomologySlice.contract, which keeps each reading
 per component on the slice, unbounded like the cup-product tables.
+A slice has four such memos, filled on use: products, contractions,
+indeterminacies and pair_preimages (see the fields).  Its representatives are
+rendered once, at build.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import CutoffTooSmall, NotACocycle, internal_check
-from .forms import Form, _exact, differential, slice_basis, wedge, weight_parts
+from .forms import Form, _exact, differential, render_form, slice_basis, wedge, weight_parts
 from .algebra import e1_chain, is_m0, load_preset
 from .mzero import omega, omega_index_lists
 
@@ -64,6 +67,7 @@ class CohomologySlice:
     coboundaries: tuple
     representatives: tuple       # Forms, one per cohomology class
     rep_vectors: tuple
+    rep_texts: tuple             # render_form of each representative, made at build
     # Reduction of [d | the pick's candidates], d the differential into this
     # slice.  Of E v (see linalg.Reduction), the first len(coboundaries) rows
     # are the echelon d-preimage of v (d comes first, so its pivots are those
@@ -78,6 +82,10 @@ class CohomologySlice:
     # {(a, c): indeterminacy entry} of the triple products with this target
     # slice, filled by massey.triple_product
     indeterminacies: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # {(x, y): coboundary preimage of bar(x) y, or None when not exact} of the
+    # ordered pairs whose cup product lies in this slice, filled by
+    # massey.triple_product
+    pair_preimages: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def product_terms(self, right):
         """The cup-product table with a right slice of the same algebra:
@@ -162,8 +170,8 @@ def cohomology_slice(g, q, k):
                            for j, f in enumerate(reps)),
                    "coboundaries and representatives must be a basis of the cocycles")
     rep_vectors = tuple(tuple(f.terms.get(m, Fraction(0)) for m in basis) for f in reps)
-    return CohomologySlice(g, q, k, basis, index, cocycles, coboundaries,
-                           tuple(reps), rep_vectors, red, dim)
+    return CohomologySlice(g, q, k, basis, index, cocycles, coboundaries, tuple(reps),
+                           rep_vectors, tuple(map(render_form, reps)), red, dim)
 
 
 def _kept(d, columns):
@@ -185,8 +193,9 @@ def _choose_representatives(g, q, k, basis, index, prev, dmat, cocycles, exact, 
     omega cocycles when all are kept, else the closed monomials (their
     columns of dmat are zero) and, only when those fall short, the
     completion, the rows of rref(cocycles) whose pivot is not in exact (the
-    coboundary pivots).  As B lies in Z, pivots(B) lie in pivots(Z), so
-    these rows are the reduced echelon form of Z reduced modulo B."""
+    coboundary pivots); with no closed monomial, straight to the completion.
+    As B lies in Z, pivots(B) lie in pivots(Z), so these rows are the
+    reduced echelon form of Z reduced modulo B."""
     if not dim:
         return [], _kept(prev, [])[1]
     if is_m0(g) and q >= 2:
@@ -198,7 +207,7 @@ def _choose_representatives(g, q, k, basis, index, prev, dmat, cocycles, exact, 
                 return forms, red
     nonclosed = {c for _, c in dmat.entries}
     candidates = [{i: 1} for i in range(len(basis)) if i not in nonclosed]
-    kept, red = _kept(prev, candidates)
+    kept, red = _kept(prev, candidates) if candidates else ([], None)
     if len(kept) < dim:
         rows, pivots = linalg.rref(cocycles, len(basis))
         candidates += [{i: v for i, v in enumerate(row) if v}

@@ -169,6 +169,20 @@ def weight_parts(a):
     return {k: parts[k] for k in sorted(parts)}
 
 
+def weight_bounds(a):
+    """(lowest, highest) weight of a nonzero form, from one pass over its
+    terms and without building weight_parts; ValueError for the zero form.
+    An index outside the algebra raises AlgebraFormatError, through
+    alg.weight."""
+    table = a.alg._weights
+    try:
+        weights = [sum(map(table.__getitem__, m)) for m in a.terms]
+    except KeyError as missing:
+        a.alg.weight(missing.args[0])
+        raise
+    return min(weights), max(weights)
+
+
 def bar(a):
     """Involution: degree-k component scaled by (-1)^(k+1)."""
     return Form(a.alg, {m: (c if len(m) % 2 == 1 else -c) for m, c in a.terms.items()})

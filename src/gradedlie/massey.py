@@ -38,7 +38,7 @@ from .algebra import is_m0, is_m0_like
 from .cohomology import class_coordinates_form, class_terms, cohomology_slice, representatives
 from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined, NotACocycle,
                      NotApplicable, UnverifiedInput, UsageError, internal_check)
-from .forms import Form, differential, parse_form, render_form, sort_with_sign
+from .forms import Form, differential, parse_form, render_form, sort_with_sign, weight_bounds
 from .mzero import Dm1, omega, omega_index_lists, omega_weight
 from .params import ParamPoly
 
@@ -316,7 +316,7 @@ def _value_class(g, degree, terms):
     """ValueClass of sum coeff * [representative (weight, index)] over the
     class-term dict {(weight, index): coeff}, in its key order."""
     return ValueClass(degree, tuple(
-        (k, i, coeff, render_form(cohomology_slice(g, degree, k).representatives[i]))
+        (k, i, coeff, cohomology_slice(g, degree, k).rep_texts[i])
         for (k, i), coeff in terms.items()))
 
 
@@ -516,12 +516,13 @@ def solve_defining_system(g, classes, graded=None):
         raise NotApplicable("class ambient mismatch")
     _require_cocycles(g, classes, "product classes must be nonzero cocycles")
     degrees = [a.degree() for a in classes]
-    homogeneous = all(len(a.weights()) == 1 for a in classes)
+    bounds = [weight_bounds(a) for a in classes]
+    homogeneous = all(low == high for low, high in bounds)
     if graded is None:
         graded = homogeneous
     if graded and not homogeneous:
         raise NotApplicable("graded search requires weight-homogeneous classes")
-    weights_max = [max(a.weights()) for a in classes]
+    weights_max = [high for _, high in bounds]
     total_weight = sum(weights_max)
     if total_weight > g.cutoff:
         raise CutoffTooSmall(total_weight, g.cutoff, "defining system")
@@ -579,20 +580,25 @@ def triple_product(g, a, b, c):
     bar(a) a(2,3) + bar(a(1,2)) c.  Returns a MasseyResult carrying that
     value class, the indeterminacy subspace basis, and the exact decision
     whether 0 lies in the affine set.  Raises MasseyNotDefined when [a][b]
-    or [b][c] is nonzero.  The indeterminacy depends only on a, c and the
+    or [b][c] is nonzero.  a(1,2) and a(2,3) depend only on their ordered
+    pair (see _pair_preimage), and the indeterminacy only on a, c and the
     target slice (see _indeterminacy), so each triple solves once against it.
     """
     _require_cocycles(g, (a, b, c), "triple product needs nonzero cocycles")
     p, q, r = a.degree(), b.degree(), c.degree()
-    total_weight = max(a.weights()) + max(b.weights()) + max(c.weights())
+    wa, wb, wc = weight_bounds(a)[1], weight_bounds(b)[1], weight_bounds(c)[1]
+    total_weight = wa + wb + wc
     if total_weight > g.cutoff:
         raise CutoffTooSmall(total_weight, g.cutoff, "triple product")
     entries = {(1, 1): {(): a}, (2, 2): {(): b}, (3, 3): {(): c}}
-    for slot, message in (((1, 2), "[a][b] is not exact"), ((2, 3), "[b][c] is not exact")):
-        if window := _window_sum(entries, *slot):
-            preimage = linalg.coboundary_preimage(g, window[()])
-            if preimage is None:
-                raise MasseyNotDefined(slot, message)
+    # each pair's cup-product slice lies below the target weight, so within the cutoff
+    for slot, message, x, y, degree, weight in (
+            ((1, 2), "[a][b] is not exact", a, b, p + q, wa + wb),
+            ((2, 3), "[b][c] is not exact", b, c, q + r, wb + wc)):
+        preimage = _pair_preimage(g, x, y, cohomology_slice(g, degree, weight))
+        if preimage is None:
+            raise MasseyNotDefined(slot, message)
+        if preimage.terms:
             entries[slot] = {(): preimage}
     corner = _window_sum(entries, 1, 3)
     value_form = corner[()] if corner else Form.zero(g)
@@ -619,6 +625,23 @@ def triple_product(g, a, b, c):
                         indeterminacy=indet_classes,
                         certificate={"kind": "exact-affine-triple",
                                      "detail": "0 is not in the affine value set"})
+
+
+def _pair_preimage(g, x, y, slc):
+    """The coboundary preimage of the window bar(x) y of an ordered pair of
+    cocycles, the zero Form for a zero window, or None when the window is
+    not exact.  slc is the slice of the pair's cup product (degree
+    deg x + deg y, weight top(x) + top(y)); the answer is kept in its
+    pair_preimages memo, keyed by Form equality, and a computation that
+    raises is not stored."""
+    memo = slc.pair_preimages
+    try:
+        return memo[x, y]
+    except KeyError:
+        pass
+    window = _window_sum({(1, 1): {(): x}, (2, 2): {(): y}}, 1, 2)
+    preimage = memo[x, y] = linalg.coboundary_preimage(g, window[()]) if window else Form.zero(g)
+    return preimage
 
 
 def _indeterminacy(g, target, a, c):
@@ -653,7 +676,7 @@ def _indeterminacy(g, target, a, c):
         # table may lie past the cutoff
         outer_slices = [(cohomology_slice(g, outer_degree, k), coords)
                         for k, coords in class_coordinates_form(g, outer).items() if any(coords)]
-        for weight in range(1, target.k - min(outer.weights()) + 1):
+        for weight in range(1, target.k - weight_bounds(outer)[0] + 1):
             reps = representatives(g, degree, weight)
             if reps:
                 gen_forms += [(slot, sign, h) for h in reps]
@@ -732,7 +755,7 @@ def thread_connection(g, pairs):
 
 
 def _one_class_result(g, classes, pairs):
-    total_weight = sum(max(cl.weights()) for cl in classes)
+    total_weight = sum(weight_bounds(cl)[1] for cl in classes)
     if total_weight > g.cutoff:
         raise CutoffTooSmall(total_weight, g.cutoff, "thread witness")
     n = len(pairs)

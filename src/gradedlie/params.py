@@ -58,15 +58,7 @@ class ParamPoly:
         return ParamPoly(terms)
 
     def __mul__(self, other):
-        other = as_poly(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                c = c1 * c2
-                s = terms.get(m)
-                terms[m] = c if s is None else s + c
-        return ParamPoly(terms)
+        return ParamPoly(_times(self.terms, as_poly(other).terms))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -108,15 +100,22 @@ class ParamPoly:
     # -- substitution ---------------------------------------------------------
     def substitute(self, assignment):
         """Replace parameters by Fractions or ParamPolys; unmentioned
-        parameters stay symbolic."""
-        out = ParamPoly()
+        parameters stay symbolic.  Each monomial is multiplied out factor by
+        factor on term dicts and added into one, dropping zeros after every
+        step as the ring operations do, so the terms come in the same order;
+        one ParamPoly is built per call."""
+        out = {}
         for mono, c in self.terms.items():
-            acc = ParamPoly.const(c)
+            acc = {(): c}
             for pid in mono:
                 rep = assignment.get(pid)
-                acc = acc * (ParamPoly.var(pid) if rep is None else as_poly(rep))
-            out = out + acc
-        return out
+                acc = _times(acc, {(pid,): 1} if rep is None else as_poly(rep).terms)
+            for m, v in acc.items():
+                s = out.get(m)
+                out[m] = v if s is None else s + v
+            if 0 in out.values():
+                out = {m: v for m, v in out.items() if v}
+        return ParamPoly(out)
 
     def evaluate(self, assignment):
         """Full numeric evaluation; every variable must be assigned an int or a
@@ -129,3 +128,16 @@ class ParamPoly:
                 prod *= v if isinstance(v, Fraction) else _exact(v)
             total += prod
         return total
+
+
+def _times(left, right):
+    """The product of two term dicts, monomials in order of first
+    appearance, zero sums dropped."""
+    terms = {}
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            m = tuple(sorted(m1 + m2))
+            c = c1 * c2
+            s = terms.get(m)
+            terms[m] = c if s is None else s + c
+    return {m: c for m, c in terms.items() if c}

@@ -1,9 +1,11 @@
 """Source layout rules that no behavioural test would notice."""
 
 import ast
+import dataclasses
 import os
 
 import gradedlie
+from gradedlie.cohomology import CohomologySlice
 
 SRC = os.path.dirname(gradedlie.__file__)
 
@@ -279,6 +281,13 @@ def test_module_level_caches_are_the_known_ones():
         "cohomology.py": ["_slice_basis_cached", "cohomology_slice", "morse_matching",
                           "partition_count"],
         "linalg.py": ["d_matrix"]}
+
+
+def test_per_slice_memos_are_the_known_ones():
+    # a slice's memos are the fields its constructor does not take, filled on
+    # use; a new one is a named change, like a new module-level cache
+    memos = [f.name for f in dataclasses.fields(CohomologySlice) if not f.init]
+    assert memos == ["products", "contractions", "indeterminacies", "pair_preimages"]
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

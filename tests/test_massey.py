@@ -1006,6 +1006,71 @@ def test_equal_outer_forms_share_one_indeterminacy_entry(m0):
     # the middle class changes the value, not the indeterminacy
     assert len(outcomes) == 2
     assert len(_target_slice(m0, (a, F(m0, "e1"), c)).indeterminacies) == 1
+
+
+def _pair_memo(g, x, y):
+    """The pair_preimages memo of the slice of the cup product of x and y."""
+    return cohomology_slice(g, x.degree() + y.degree(),
+                            max(x.weights()) + max(y.weights())).pair_preimages
+
+
+def test_triple_pair_preimage_memo_hits_change_nothing(m0, L1, monkeypatch):
+    # a(1,2) and a(2,3) are read once per ordered pair and kept on the pair's
+    # cup-product slice; a second pass answers (the JSON carries the
+    # witness), or raises, exactly as the first, and takes no coboundary
+    # preimage but the one that re-checks each witness
+    coh.cohomology_slice.cache_clear()
+    texts = ["e1", "e2", "e1+e2", *(render_form(omega(m0, [i])) for i in (2, 3)),
+             "e1^e4", "e2^e5-3*e3^e4"]
+    real, entries = linalg.coboundary_preimage, []
+    for g in (m0, L1):
+        classes = [F(g, t) for t in texts]
+        triples = list(iter_product(classes, repeat=3))
+        first = [_triple_outcome(g, t) for t in triples]
+        memos = {pair: dict(_pair_memo(g, *pair)) for pair in iter_product(classes, repeat=2)
+                 if all(differential(g, x).is_zero() for x in pair)
+                 and sum(max(x.weights()) for x in pair) <= g.cutoff}
+        calls = []
+        monkeypatch.setattr(linalg, "coboundary_preimage",
+                            lambda *args: calls.append(args) or real(*args))
+        assert [_triple_outcome(g, t) for t in triples] == first
+        monkeypatch.undo()
+        assert len(calls) == sum(kind == "ok" and '"TrivialWitness"' in out
+                                 for kind, out in first)
+        assert {pair: _pair_memo(g, *pair) for pair in memos} == memos
+        entries += [entry for memo in memos.values() for entry in memo.values()]
+    assert None in entries and any(entry is not None for entry in entries)
+
+
+def test_equal_pair_forms_share_one_preimage_entry(m0):
+    coh.cohomology_slice.cache_clear()
+    x, y, e1 = F(m0, "2*e1+e2"), F(m0, "e1-e2"), F(m0, "e1")
+    # equal but distinct: a Fraction coefficient, and the terms in reverse order
+    x2, y2 = Form(m0, {(1,): Fraction(2, 1), (2,): 1}), Form(m0, {(2,): -1, (1,): 1})
+    assert (x2, y2) == (x, y) and list(y2.terms) != list(y.terms)
+    # the pair (x, y) at (1, 2) and at (2, 3), each time as either copy
+    outcomes = [_triple_outcome(m0, t) for t in ((x, y, e1), (x2, y2, e1),
+                                                 (e1, x, y), (e1, x2, y2))]
+    assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
+    memo = _pair_memo(m0, x, y)
+    assert list(memo) == [(x, y)] and memo[x2, y2] is not None
+
+
+def test_a_memoized_unexact_pair_raises_with_its_own_slot(m0):
+    # [omega(3)][e2] is not exact; met first at (1, 2), its None is kept, and
+    # met again at (2, 3) it names that slot
+    coh.cohomology_slice.cache_clear()
+    w3, e1, e2 = omega(m0, [3]), F(m0, "e1"), F(m0, "e2")
+    with pytest.raises(MasseyNotDefined, match=r"^\[a\]\[b\] is not exact$") as info:
+        ms.triple_product(m0, w3, e2, e1)
+    assert info.value.window == (1, 2)
+    assert _pair_memo(m0, w3, e2) == {(w3, e2): None}
+    with pytest.raises(MasseyNotDefined, match=r"^\[b\]\[c\] is not exact$") as info:
+        ms.triple_product(m0, e1, w3, F(m0, "e2"))
+    assert info.value.window == (2, 3)
+    assert _pair_memo(m0, w3, e2) == {(w3, e2): None}
+
+
 NILPOTENT_CLASSES = ["e1", "e2", "e3", "e1+2*e2-e3", "e1^e4", "e1^e5", "e2^e4", "e2^e6"]
 
 # sha256 over the JSON result, or the exception, of every ordered triple of
@@ -1971,6 +2036,49 @@ def test_param_polys_take_ints_and_fractions(substitute_families):
     assert type(ParamPoly.const(2).terms[()]) is Fraction
     assert ParamPoly.var(0).evaluate({0: 3}) == 3
     assert fam.substitute({pid: 1}).matrix == fam.substitute({pid: Fraction(1)}).matrix
+
+
+def _substitute_by_ring_operations(poly, assignment):
+    """ParamPoly.substitute as it was: each monomial expanded through
+    ParamPoly products and sums, the product written out here so that the
+    reference shares no multiplication with the library."""
+    def times(x, y):
+        terms = {}
+        for m1, c1 in x.terms.items():
+            for m2, c2 in y.terms.items():
+                m = tuple(sorted(m1 + m2))
+                terms[m] = terms[m] + c1 * c2 if m in terms else c1 * c2
+        return ParamPoly(terms)
+
+    out = ParamPoly()
+    for mono, c in poly.terms.items():
+        acc = ParamPoly.const(c)
+        for pid in mono:
+            rep = assignment.get(pid)
+            acc = times(acc, ParamPoly.var(pid) if rep is None else as_poly(rep))
+        out = out + acc
+    return out
+
+
+# few small coefficients, so that terms cancel often
+POLY_COEFFS = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+
+
+def _param_polys(max_size):
+    monomial = st.lists(st.integers(0, 3), max_size=3).map(lambda m: tuple(sorted(m)))
+    return st.dictionaries(monomial, POLY_COEFFS, max_size=max_size).map(ParamPoly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly=_param_polys(6),
+       assignment=st.dictionaries(st.integers(0, 3),
+                                  st.one_of(POLY_COEFFS, _param_polys(3)), max_size=4))
+def test_substitute_matches_the_ring_operation_expansion(poly, assignment):
+    out = poly.substitute(assignment)
+    ref = _substitute_by_ring_operations(poly, assignment)
+    # the same terms in the same order, every coefficient a nonzero Fraction
+    assert list(out.terms.items()) == list(ref.terms.items())
+    assert all(type(c) is Fraction and c for c in out.terms.values())
 
 
 def _affine_reference(polys):
