@@ -90,7 +90,14 @@ class Form:
         return sorted({len(m) for m in self.terms})
 
     def weights(self):
-        return list(weight_parts(self))
+        """The distinct term weights, ascending, from one pass over the
+        terms; an index outside the algebra raises AlgebraFormatError."""
+        table = self.alg._weights
+        try:
+            return sorted({sum(map(table.__getitem__, m)) for m in self.terms})
+        except KeyError as missing:
+            self.alg.weight(missing.args[0])
+            raise
 
     def degree(self):
         degs = {len(m) for m in self.terms}
@@ -167,20 +174,6 @@ def weight_parts(a):
         a.alg.weight(missing.args[0])
         raise
     return {k: parts[k] for k in sorted(parts)}
-
-
-def weight_bounds(a):
-    """(lowest, highest) weight of a nonzero form, from one pass over its
-    terms and without building weight_parts; ValueError for the zero form.
-    An index outside the algebra raises AlgebraFormatError, through
-    alg.weight."""
-    table = a.alg._weights
-    try:
-        weights = [sum(map(table.__getitem__, m)) for m in a.terms]
-    except KeyError as missing:
-        a.alg.weight(missing.args[0])
-        raise
-    return min(weights), max(weights)
 
 
 def bar(a):

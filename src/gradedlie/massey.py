@@ -38,7 +38,7 @@ from .algebra import is_m0, is_m0_like
 from .cohomology import class_coordinates_form, class_terms, cohomology_slice, representatives
 from .errors import (AlgebraFormatError, CutoffTooSmall, MasseyNotDefined, NotACocycle,
                      NotApplicable, UnverifiedInput, UsageError, internal_check)
-from .forms import Form, differential, parse_form, render_form, sort_with_sign, weight_bounds
+from .forms import Form, differential, parse_form, render_form, sort_with_sign
 from .mzero import Dm1, omega, omega_index_lists, omega_weight
 from .params import ParamPoly
 
@@ -516,13 +516,12 @@ def solve_defining_system(g, classes, graded=None):
         raise NotApplicable("class ambient mismatch")
     _require_cocycles(g, classes, "product classes must be nonzero cocycles")
     degrees = [a.degree() for a in classes]
-    bounds = [weight_bounds(a) for a in classes]
-    homogeneous = all(low == high for low, high in bounds)
+    homogeneous = all(len(a.weights()) == 1 for a in classes)
     if graded is None:
         graded = homogeneous
     if graded and not homogeneous:
         raise NotApplicable("graded search requires weight-homogeneous classes")
-    weights_max = [high for _, high in bounds]
+    weights_max = [max(a.weights()) for a in classes]
     total_weight = sum(weights_max)
     if total_weight > g.cutoff:
         raise CutoffTooSmall(total_weight, g.cutoff, "defining system")
@@ -586,7 +585,7 @@ def triple_product(g, a, b, c):
     """
     _require_cocycles(g, (a, b, c), "triple product needs nonzero cocycles")
     p, q, r = a.degree(), b.degree(), c.degree()
-    wa, wb, wc = weight_bounds(a)[1], weight_bounds(b)[1], weight_bounds(c)[1]
+    wa, wb, wc = max(a.weights()), max(b.weights()), max(c.weights())
     total_weight = wa + wb + wc
     if total_weight > g.cutoff:
         raise CutoffTooSmall(total_weight, g.cutoff, "triple product")
@@ -676,7 +675,7 @@ def _indeterminacy(g, target, a, c):
         # table may lie past the cutoff
         outer_slices = [(cohomology_slice(g, outer_degree, k), coords)
                         for k, coords in class_coordinates_form(g, outer).items() if any(coords)]
-        for weight in range(1, target.k - weight_bounds(outer)[0] + 1):
+        for weight in range(1, target.k - min(outer.weights()) + 1):
             reps = representatives(g, degree, weight)
             if reps:
                 gen_forms += [(slot, sign, h) for h in reps]
@@ -755,7 +754,7 @@ def thread_connection(g, pairs):
 
 
 def _one_class_result(g, classes, pairs):
-    total_weight = sum(weight_bounds(cl)[1] for cl in classes)
+    total_weight = sum(max(cl.weights()) for cl in classes)
     if total_weight > g.cutoff:
         raise CutoffTooSmall(total_weight, g.cutoff, "thread witness")
     n = len(pairs)

@@ -102,14 +102,21 @@ class ParamPoly:
         """Replace parameters by Fractions or ParamPolys; unmentioned
         parameters stay symbolic.  Each monomial is multiplied out factor by
         factor on term dicts and added into one, dropping zeros after every
-        step as the ring operations do, so the terms come in the same order;
-        one ParamPoly is built per call."""
+        step as the ring operations do, so the terms come in the same order.
+        An assigned number is read as a constant term, so the result is the
+        one ParamPoly a call builds."""
         out = {}
         for mono, c in self.terms.items():
             acc = {(): c}
             for pid in mono:
                 rep = assignment.get(pid)
-                acc = _times(acc, {(pid,): 1} if rep is None else as_poly(rep).terms)
+                if rep is None:
+                    factor = {(pid,): 1}
+                elif isinstance(rep, ParamPoly):
+                    factor = rep.terms
+                else:
+                    factor = {(): _exact(rep)}
+                acc = _times(acc, factor)
             for m, v in acc.items():
                 s = out.get(m)
                 out[m] = v if s is None else s + v

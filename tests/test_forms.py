@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from gradedlie.algebra import GeneratorSpec, GradedLieAlgebra, bracket, load_preset
 from gradedlie.errors import AlgebraFormatError, AmbientMismatch, ArityMismatch, CutoffTooSmall
 from gradedlie.forms import (Form, bar, differential, evaluate, parse_form, render_form,
-                             slice_all_degree, slice_basis, wedge, weight_bounds,
-                             weight_parts)
+                             slice_all_degree, slice_basis, wedge, weight_parts)
 
 
 def mono(g, *idx):
@@ -282,17 +281,13 @@ def test_weight_components_partition_the_form(a):
     for part in parts.values():
         total = total + part
     assert total == a
-    if parts:
-        assert weight_bounds(a) == (min(parts), max(parts))
-    else:
-        with pytest.raises(ValueError):
-            weight_bounds(a)
+    assert a.weights() == list(parts)
 
 
 def test_weight_of_an_unknown_index_is_a_format_error(m0):
     # the constructor keeps a term map as given, so no check ran on e99
     stray = Form(m0, {(2,): 1, (1, 99): 1})
-    for read in (weight_parts, Form.weights, weight_bounds):
+    for read in (weight_parts, Form.weights):
         with pytest.raises(AlgebraFormatError, match=r"^line 0: unknown generator index 99$"):
             read(stray)
 
